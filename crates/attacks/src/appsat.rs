@@ -31,7 +31,7 @@ use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
 
 /// Settings specific to AppSAT.
 #[derive(Debug, Clone, Copy)]
-pub struct AppSatConfig {
+pub(crate) struct AppSatConfig {
     /// Run the error estimation every this many DIP iterations.
     pub settle_every: usize,
     /// Number of random queries per estimation round.
@@ -59,22 +59,13 @@ fn estimate_error(locked: &LockedCircuit, key: &KeyValue, queries: usize, rng: &
         .unwrap_or(1.0)
 }
 
-/// Runs AppSAT on `locked`.
+/// Runs AppSAT on `locked`, racing each solver query across the given
+/// [`Portfolio`].
 ///
 /// Returns [`AttackOutcome::KeyFound`] only when the settled key verifies
 /// exactly; an approximate key that still errs is reported as
 /// [`AttackOutcome::WrongKey`] (the paper's `x..x`).
-pub fn appsat_attack(
-    locked: &LockedCircuit,
-    budget: &AttackBudget,
-    config: &AppSatConfig,
-) -> AttackReport {
-    appsat_attack_with(locked, budget, config, &Portfolio::single())
-}
-
-/// Runs AppSAT, racing each solver query across the given [`Portfolio`]
-/// (same verdict semantics as [`appsat_attack`]).
-pub fn appsat_attack_with(
+pub(crate) fn appsat_attack_with(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     config: &AppSatConfig,
@@ -186,17 +177,9 @@ pub fn appsat_attack_with(
 /// Runs the Double-DIP attack: each iteration demands an input pattern on
 /// which the two key copies disagree **and** at least one of them also
 /// disagrees with a third key copy — guaranteeing every DIP prunes two or
-/// more wrong keys. Delegates to [`run_attack`](crate::run_attack) with
-/// [`AttackStrategy::DoubleDip`](crate::AttackStrategy::DoubleDip).
-pub fn double_dip_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::DoubleDip).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
-/// Runs Double-DIP, racing each solver query across the given
+/// more wrong keys. Each solver query is raced across the given
 /// [`Portfolio`].
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn double_dip_attack_with(
+pub(crate) fn double_dip_attack_with(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     portfolio: &Portfolio,
@@ -336,6 +319,7 @@ pub fn double_dip_attack_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_attack, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::{TtLock, XorLock};
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
@@ -350,10 +334,14 @@ mod tests {
         }
     }
 
+    fn attack(strategy: AttackStrategy, lc: &LockedCircuit) -> AttackReport {
+        run_attack(lc, &AttackSpec::new(strategy).with_budget(quick_budget()))
+    }
+
     #[test]
     fn appsat_breaks_xor_lock_exactly() {
         let lc = XorLock::new(5, 51).lock(&s27()).unwrap();
-        let report = appsat_attack(&lc, &quick_budget(), &AppSatConfig::default());
+        let report = attack(AttackStrategy::AppSat, &lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -371,7 +359,7 @@ mod tests {
             queries: 16,
             error_threshold: 0.1,
         };
-        let report = appsat_attack(&lc, &quick_budget(), &cfg);
+        let report = appsat_attack_with(&lc, &quick_budget(), &cfg, &Portfolio::single());
         assert!(
             matches!(
                 report.outcome,
@@ -394,14 +382,14 @@ mod tests {
         })
         .lock(&s27())
         .unwrap();
-        let report = appsat_attack(&lc, &quick_budget(), &AppSatConfig::default());
+        let report = attack(AttackStrategy::AppSat, &lc);
         assert!(report.outcome.defense_held(), "got {}", report.outcome);
     }
 
     #[test]
     fn double_dip_breaks_xor_lock() {
         let lc = XorLock::new(4, 53).lock(&s27()).unwrap();
-        let report = double_dip_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::DoubleDip, &lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -421,7 +409,7 @@ mod tests {
         })
         .lock(&s27())
         .unwrap();
-        let report = double_dip_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::DoubleDip, &lc);
         assert!(report.outcome.defense_held(), "got {}", report.outcome);
     }
 }

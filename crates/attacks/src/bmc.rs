@@ -28,11 +28,9 @@
 //! retractable [`Solver`] scope ([`Solver::push_scope`] /
 //! [`Solver::pop_scope`]), and oracle/DIP constraints are asserted
 //! permanently — so learnt clauses survive across bounds and iterations.
-//! [`BmcMode::Bbo`] and [`BmcMode::Int`] differ only in lineage (NEOS's
-//! `bbo` historically re-solved from scratch per bound); the legacy
-//! rebuild-per-bound path is kept as [`BmcMode::BboRebuild`] purely so the
-//! `attacks` criterion bench can measure the incremental speedup. KC2 adds
-//! key-bit fixation on top — see [`crate::kc2`].
+//! NEOS's `bbo` and `int` modes differ only in lineage (`bbo` historically
+//! re-solved from scratch per bound), so both strategies run this one
+//! engine. KC2 adds key-bit fixation on top — see [`crate::kc2`].
 
 use std::rc::Rc;
 
@@ -46,25 +44,9 @@ use crate::outcome::verify_candidate_key;
 use crate::portfolio::Portfolio;
 use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
 
-/// Which unrolling strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BmcMode {
-    /// NEOS "BBO". Historically re-solved from scratch at every bound; now
-    /// appends frames to one persistent solver like [`BmcMode::Int`].
-    Bbo,
-    /// One incremental solver, frames appended as the bound grows (NEOS
-    /// "INT").
-    Int,
-    /// The legacy BBO behavior: tear the solver down and re-encode the
-    /// whole unrolling at every bound, replaying remembered DIPs. Kept as
-    /// the baseline for the `bbo_rebuild_vs_incremental` criterion group;
-    /// never the right choice outside benchmarking.
-    BboRebuild,
-}
-
 /// How the attacker models the initial state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitModel {
+pub(crate) enum InitModel {
     /// Known reset state (read from the netlist's flip-flop inits).
     Reset,
     /// Unknown initial state, modeled as secret variables shared by all
@@ -72,47 +54,14 @@ pub enum InitModel {
     Secret,
 }
 
-/// Runs the BBO-mode attack. Delegates to [`run_attack`](crate::run_attack)
-/// with [`AttackStrategy::Bbo`](crate::AttackStrategy::Bbo).
-pub fn bbo_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::Bbo).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
-/// Runs the BBO-mode attack, racing each solver query across the given
-/// [`Portfolio`].
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn bbo_attack_with(
+/// Runs the BBO/INT unrolling attack, racing each solver query across the
+/// given [`Portfolio`].
+pub(crate) fn bmc_attack_with(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Reset, false, portfolio).run(BmcMode::Bbo)
-}
-
-/// Runs BBO with the legacy rebuild-per-bound solver strategy (the slow
-/// NEOS baseline). Only useful for benchmarking against [`bbo_attack`].
-pub fn bbo_rebuild_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let portfolio = Portfolio::single();
-    Engine::new(locked, budget, InitModel::Reset, false, &portfolio).run(BmcMode::BboRebuild)
-}
-
-/// Runs the INT-mode attack. Delegates to [`run_attack`](crate::run_attack)
-/// with [`AttackStrategy::Int`](crate::AttackStrategy::Int).
-pub fn int_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::Int).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
-/// Runs the INT-mode attack, racing each solver query across the given
-/// [`Portfolio`].
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn int_attack_with(
-    locked: &LockedCircuit,
-    budget: &AttackBudget,
-    portfolio: &Portfolio,
-) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Reset, false, portfolio).run(BmcMode::Int)
+    Engine::new(locked, budget, InitModel::Reset, false, portfolio).run()
 }
 
 /// One miter copy's per-frame literals.
@@ -125,11 +74,7 @@ struct Chain {
     state: Vec<Lit>,
 }
 
-/// A remembered DIP: per-frame input vectors with the oracle's per-frame
-/// output vectors.
-type DipTrace = (Vec<Vec<bool>>, Vec<Vec<bool>>);
-
-/// Incremental-mode state: the miter (owning the solver), the two
+/// A run's incremental state: the miter (owning the solver), the two
 /// key-literal vectors, both chains, and the shared secret-initial-state
 /// literals (if any).
 struct IncState {
@@ -151,8 +96,7 @@ pub(crate) struct Engine<'a> {
     fix_key_bits: bool,
     /// Query-level portfolio racing (and the attack-level stop flag).
     portfolio: &'a Portfolio,
-    /// Shared so the legacy rebuild mode can restart from a fresh miter
-    /// without re-deriving (or deep-copying) the view per bound.
+    /// The scan view, derived before the budget's clock starts.
     sv: Rc<ScanView>,
     start: Instant,
     iterations: usize,
@@ -302,7 +246,7 @@ impl<'a> Engine<'a> {
         timed_out
     }
 
-    pub(crate) fn run(mut self, mode: BmcMode) -> AttackReport {
+    pub(crate) fn run(mut self) -> AttackReport {
         let ki = self.locked.netlist.key_inputs().len();
         if ki == 0 {
             return self.report(AttackOutcome::Fail, 0, RunStats::default());
@@ -310,31 +254,12 @@ impl<'a> Engine<'a> {
         let mut oracle =
             NetlistOracle::new(self.locked.original.clone()).expect("oracle netlist valid");
 
-        // Remembered DIP sequences with oracle answers (replayed only in
-        // the legacy rebuild mode, where the solver is torn down per bound).
-        let mut dips: Vec<DipTrace> = Vec::new();
-
         let mut inc: Option<IncState> = None;
         let mut diff_lits: Vec<Lit> = Vec::new();
         let mut fixed: Vec<Option<bool>> = vec![None; ki];
 
         for bound in 1..=self.budget.max_bound {
-            if mode == BmcMode::BboRebuild || inc.is_none() {
-                let mut st = self.fresh_state();
-                for (xseq, ys) in &dips {
-                    self.add_dip_constraints(
-                        &mut st.m,
-                        &st.k1,
-                        &st.k2,
-                        st.secret.as_deref(),
-                        xseq,
-                        ys,
-                    );
-                }
-                diff_lits.clear();
-                inc = Some(st);
-            }
-            let st = inc.as_mut().expect("just built");
+            let st = inc.get_or_insert_with(|| self.fresh_state());
 
             // Extend the miter up to `bound` frames: fresh shared data
             // inputs per frame, state threaded from the previous frame.
@@ -409,9 +334,6 @@ impl<'a> Engine<'a> {
                             &xseq,
                             &ys,
                         );
-                        if mode == BmcMode::BboRebuild {
-                            dips.push((xseq, ys));
-                        }
                         if self.fix_key_bits
                             && self.crunch_key_bits(&mut st.m.enc.solver, &st.k1, &mut fixed)
                         {
@@ -477,6 +399,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_attack, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::XorLock;
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
@@ -492,10 +415,14 @@ mod tests {
         }
     }
 
+    fn attack(strategy: AttackStrategy, lc: &LockedCircuit) -> AttackReport {
+        run_attack(lc, &AttackSpec::new(strategy).with_budget(quick_budget()))
+    }
+
     #[test]
     fn int_breaks_xor_lock() {
         let lc = XorLock::new(4, 3).lock(&s27()).unwrap();
-        let report = int_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Int, &lc);
         match &report.outcome {
             AttackOutcome::KeyFound(k) => {
                 assert!(verify_candidate_key(&lc, k, 500, 1));
@@ -507,36 +434,12 @@ mod tests {
     #[test]
     fn bbo_breaks_xor_lock() {
         let lc = XorLock::new(3, 7).lock(&s27()).unwrap();
-        let report = bbo_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Bbo, &lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
             report.outcome
         );
-    }
-
-    #[test]
-    fn bbo_rebuild_matches_incremental_outcomes() {
-        // The legacy rebuild path must stay a faithful baseline: same
-        // verdicts as incremental BBO on both a breakable and a resilient
-        // lock.
-        let xor = XorLock::new(3, 7).lock(&s27()).unwrap();
-        let inc = bbo_attack(&xor, &quick_budget());
-        let reb = bbo_rebuild_attack(&xor, &quick_budget());
-        assert_eq!(inc.outcome, reb.outcome, "inc {} vs rebuild {}", inc, reb);
-
-        let cute = CuteLockStr::new(CuteLockStrConfig {
-            keys: 2,
-            key_bits: 2,
-            locked_ffs: 1,
-            seed: 11,
-            schedule: None,
-            ..Default::default()
-        })
-        .lock(&s27())
-        .unwrap();
-        let reb = bbo_rebuild_attack(&cute, &quick_budget());
-        assert!(reb.outcome.defense_held(), "got {}", reb.outcome);
     }
 
     #[test]
@@ -607,7 +510,7 @@ mod tests {
         })
         .lock(&s27())
         .unwrap();
-        let report = int_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Int, &lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -628,7 +531,7 @@ mod tests {
         .lock(&s27())
         .unwrap();
         assert!(!lc.schedule.is_constant(), "degenerate schedule");
-        let report = int_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Int, &lc);
         assert!(
             matches!(
                 report.outcome,
@@ -652,7 +555,7 @@ mod tests {
         .lock(&s27())
         .unwrap();
         assert!(!lc.schedule.is_constant(), "degenerate schedule");
-        let report = bbo_attack(&lc, &quick_budget());
+        let report = attack(AttackStrategy::Bbo, &lc);
         assert!(report.outcome.defense_held(), "got {}", report.outcome);
     }
 }

@@ -44,11 +44,6 @@ pub struct DanaReport {
     pub timed_out: bool,
 }
 
-/// Runs register clustering on `nl` with the default [`AttackBudget`].
-pub fn dana_attack(nl: &Netlist) -> DanaReport {
-    dana_attack_with_budget(nl, &AttackBudget::default())
-}
-
 /// Runs register clustering on `nl`, enforcing `budget.timeout` across the
 /// per-flip-flop cone analysis and every refinement round.
 ///
@@ -234,6 +229,11 @@ mod tests {
     use cutelock_circuits::itc99;
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 
+    /// Clustering under the default budget.
+    fn dana(nl: &Netlist) -> DanaReport {
+        dana_attack_with_budget(nl, &AttackBudget::default())
+    }
+
     #[test]
     fn nmi_identical_labelings_score_one() {
         let a = vec![0, 0, 1, 1, 2, 2];
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn dana_recovers_words_on_clean_circuit() {
         let c = itc99("b12").unwrap();
-        let report = dana_attack(&c.netlist);
+        let report = dana(&c.netlist);
         let score = score_against_ground_truth(&report, &c.word_labels());
         assert!(score > 0.6, "clean-circuit NMI too low: {score}");
     }
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn dana_degrades_on_locked_circuit() {
         let c = itc99("b12").unwrap();
-        let clean = score_against_ground_truth(&dana_attack(&c.netlist), &c.word_labels());
+        let clean = score_against_ground_truth(&dana(&c.netlist), &c.word_labels());
         let lc = CuteLockStr::new(CuteLockStrConfig {
             keys: 4,
             key_bits: 5,
@@ -283,7 +283,7 @@ mod tests {
         })
         .lock(&c.netlist)
         .unwrap();
-        let locked_score = score_against_ground_truth(&dana_attack(&lc.netlist), &c.word_labels());
+        let locked_score = score_against_ground_truth(&dana(&lc.netlist), &c.word_labels());
         assert!(
             locked_score < clean,
             "locking must degrade NMI: clean {clean} vs locked {locked_score}"
@@ -353,7 +353,7 @@ mod tests {
         };
         let report = dana_attack_with_budget(&c.netlist, &budget);
         assert!(!report.timed_out);
-        assert_eq!(report.labels, dana_attack(&c.netlist).labels);
+        assert_eq!(report.labels, dana(&c.netlist).labels);
         assert!(report.clusters.len() >= one_round.clusters.len());
     }
 
@@ -361,7 +361,7 @@ mod tests {
     fn dana_handles_stateless_netlist() {
         let nl =
             cutelock_netlist::bench::parse("comb", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
-        let report = dana_attack(&nl);
+        let report = dana(&nl);
         assert!(report.clusters.is_empty());
     }
 }

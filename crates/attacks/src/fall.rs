@@ -67,24 +67,17 @@ enum ComparatorKind {
     Restore(BTreeMap<NetId, NetId>),
 }
 
-/// Runs FALL on the locked circuit with the default [`AttackBudget`].
-pub fn fall_attack(locked: &LockedCircuit) -> FallReport {
-    fall_attack_with_budget(locked, &AttackBudget::default())
-}
-
 /// Runs FALL on the locked circuit, enforcing `budget.timeout` across the
-/// structural sweep, the pairing phase, and every SAT confirmation call.
+/// structural sweep, the pairing phase, and every SAT confirmation call,
+/// and racing each SAT key-confirmation check across the given
+/// [`Portfolio`] (the structural and pairing phases are not SAT-bound and
+/// stay serial).
 ///
 /// A run that exhausts the budget reports [`AttackOutcome::Timeout`] with
-/// whatever partial candidate/key counts it had accumulated — FALL no
-/// longer merely *records* its elapsed time while overrunning the clock.
-pub fn fall_attack_with_budget(locked: &LockedCircuit, budget: &AttackBudget) -> FallReport {
-    fall_attack_with(locked, budget, &Portfolio::single())
-}
-
-/// Runs FALL with the budget enforced as in [`fall_attack_with_budget`],
-/// racing each SAT key-confirmation check across the given [`Portfolio`]
-/// (the structural and pairing phases are not SAT-bound and stay serial).
+/// whatever partial candidate/key counts it had accumulated. Callers that
+/// only need the verdict go through [`run_attack`](crate::run_attack) with
+/// [`AttackStrategy::Fall`](crate::AttackStrategy::Fall); this function
+/// is public for the confirmed key list in [`FallReport::keys`].
 pub fn fall_attack_with(
     locked: &LockedCircuit,
     budget: &AttackBudget,
@@ -329,10 +322,18 @@ mod tests {
     use cutelock_core::baselines::TtLock;
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 
+    fn fall_budgeted(lc: &LockedCircuit, budget: &AttackBudget) -> FallReport {
+        fall_attack_with(lc, budget, &Portfolio::single())
+    }
+
+    fn fall(lc: &LockedCircuit) -> FallReport {
+        fall_budgeted(lc, &AttackBudget::default())
+    }
+
     #[test]
     fn fall_breaks_ttlock() {
         let lc = TtLock::new(4, 3).lock(&s27()).unwrap();
-        let report = fall_attack(&lc);
+        let report = fall(&lc);
         assert!(report.candidates >= 1, "no candidates found");
         assert!(report.keys_found >= 1, "no keys confirmed");
         assert!(matches!(report.outcome, AttackOutcome::KeyFound(_)));
@@ -355,7 +356,7 @@ mod tests {
             })
             .lock(&s27())
             .unwrap();
-            let report = fall_attack(&lc);
+            let report = fall(&lc);
             assert_eq!(report.candidates, 0, "{style:?}");
             assert_eq!(report.keys_found, 0, "{style:?}");
             assert_eq!(report.outcome, AttackOutcome::Fail);
@@ -379,7 +380,7 @@ mod tests {
             clock: vc.handle(),
             ..Default::default()
         };
-        let report = fall_attack_with_budget(&lc, &budget);
+        let report = fall_budgeted(&lc, &budget);
         assert_eq!(report.outcome, AttackOutcome::Timeout);
         assert_eq!(report.candidates, 0);
         assert_eq!(report.keys_found, 0);
@@ -394,7 +395,7 @@ mod tests {
             clock: vc.handle(),
             ..Default::default()
         };
-        let report = fall_attack_with_budget(&lc, &budget);
+        let report = fall_budgeted(&lc, &budget);
         assert_eq!(report.outcome, AttackOutcome::Timeout);
         assert_eq!(report.candidates, 1);
         assert_eq!(report.keys_found, 0);
@@ -409,7 +410,7 @@ mod tests {
                 clock: vc.handle(),
                 ..Default::default()
             };
-            fall_attack_with_budget(&lc, &budget)
+            fall_budgeted(&lc, &budget)
         };
         let (a, b) = (run(), run());
         assert!(matches!(a.outcome, AttackOutcome::KeyFound(_)));
@@ -430,7 +431,7 @@ mod tests {
         })
         .lock(&b10)
         .unwrap();
-        let report = fall_attack(&lc);
+        let report = fall(&lc);
         assert_eq!(report.keys_found, 0);
     }
 
@@ -439,7 +440,7 @@ mod tests {
         let lc = TtLock::new(5, 9)
             .lock(&itc99("b08").unwrap().netlist)
             .unwrap();
-        let report = fall_attack(&lc);
+        let report = fall(&lc);
         if let AttackOutcome::KeyFound(k) = &report.outcome {
             assert_eq!(k, lc.schedule.key_at_time(0));
         } else {

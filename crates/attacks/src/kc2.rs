@@ -11,33 +11,25 @@
 
 use cutelock_core::LockedCircuit;
 
-use crate::bmc::{BmcMode, Engine, InitModel};
+use crate::bmc::{Engine, InitModel};
 use crate::portfolio::Portfolio;
 use crate::{AttackBudget, AttackReport};
 
-/// Runs the KC2-mode attack: incremental unrolling plus key-bit fixation.
-/// Delegates to [`run_attack`](crate::run_attack) with
-/// [`AttackStrategy::Kc2`](crate::AttackStrategy::Kc2).
-pub fn kc2_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::Kc2).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
-/// Runs the KC2-mode attack, racing each solver query across the given
-/// [`Portfolio`] (the cheap key-bit probes stay single-solver).
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn kc2_attack_with(
+/// Runs the KC2-mode attack — incremental unrolling plus key-bit
+/// fixation — racing each solver query across the given [`Portfolio`]
+/// (the cheap key-bit probes stay single-solver).
+pub(crate) fn kc2_attack_with(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Reset, true, portfolio).run(BmcMode::Int)
+    Engine::new(locked, budget, InitModel::Reset, true, portfolio).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AttackOutcome;
+    use crate::{run_attack, AttackOutcome, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::XorLock;
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
@@ -52,10 +44,15 @@ mod tests {
         }
     }
 
+    fn kc2(lc: &LockedCircuit) -> AttackReport {
+        let spec = AttackSpec::new(AttackStrategy::Kc2).with_budget(quick_budget());
+        run_attack(lc, &spec)
+    }
+
     #[test]
     fn kc2_breaks_xor_lock() {
         let lc = XorLock::new(4, 13).lock(&s27()).unwrap();
-        let report = kc2_attack(&lc, &quick_budget());
+        let report = kc2(&lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -76,7 +73,7 @@ mod tests {
         .lock(&s27())
         .unwrap();
         assert!(!lc.schedule.is_constant(), "degenerate schedule");
-        let report = kc2_attack(&lc, &quick_budget());
+        let report = kc2(&lc);
         assert!(
             matches!(
                 report.outcome,

@@ -9,8 +9,7 @@
 //!   (Subramanyan et al.), applied through the full-scan view;
 //! * [`bmc`] — sequential unrolling attacks: `BBO` and `INT`, both running
 //!   on one persistent incremental solver (frames appended per bound, the
-//!   per-bound miter constraint in a retractable solver scope); the legacy
-//!   rebuild-per-bound BBO survives as a benchmarking baseline;
+//!   per-bound miter constraint in a retractable solver scope);
 //! * [`kc2`] — key-condition crunching: incremental BMC plus key-bit
 //!   fixation, after Shamsi et al.;
 //! * [`rane`] — RANE-style formal attack modeling the initial state as a
@@ -22,14 +21,16 @@
 //! * [`portfolio`] — deterministic portfolio racing: every oracle-guided
 //!   attack accepts a [`Portfolio`] that races diversified solver clones
 //!   per DIP/BMC query across [`Pool`](cutelock_sim::pool::Pool) threads
-//!   (bit-identical for any thread count), and [`portfolio_attack`] races
-//!   whole strategies with cooperative cancellation.
+//!   (bit-identical for any thread count).
 //!
-//! All of the above are driven through **one door**: build an
-//! [`AttackSpec`] (strategy + budget + portfolio) and call [`run_attack`]
-//! — the request type the CLI subcommands, the table bins, and the
-//! `cutelock serve` job daemon share. The per-attack free functions
-//! survive as delegating wrappers pinned by the golden regression suite.
+//! Every attack that ends in a verdict — the oracle-less FALL included —
+//! is driven through **one door**: build an [`AttackSpec`] (strategy +
+//! budget + portfolio) and call [`run_attack`] — the request type the CLI
+//! subcommands, the table bins, and the `cutelock serve` job daemon
+//! share. Only two functions sit beside it, each because it returns more
+//! than an [`AttackReport`]: [`fall::fall_attack_with`] (FALL's confirmed
+//! key list) and [`dana::dana_attack_with_budget`] (register clustering,
+//! which has no oracle and no verdict).
 //!
 //! The full pipeline walkthrough lives in `docs/ARCHITECTURE.md` at the
 //! repository root; the determinism rules the portfolio layer upholds are
@@ -56,14 +57,13 @@
 //! Cute-Lock (the paper's Table V contrast):
 //!
 //! ```
-//! use cutelock_attacks::fall::fall_attack;
-//! use cutelock_attacks::AttackOutcome;
+//! use cutelock_attacks::{run_attack, AttackOutcome, AttackSpec, AttackStrategy};
 //! use cutelock_circuits::s27::s27;
 //! use cutelock_core::baselines::TtLock;
 //!
 //! # fn main() -> Result<(), cutelock_core::LockError> {
 //! let locked = TtLock::new(4, 3).lock(&s27())?;
-//! let report = fall_attack(&locked);
+//! let report = run_attack(&locked, &AttackSpec::new(AttackStrategy::Fall));
 //! assert!(matches!(report.outcome, AttackOutcome::KeyFound(_)));
 //! # Ok(())
 //! # }
@@ -87,8 +87,6 @@ mod scan;
 pub mod spec;
 
 pub use outcome::{AttackBudget, AttackOutcome, AttackReport, RunStats};
-pub use portfolio::{
-    portfolio_attack, portfolio_attack_with_stop, Portfolio, RaceReport, Strategy,
-};
+pub use portfolio::Portfolio;
 pub use record::{write_records, RunRecord};
-pub use spec::{run_attack, run_race, simplify_locked, AttackSpec, AttackStrategy};
+pub use spec::{run_attack, simplify_locked, AttackSpec, AttackStrategy};

@@ -1,32 +1,24 @@
-//! Deterministic portfolio SAT attacks — the first place the SAT layer
-//! itself goes multi-core.
+//! Deterministic portfolio SAT racing — the place the SAT layer itself
+//! goes multi-core.
 //!
-//! Two racing layers, both built on the scoped work-stealing [`Pool`]:
+//! Each DIP/BMC query ([`Portfolio::race_scoped`] / [`Portfolio::race`])
+//! clones the attack's live incremental solver into `k` entrants,
+//! diversifies them with [`SolverConfig::portfolio`], and races the clones
+//! across the scoped work-stealing [`Pool`]'s threads. The race proceeds
+//! in conflict-bounded **epochs**: every entrant runs one fixed-size
+//! budget slice per epoch, and among the entrants that answered inside the
+//! epoch the **lowest config index wins**. An entrant may cooperatively
+//! cancel only entrants *above* its own index (via the solver's [race stop
+//! slot](Solver::set_race_stop), polled in the search loop), so the
+//! would-be winner is never interrupted — which is exactly why the winning
+//! index, its model, and therefore the whole attack trajectory are
+//! **bit-identical for any thread count**, including 1. The winner's
+//! solver (with everything it learnt) replaces the attack's main solver,
+//! so learning persists across queries.
 //!
-//! * **Query-level** ([`Portfolio::race_scoped`] / [`Portfolio::race`]):
-//!   each DIP/BMC query clones the attack's live incremental solver into
-//!   `k` entrants, diversifies them with
-//!   [`SolverConfig::portfolio`], and races the clones
-//!   across pool threads. The race proceeds in conflict-bounded **epochs**:
-//!   every entrant runs one fixed-size budget slice per epoch, and among
-//!   the entrants that answered inside the epoch the **lowest config index
-//!   wins**. An entrant may cooperatively cancel only entrants *above* its
-//!   own index (via the solver's [`stop` flag](Solver::set_stop) polled in
-//!   the search loop), so the would-be winner is never interrupted — which
-//!   is exactly why the winning index, its model, and therefore the whole
-//!   attack trajectory are **bit-identical for any thread count**,
-//!   including 1. The winner's solver (with everything it learnt) replaces
-//!   the attack's main solver, so learning persists across queries.
-//! * **Attack-level** ([`portfolio_attack`]): whole strategies — the scan
-//!   SAT attack, KC2, and incremental BMC — race against one oracle under
-//!   a shared [`AttackBudget`]. The first strategy to reach a decisive
-//!   verdict (a verified key or a CNS proof — a refuted key settles
-//!   nothing and cancels nobody) flips a shared stop flag; the losing
-//!   strategies' solvers abort at their next propagate/decide round. This layer optimizes
-//!   wall-clock, not reproducibility: *which* strategy wins first can vary
-//!   with timing (every returned key is oracle-verified either way), so
-//!   attack-level races stay out of the CI determinism diffs. The losing
-//!   verdicts are reported as [`AttackOutcome::Timeout`].
+//! [`Portfolio::stop`] is the one cancellation that comes from outside:
+//! the job daemon's `CANCEL` raises it, and every solver the attack
+//! created aborts at its next propagate/decide round.
 //!
 //! Determinism fine print (codified in `docs/DETERMINISM.md` at the
 //! repository root): deadlines are measured on the budget's
@@ -56,17 +48,11 @@
 //! assert!(!report.outcome.defense_held() || report.iterations > 0);
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cutelock_core::LockedCircuit;
 use cutelock_sat::{merge_exports, Lit, SatResult, ShareCap, SharedClause, Solver, SolverConfig};
 use cutelock_sim::pool::Pool;
-
-use crate::bmc::int_attack_with;
-use crate::kc2::kc2_attack_with;
-use crate::sat_attack::scan_sat_attack_with;
-use crate::{AttackBudget, AttackOutcome, AttackReport};
 
 /// Default conflicts per entrant in the first race epoch; later epochs
 /// double it. Small enough that easy queries (the common case in a DIP
@@ -91,7 +77,8 @@ pub struct Portfolio {
     /// epoch). [`DEFAULT_EPOCH_BASE`] when built via the constructors.
     pub epoch_base: u64,
     /// Attack-level cancellation: installed into every solver the attack
-    /// creates, so a raced strategy can be retired from outside.
+    /// creates, so a running attack can be retired from outside (the job
+    /// daemon's `CANCEL` slot).
     pub stop: Option<Arc<AtomicBool>>,
     /// Epoch-barrier clause sharing: when enabled, every no-winner epoch
     /// ends with each entrant exporting its best learnts
@@ -173,13 +160,6 @@ impl Portfolio {
             threads: threads.max(1),
             ..Self::single()
         }
-    }
-
-    /// Attaches an attack-level cancellation flag (see
-    /// [`portfolio_attack`]).
-    pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Self {
-        self.stop = Some(stop);
-        self
     }
 
     /// Enables or disables epoch-barrier clause sharing (builder style).
@@ -356,177 +336,9 @@ impl Portfolio {
     }
 }
 
-/// A whole attack strategy the attack-level race can field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// The combinational scan-access SAT attack
-    /// ([`crate::sat_attack::scan_sat_attack`]).
-    ScanSat,
-    /// KC2: incremental BMC plus key-bit fixation
-    /// ([`crate::kc2::kc2_attack`]).
-    Kc2,
-    /// The incremental sequential unrolling attack
-    /// ([`crate::bmc::int_attack`]).
-    BmcInt,
-}
-
-impl Strategy {
-    /// Every strategy the race can field, in canonical order.
-    pub const ALL: [Strategy; 3] = [Strategy::ScanSat, Strategy::Kc2, Strategy::BmcInt];
-
-    /// The strategy's table/CLI label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::ScanSat => "sat",
-            Strategy::Kc2 => "kc2",
-            Strategy::BmcInt => "int",
-        }
-    }
-}
-
-/// Outcome of an attack-level race: the winning strategy (first to a
-/// decisive verdict), its report, and every strategy's report for the
-/// record.
-#[derive(Debug, Clone)]
-pub struct RaceReport {
-    /// The strategy that reached a decisive verdict — a verified key or a
-    /// CNS proof — first, if any did within the budget.
-    pub winner: Option<Strategy>,
-    /// The winner's report, or — when no strategy was decisive — the
-    /// best-ranked report, ties broken by canonical strategy order.
-    pub report: AttackReport,
-    /// All reports in [`Strategy::ALL`]-relative order. Cancelled losers
-    /// read [`AttackOutcome::Timeout`].
-    pub reports: Vec<(Strategy, AttackReport)>,
-}
-
-/// True when a verdict settles the race: a **verified** key (the lock is
-/// broken) or a CNS proof (this strategy's model admits no constant key).
-/// A wrong key or a `Fail` settles nothing — another strategy may still
-/// break the lock, so such verdicts must not cancel the others.
-fn is_decisive(outcome: &AttackOutcome) -> bool {
-    matches!(outcome, AttackOutcome::KeyFound(_) | AttackOutcome::Cns)
-}
-
-/// Races whole attack strategies against one oracle under a shared
-/// [`AttackBudget`], with cooperative cancellation: the first strategy to
-/// reach a *decisive* verdict (a verified key, or a CNS proof — see
-/// [`RaceReport::winner`]) raises a shared stop flag, and every other
-/// strategy's solver aborts at its next propagate/decide round. Wrong-key
-/// and `Fail` finishes do **not** cancel the race: a strategy whose model
-/// is inadequate for the lock must not silence one that could break it.
-///
-/// `inner_k` sets the query-level portfolio width *inside* each strategy
-/// (1 = single solver per query; entrants race serially within the
-/// strategy's worker so the thread budget stays with the strategy race).
-/// *Which* strategy wins here can vary with timing — use a pure
-/// query-level [`Portfolio`] when reproducible output matters more than
-/// wall-clock — though any returned key is oracle-verified regardless.
-pub fn portfolio_attack(
-    locked: &LockedCircuit,
-    budget: &AttackBudget,
-    strategies: &[Strategy],
-    threads: usize,
-    inner_k: usize,
-) -> RaceReport {
-    portfolio_attack_with_stop(locked, budget, strategies, threads, inner_k, None)
-}
-
-/// [`portfolio_attack`] with an externally owned stop flag: when `stop` is
-/// provided it doubles as a **cancellation slot** — raising it from
-/// outside (the job daemon's `CANCEL`) aborts every strategy at its next
-/// propagate/decide round, exactly as an internal decisive win would. The
-/// cancelled strategies report [`AttackOutcome::Timeout`] and the race
-/// returns with no winner.
-pub fn portfolio_attack_with_stop(
-    locked: &LockedCircuit,
-    budget: &AttackBudget,
-    strategies: &[Strategy],
-    threads: usize,
-    inner_k: usize,
-    stop: Option<Arc<AtomicBool>>,
-) -> RaceReport {
-    if strategies.is_empty() {
-        let report = AttackReport {
-            outcome: AttackOutcome::Fail,
-            elapsed: std::time::Duration::ZERO,
-            iterations: 0,
-            bound: 0,
-            stats: crate::RunStats::default(),
-        };
-        return RaceReport {
-            winner: None,
-            report,
-            reports: Vec::new(),
-        };
-    }
-    let stop = stop.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-    let claimed = AtomicUsize::new(usize::MAX);
-    let pool = Pool::new(threads.max(1).min(strategies.len()));
-    let reports: Vec<AttackReport> = pool.map(strategies.len(), |i| {
-        let p = Portfolio::new(inner_k, 1).with_stop(Arc::clone(&stop));
-        let r = match strategies[i] {
-            Strategy::ScanSat => scan_sat_attack_with(locked, budget, &p),
-            Strategy::Kc2 => kc2_attack_with(locked, budget, &p),
-            Strategy::BmcInt => int_attack_with(locked, budget, &p),
-        };
-        if is_decisive(&r.outcome)
-            && claimed
-                .compare_exchange(usize::MAX, i, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            stop.store(true, Ordering::Relaxed);
-        }
-        r
-    });
-    let winner_idx = claimed.load(Ordering::SeqCst);
-    let (winner, report) = if winner_idx != usize::MAX {
-        (Some(strategies[winner_idx]), reports[winner_idx].clone())
-    } else {
-        // No decisive verdict (everything timed out, failed, or returned
-        // refuted keys): fall back to the best-ranked report, ties broken
-        // by strategy order.
-        let best = (0..reports.len())
-            .min_by_key(|&i| outcome_rank(&reports[i].outcome))
-            .expect("strategies non-empty");
-        (None, reports[best].clone())
-    };
-    RaceReport {
-        winner,
-        report,
-        reports: strategies.iter().copied().zip(reports).collect(),
-    }
-}
-
-/// Severity order for the no-decisive-verdict fallback: a broken lock
-/// outranks a held defense outranks an inconclusive run.
-fn outcome_rank(outcome: &AttackOutcome) -> u8 {
-    match outcome {
-        AttackOutcome::KeyFound(_) => 0,
-        AttackOutcome::WrongKey(_) => 1,
-        AttackOutcome::Cns => 2,
-        AttackOutcome::Fail => 3,
-        AttackOutcome::Timeout => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cutelock_circuits::s27::s27;
-    use cutelock_core::baselines::XorLock;
-    use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
-    use cutelock_sat::Lit;
-
-    fn quick_budget() -> AttackBudget {
-        AttackBudget {
-            timeout: std::time::Duration::from_secs(30),
-            max_bound: 4,
-            max_iterations: 64,
-            conflict_budget: Some(500_000),
-            ..AttackBudget::default()
-        }
-    }
 
     /// A PHP(n+1, n) instance loaded into a fresh solver.
     fn pigeonhole_solver(holes: usize) -> Solver {
@@ -614,7 +426,10 @@ mod tests {
     fn raised_stop_flag_preempts_the_race() {
         let stop = Arc::new(AtomicBool::new(true));
         let mut s = pigeonhole_solver(4);
-        let p = Portfolio::new(4, 2).with_stop(stop);
+        let p = Portfolio {
+            stop: Some(stop),
+            ..Portfolio::new(4, 2)
+        };
         assert_eq!(p.race(&mut s), SatResult::Unknown);
     }
 
@@ -701,81 +516,5 @@ mod tests {
         assert_eq!(clone.race(&mut s), SatResult::Unsat);
         assert_eq!(p.share_stats(), clone.share_stats());
         assert!(p.share_stats().0 > 0);
-    }
-
-    #[test]
-    fn attack_race_breaks_a_breakable_lock() {
-        let lc = XorLock::new(4, 3).lock(&s27()).unwrap();
-        let race = portfolio_attack(&lc, &quick_budget(), &Strategy::ALL, 3, 1);
-        assert!(
-            matches!(race.report.outcome, AttackOutcome::KeyFound(_)),
-            "got {}",
-            race.report.outcome
-        );
-        assert!(race.winner.is_some());
-        assert_eq!(race.reports.len(), 3);
-    }
-
-    #[test]
-    fn attack_race_holds_on_cutelock() {
-        let lc = CuteLockStr::new(CuteLockStrConfig {
-            keys: 4,
-            key_bits: 2,
-            locked_ffs: 1,
-            seed: 6,
-            schedule: None,
-            ..Default::default()
-        })
-        .lock(&s27())
-        .unwrap();
-        let race = portfolio_attack(&lc, &quick_budget(), &Strategy::ALL, 2, 1);
-        assert!(
-            race.report.outcome.defense_held(),
-            "got {}",
-            race.report.outcome
-        );
-    }
-
-    #[test]
-    fn attack_race_with_no_strategies_fails_cleanly() {
-        let lc = XorLock::new(2, 3).lock(&s27()).unwrap();
-        let race = portfolio_attack(&lc, &quick_budget(), &[], 2, 1);
-        assert!(race.winner.is_none());
-        assert_eq!(race.report.outcome, AttackOutcome::Fail);
-    }
-
-    #[test]
-    fn wrong_key_and_fail_do_not_claim_the_race() {
-        // A refuted key or a Fail settles nothing — only a verified key or
-        // a CNS proof may cancel the other strategies.
-        assert!(is_decisive(&AttackOutcome::KeyFound(
-            cutelock_core::KeyValue::from_u64(1, 2)
-        )));
-        assert!(is_decisive(&AttackOutcome::Cns));
-        assert!(!is_decisive(&AttackOutcome::WrongKey(
-            cutelock_core::KeyValue::from_u64(1, 2)
-        )));
-        assert!(!is_decisive(&AttackOutcome::Fail));
-        assert!(!is_decisive(&AttackOutcome::Timeout));
-    }
-
-    #[test]
-    fn attack_race_threads_inner_portfolio_into_strategies() {
-        // inner_k > 1 routes every strategy's queries through the
-        // query-level race; the verdict must be unaffected.
-        let lc = XorLock::new(4, 3).lock(&s27()).unwrap();
-        let race = portfolio_attack(&lc, &quick_budget(), &Strategy::ALL, 3, 3);
-        assert!(
-            matches!(race.report.outcome, AttackOutcome::KeyFound(_)),
-            "got {}",
-            race.report.outcome
-        );
-    }
-
-    #[test]
-    fn strategy_names_are_cli_modes() {
-        assert_eq!(Strategy::ScanSat.name(), "sat");
-        assert_eq!(Strategy::Kc2.name(), "kc2");
-        assert_eq!(Strategy::BmcInt.name(), "int");
     }
 }

@@ -4,7 +4,7 @@
 //! the **initial state as a secret variable** alongside the key, and
 //! searches for an unlocking key/sequence consistent with the oracle. This
 //! reproduction realizes the same model on the workspace solver: the
-//! unrolling engine of [`crate::bmc`] with [`InitModel::Secret`] — one
+//! unrolling engine of [`crate::bmc`] with a secret initial state — one
 //! shared set of free initial-state variables joins the two miter copies
 //! and every oracle-constraint chain.
 //!
@@ -15,34 +15,25 @@
 
 use cutelock_core::LockedCircuit;
 
-use crate::bmc::{BmcMode, Engine, InitModel};
+use crate::bmc::{Engine, InitModel};
 use crate::portfolio::Portfolio;
 use crate::{AttackBudget, AttackReport};
 
-/// Runs the RANE-style attack (incremental engine, secret initial state).
-/// Delegates to [`run_attack`](crate::run_attack) with
-/// [`AttackStrategy::Rane`](crate::AttackStrategy::Rane).
-pub fn rane_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::Rane).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
-/// Runs the RANE-style attack, racing each solver query across the given
-/// [`Portfolio`].
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn rane_attack_with(
+/// Runs the RANE-style attack (incremental engine, secret initial state),
+/// racing each solver query across the given [`Portfolio`].
+pub(crate) fn rane_attack_with(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Secret, false, portfolio).run(BmcMode::Int)
+    Engine::new(locked, budget, InitModel::Secret, false, portfolio).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::outcome::verify_candidate_key;
-    use crate::AttackOutcome;
+    use crate::{run_attack, AttackOutcome, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::XorLock;
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
@@ -57,10 +48,15 @@ mod tests {
         }
     }
 
+    fn rane(lc: &LockedCircuit) -> AttackReport {
+        let spec = AttackSpec::new(AttackStrategy::Rane).with_budget(quick_budget());
+        run_attack(lc, &spec)
+    }
+
     #[test]
     fn rane_breaks_xor_lock() {
         let lc = XorLock::new(3, 23).lock(&s27()).unwrap();
-        let report = rane_attack(&lc, &quick_budget());
+        let report = rane(&lc);
         match &report.outcome {
             AttackOutcome::KeyFound(k) => assert!(verify_candidate_key(&lc, k, 300, 2)),
             other => panic!("expected KeyFound, got {other}"),
@@ -80,7 +76,7 @@ mod tests {
         .lock(&s27())
         .unwrap();
         assert!(!lc.schedule.is_constant(), "degenerate schedule");
-        let report = rane_attack(&lc, &quick_budget());
+        let report = rane(&lc);
         assert!(
             matches!(
                 report.outcome,

@@ -29,20 +29,9 @@ use crate::portfolio::Portfolio;
 use crate::scan::ScanModel;
 use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
 
-/// Runs the scan-access oracle-guided SAT attack on `locked` with a single
-/// solver per query (no portfolio racing). Delegates to
-/// [`run_attack`](crate::run_attack) with
-/// [`AttackStrategy::ScanSat`](crate::AttackStrategy::ScanSat).
-pub fn scan_sat_attack(locked: &LockedCircuit, budget: &AttackBudget) -> AttackReport {
-    let spec = crate::AttackSpec::new(crate::AttackStrategy::ScanSat).with_budget(budget.clone());
-    crate::run_attack(locked, &spec)
-}
-
 /// Runs the scan-access oracle-guided SAT attack, racing each solver query
-/// across the given [`Portfolio`] (a `k <= 1` portfolio reproduces
-/// [`scan_sat_attack`] bit for bit).
-#[doc(hidden)] // build an `AttackSpec` instead; kept public for the goldens
-pub fn scan_sat_attack_with(
+/// across the given [`Portfolio`] (a `k <= 1` portfolio runs one solver).
+pub(crate) fn scan_sat_attack_with(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     portfolio: &Portfolio,
@@ -136,6 +125,7 @@ pub fn scan_sat_attack_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_attack, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::{TtLock, XorLock};
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
@@ -150,10 +140,15 @@ mod tests {
         }
     }
 
+    fn scan_sat(lc: &LockedCircuit) -> AttackReport {
+        let spec = AttackSpec::new(AttackStrategy::ScanSat).with_budget(quick_budget());
+        run_attack(lc, &spec)
+    }
+
     #[test]
     fn scan_sat_breaks_xor_lock() {
         let lc = XorLock::new(6, 41).lock(&s27()).unwrap();
-        let report = scan_sat_attack(&lc, &quick_budget());
+        let report = scan_sat(&lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -165,7 +160,7 @@ mod tests {
     fn scan_sat_breaks_ttlock() {
         // FALL's prey; the plain SAT attack also breaks TTLock with scan.
         let lc = TtLock::new(4, 2).lock(&s27()).unwrap();
-        let report = scan_sat_attack(&lc, &quick_budget());
+        let report = scan_sat(&lc);
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
             "got {}",
@@ -186,7 +181,7 @@ mod tests {
         .lock(&s27())
         .unwrap();
         assert!(!lc.schedule.is_constant(), "degenerate schedule");
-        let report = scan_sat_attack(&lc, &quick_budget());
+        let report = scan_sat(&lc);
         assert!(
             matches!(
                 report.outcome,

@@ -1,19 +1,16 @@
 //! The unified attack-request API: one spec type, one entry point.
 //!
-//! Before this module every attack exposed a base function plus a
-//! `*_with(…, &Portfolio)` variant — sixteen entry points a caller had to
-//! dispatch between by hand, duplicated across the CLI, the table bins,
-//! and (now) the job daemon. [`AttackSpec`] collapses that sprawl: a spec
-//! names the [`AttackStrategy`], carries the [`AttackBudget`], and carries
-//! the [`Portfolio`], and [`run_attack`] is the **one door** every caller
-//! drives attacks through. The `LockedCircuit` argument bundles the locked
-//! netlist with its oracle (the original), so a spec plus a circuit fully
-//! determines a run.
+//! [`AttackSpec`] names the [`AttackStrategy`], carries the
+//! [`AttackBudget`], and carries the [`Portfolio`], and [`run_attack`] is
+//! the **one door** every caller — the CLI, the table bins, the job
+//! daemon, the goldens — drives an attack through. The `LockedCircuit`
+//! argument bundles the locked netlist with its oracle (the original), so
+//! a spec plus a circuit fully determines a run.
 //!
-//! The legacy per-attack free functions survive as one-line delegating
-//! wrappers (the golden regression suite pins their outcomes bit-identical
-//! through this refactor), and the `*_with` variants remain public for the
-//! goldens but are `#[doc(hidden)]` — new code should build a spec.
+//! Two attacks keep a public function of their own because they return
+//! more than an [`AttackReport`]: [`fall_attack_with`] (its confirmed key
+//! list) and [`dana_attack_with_budget`](crate::dana::dana_attack_with_budget)
+//! (register clustering, not a spec strategy).
 //!
 //! # Example
 //!
@@ -31,10 +28,10 @@
 use cutelock_core::LockedCircuit;
 
 use crate::appsat::{appsat_attack_with, double_dip_attack_with, AppSatConfig};
-use crate::bmc::{bbo_attack_with, int_attack_with};
+use crate::bmc::bmc_attack_with;
 use crate::fall::fall_attack_with;
 use crate::kc2::kc2_attack_with;
-use crate::portfolio::{portfolio_attack_with_stop, Portfolio, RaceReport, Strategy};
+use crate::portfolio::Portfolio;
 use crate::rane::rane_attack_with;
 use crate::sat_attack::scan_sat_attack_with;
 use crate::{AttackBudget, AttackOutcome, AttackReport};
@@ -63,14 +60,11 @@ pub enum AttackStrategy {
     /// FALL: structural comparator analysis plus SAT confirmation
     /// (`fall`).
     Fall,
-    /// Attack-level race of whole strategies with cooperative
-    /// cancellation (`race`); wall-clock layer, see [`run_race`].
-    Race,
 }
 
 impl AttackStrategy {
     /// Every strategy, in canonical (CLI help) order.
-    pub const ALL: [AttackStrategy; 9] = [
+    pub const ALL: [AttackStrategy; 8] = [
         AttackStrategy::ScanSat,
         AttackStrategy::Bbo,
         AttackStrategy::Int,
@@ -79,7 +73,6 @@ impl AttackStrategy {
         AttackStrategy::AppSat,
         AttackStrategy::DoubleDip,
         AttackStrategy::Fall,
-        AttackStrategy::Race,
     ];
 
     /// The CLI/table/wire name of this strategy.
@@ -93,7 +86,6 @@ impl AttackStrategy {
             AttackStrategy::AppSat => "appsat",
             AttackStrategy::DoubleDip => "double-dip",
             AttackStrategy::Fall => "fall",
-            AttackStrategy::Race => "race",
         }
     }
 
@@ -101,14 +93,6 @@ impl AttackStrategy {
     /// [`AttackStrategy::name`]).
     pub fn parse(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// True when two runs with the same spec produce bit-identical
-    /// reports. Everything but [`AttackStrategy::Race`] qualifies: the
-    /// attack-level race is decided by wall-clock and is documented as
-    /// exempt in `docs/DETERMINISM.md`.
-    pub fn is_deterministic(self) -> bool {
-        self != AttackStrategy::Race
     }
 }
 
@@ -129,20 +113,16 @@ pub struct AttackSpec {
     /// Search budget (wall-clock, bound, iterations, conflicts).
     pub budget: AttackBudget,
     /// Query-level portfolio settings ([`Portfolio::single`] disables
-    /// racing). For [`AttackStrategy::Race`] the portfolio is
-    /// reinterpreted: `threads` is the strategy-race width and `k` each
-    /// strategy's inner query-race width.
+    /// racing).
     pub portfolio: Portfolio,
     /// Run the netlist simplification engine
     /// ([`cutelock_netlist::simplify()`], state-preserving configuration)
     /// over both the locked netlist and the oracle before attacking.
     ///
-    /// Defaults **off** so the legacy wrappers and the frozen golden pins
-    /// stay bit-identical; the CLI and the table bins flip it on by
-    /// default (escape hatch: `--no-simplify`). Ignored by
-    /// [`AttackStrategy::Fall`] (its comparator analysis reads the locked
-    /// structure as-built) and [`AttackStrategy::Race`] (already exempt
-    /// from determinism pins; its entrants rebuild their own views).
+    /// Defaults **off** so the frozen golden pins stay bit-identical; the
+    /// CLI and the table bins flip it on by default (escape hatch:
+    /// `--no-simplify`). Ignored by [`AttackStrategy::Fall`] (its
+    /// comparator analysis reads the locked structure as-built).
     pub simplify: bool,
 }
 
@@ -189,31 +169,22 @@ impl AttackSpec {
 /// bundles its own oracle netlist) — the single entry point behind the
 /// CLI `attack` subcommand, the table bins, and the job daemon.
 ///
-/// Semantics per strategy are identical to the legacy free functions
-/// (each of which now delegates here bit-for-bit):
-///
-/// * oracle-guided strategies return the familiar [`AttackReport`];
-/// * [`AttackStrategy::Fall`] reports its candidate count in
-///   [`AttackReport::iterations`] (use
-///   [`fall_attack_with`] when the
-///   confirmed key list itself is needed);
-/// * [`AttackStrategy::Race`] returns the winning (or best-ranked)
-///   strategy's report — see [`run_race`] for the full per-strategy
-///   breakdown.
+/// Oracle-guided strategies return the familiar [`AttackReport`];
+/// [`AttackStrategy::Fall`] reports its candidate count in
+/// [`AttackReport::iterations`] (use [`fall_attack_with`] when the
+/// confirmed key list itself is needed).
 pub fn run_attack(locked: &LockedCircuit, spec: &AttackSpec) -> AttackReport {
     let prepared;
-    let locked =
-        if spec.simplify && !matches!(spec.strategy, AttackStrategy::Fall | AttackStrategy::Race) {
-            prepared = simplify_locked(locked);
-            &prepared
-        } else {
-            locked
-        };
+    let locked = if spec.simplify && spec.strategy != AttackStrategy::Fall {
+        prepared = simplify_locked(locked);
+        &prepared
+    } else {
+        locked
+    };
     let (budget, p) = (&spec.budget, &spec.portfolio);
     match spec.strategy {
         AttackStrategy::ScanSat => scan_sat_attack_with(locked, budget, p),
-        AttackStrategy::Bbo => bbo_attack_with(locked, budget, p),
-        AttackStrategy::Int => int_attack_with(locked, budget, p),
+        AttackStrategy::Bbo | AttackStrategy::Int => bmc_attack_with(locked, budget, p),
         AttackStrategy::Kc2 => kc2_attack_with(locked, budget, p),
         AttackStrategy::Rane => rane_attack_with(locked, budget, p),
         AttackStrategy::AppSat => appsat_attack_with(locked, budget, &AppSatConfig::default(), p),
@@ -228,30 +199,7 @@ pub fn run_attack(locked: &LockedCircuit, spec: &AttackSpec) -> AttackReport {
                 stats: crate::RunStats::default(),
             }
         }
-        AttackStrategy::Race => run_race(locked, spec).report,
     }
-}
-
-/// Runs the attack-level strategy race a spec describes and returns the
-/// full [`RaceReport`] (per-strategy verdicts included). [`run_attack`]
-/// with [`AttackStrategy::Race`] is this function reduced to the winning
-/// report.
-///
-/// The spec's portfolio is reinterpreted for the race:
-/// [`Portfolio::threads`] is the number of strategy workers and
-/// [`Portfolio::k`] each strategy's inner query-race width — matching the
-/// CLI's `--threads` / `--portfolio` flags in `--mode race`. A
-/// [`Portfolio::stop`] flag, when set, becomes the race's shared
-/// cancellation slot (the job daemon's `CANCEL` raises it).
-pub fn run_race(locked: &LockedCircuit, spec: &AttackSpec) -> RaceReport {
-    portfolio_attack_with_stop(
-        locked,
-        &spec.budget,
-        &Strategy::ALL,
-        spec.portfolio.threads,
-        spec.portfolio.k,
-        spec.portfolio.stop.clone(),
-    )
 }
 
 /// Returns a copy of `locked` with both netlists run through the
@@ -293,14 +241,8 @@ mod tests {
             assert_eq!(AttackStrategy::parse(s.name()), Some(s), "{s}");
         }
         assert_eq!(AttackStrategy::parse("dana"), None, "dana is not a spec");
+        assert_eq!(AttackStrategy::parse("race"), None, "no attack-level race");
         assert_eq!(AttackStrategy::parse(""), None);
-    }
-
-    #[test]
-    fn race_is_the_one_nondeterministic_strategy() {
-        for s in AttackStrategy::ALL {
-            assert_eq!(s.is_deterministic(), s != AttackStrategy::Race);
-        }
     }
 
     #[test]

@@ -10,14 +10,8 @@
 
 use std::time::Duration;
 
-use cutelock_attacks::appsat::{appsat_attack, double_dip_attack, AppSatConfig};
-use cutelock_attacks::bmc::{bbo_attack, bbo_rebuild_attack, int_attack, int_attack_with};
-use cutelock_attacks::fall::fall_attack;
-use cutelock_attacks::kc2::kc2_attack;
-use cutelock_attacks::kc2::kc2_attack_with;
+use cutelock_attacks::fall::fall_attack_with;
 use cutelock_attacks::portfolio::Portfolio;
-use cutelock_attacks::rane::rane_attack;
-use cutelock_attacks::sat_attack::{scan_sat_attack, scan_sat_attack_with};
 use cutelock_attacks::{
     run_attack, AttackBudget, AttackOutcome, AttackReport, AttackSpec, AttackStrategy,
 };
@@ -69,6 +63,21 @@ fn golden(report: &AttackReport) -> String {
     }
 }
 
+/// Runs `strategy` through the spec door under the golden budget, racing
+/// each query across `portfolio`.
+fn raced(strategy: AttackStrategy, lc: &LockedCircuit, portfolio: &Portfolio) -> AttackReport {
+    let spec = AttackSpec::new(strategy)
+        .with_budget(budget())
+        .with_portfolio(portfolio.clone());
+    run_attack(lc, &spec)
+}
+
+/// Runs `strategy` through the spec door under the golden budget with a
+/// single solver per query.
+fn attack(strategy: AttackStrategy, lc: &LockedCircuit) -> AttackReport {
+    raced(strategy, lc, &Portfolio::single())
+}
+
 fn check(label: &str, expected: &str, actual: String) {
     if std::env::var("GOLDEN_PRINT").is_ok() {
         println!("GOLDEN {label}: {actual}");
@@ -82,12 +91,12 @@ fn golden_scan_sat() {
     check(
         "sat/xor",
         "Equal(0010) iters=2",
-        golden(&scan_sat_attack(&xor_lock(), &budget())),
+        golden(&attack(AttackStrategy::ScanSat, &xor_lock())),
     );
     check(
         "sat/cute",
         "x..x(11) iters=2",
-        golden(&scan_sat_attack(&cute_lock(), &budget())),
+        golden(&attack(AttackStrategy::ScanSat, &cute_lock())),
     );
 }
 
@@ -96,21 +105,12 @@ fn golden_bbo() {
     check(
         "bbo/xor",
         "Equal(0010) iters=4",
-        golden(&bbo_attack(&xor_lock(), &budget())),
+        golden(&attack(AttackStrategy::Bbo, &xor_lock())),
     );
     check(
         "bbo/cute",
         "x..x(11) iters=1",
-        golden(&bbo_attack(&cute_lock(), &budget())),
-    );
-}
-
-#[test]
-fn golden_bbo_rebuild() {
-    check(
-        "bbo-rebuild/xor",
-        "Equal(0010) iters=4",
-        golden(&bbo_rebuild_attack(&xor_lock(), &budget())),
+        golden(&attack(AttackStrategy::Bbo, &cute_lock())),
     );
 }
 
@@ -119,12 +119,12 @@ fn golden_int() {
     check(
         "int/xor",
         "Equal(0010) iters=4",
-        golden(&int_attack(&xor_lock(), &budget())),
+        golden(&attack(AttackStrategy::Int, &xor_lock())),
     );
     check(
         "int/cute",
         "x..x(11) iters=1",
-        golden(&int_attack(&cute_lock(), &budget())),
+        golden(&attack(AttackStrategy::Int, &cute_lock())),
     );
 }
 
@@ -133,12 +133,12 @@ fn golden_kc2() {
     check(
         "kc2/xor",
         "Equal(0010) iters=2",
-        golden(&kc2_attack(&xor_lock(), &budget())),
+        golden(&attack(AttackStrategy::Kc2, &xor_lock())),
     );
     check(
         "kc2/cute",
         "x..x(11) iters=1",
-        golden(&kc2_attack(&cute_lock(), &budget())),
+        golden(&attack(AttackStrategy::Kc2, &cute_lock())),
     );
 }
 
@@ -147,27 +147,26 @@ fn golden_rane() {
     check(
         "rane/xor",
         "Equal(0010) iters=5",
-        golden(&rane_attack(&xor_lock(), &budget())),
+        golden(&attack(AttackStrategy::Rane, &xor_lock())),
     );
     check(
         "rane/cute",
         "x..x(11) iters=2",
-        golden(&rane_attack(&cute_lock(), &budget())),
+        golden(&attack(AttackStrategy::Rane, &cute_lock())),
     );
 }
 
 #[test]
 fn golden_appsat() {
-    let cfg = AppSatConfig::default();
     check(
         "appsat/xor",
         "Equal(0010) iters=2",
-        golden(&appsat_attack(&xor_lock(), &budget(), &cfg)),
+        golden(&attack(AttackStrategy::AppSat, &xor_lock())),
     );
     check(
         "appsat/cute",
         "x..x(11) iters=2",
-        golden(&appsat_attack(&cute_lock(), &budget(), &cfg)),
+        golden(&attack(AttackStrategy::AppSat, &cute_lock())),
     );
 }
 
@@ -176,12 +175,12 @@ fn golden_double_dip() {
     check(
         "ddip/xor",
         "Equal(0010) iters=2",
-        golden(&double_dip_attack(&xor_lock(), &budget())),
+        golden(&attack(AttackStrategy::DoubleDip, &xor_lock())),
     );
     check(
         "ddip/cute",
         "x..x(11) iters=2",
-        golden(&double_dip_attack(&cute_lock(), &budget())),
+        golden(&attack(AttackStrategy::DoubleDip, &cute_lock())),
     );
 }
 
@@ -200,9 +199,9 @@ fn golden_portfolio_thread_independence() {
         for threads in [1, 2, 4] {
             let p = Portfolio::new(4, threads);
             let got = (
-                golden(&scan_sat_attack_with(&lc, &budget(), &p)),
-                golden(&int_attack_with(&lc, &budget(), &p)),
-                golden(&kc2_attack_with(&lc, &budget(), &p)),
+                golden(&raced(AttackStrategy::ScanSat, &lc, &p)),
+                golden(&raced(AttackStrategy::Int, &lc, &p)),
+                golden(&raced(AttackStrategy::Kc2, &lc, &p)),
             );
             match &reference {
                 None => reference = Some(got),
@@ -212,22 +211,6 @@ fn golden_portfolio_thread_independence() {
                 ),
             }
         }
-    }
-}
-
-/// A single-entrant portfolio must be byte-identical to the plain attack —
-/// the transparency guarantee the default entry points rely on.
-#[test]
-fn golden_portfolio_single_is_transparent() {
-    for lc in [xor_lock(), cute_lock()] {
-        assert_eq!(
-            golden(&scan_sat_attack_with(&lc, &budget(), &Portfolio::single())),
-            golden(&scan_sat_attack(&lc, &budget())),
-        );
-        assert_eq!(
-            golden(&int_attack_with(&lc, &budget(), &Portfolio::single())),
-            golden(&int_attack(&lc, &budget())),
-        );
     }
 }
 
@@ -261,9 +244,12 @@ fn golden_sharing_thread_independence() {
             ..Portfolio::new(4, threads)
         }
         .with_share(true);
+        let spec = AttackSpec::new(AttackStrategy::ScanSat)
+            .with_budget(budget.clone())
+            .with_portfolio(p);
         let got = (
-            golden(&scan_sat_attack_with(&lc, &budget, &p)),
-            p.share_stats(),
+            golden(&run_attack(&lc, &spec)),
+            spec.portfolio.share_stats(),
         );
         match &reference {
             None => reference = Some(got),
@@ -282,64 +268,10 @@ fn golden_sharing_off_is_transparent() {
     let off = Portfolio::new(4, 2).with_share(false);
     let plain = Portfolio::new(4, 2);
     assert_eq!(
-        golden(&scan_sat_attack_with(&lc, &budget(), &off)),
-        golden(&scan_sat_attack_with(&lc, &budget(), &plain)),
+        golden(&raced(AttackStrategy::ScanSat, &lc, &off)),
+        golden(&raced(AttackStrategy::ScanSat, &lc, &plain)),
     );
     assert_eq!(off.share_stats(), (0, 0, 0));
-}
-
-/// The unified spec door must be a pass-through: for every deterministic
-/// strategy, `run_attack` with a plain spec produces the same golden string
-/// as the legacy free function (which itself now delegates here — this
-/// test additionally pins the door against the frozen strings above by
-/// reusing the same expected values).
-#[test]
-fn golden_spec_door_is_transparent() {
-    let expected: [(AttackStrategy, &str, &str); 6] = [
-        (
-            AttackStrategy::ScanSat,
-            "Equal(0010) iters=2",
-            "x..x(11) iters=2",
-        ),
-        (
-            AttackStrategy::Bbo,
-            "Equal(0010) iters=4",
-            "x..x(11) iters=1",
-        ),
-        (
-            AttackStrategy::Int,
-            "Equal(0010) iters=4",
-            "x..x(11) iters=1",
-        ),
-        (
-            AttackStrategy::Kc2,
-            "Equal(0010) iters=2",
-            "x..x(11) iters=1",
-        ),
-        (
-            AttackStrategy::Rane,
-            "Equal(0010) iters=5",
-            "x..x(11) iters=2",
-        ),
-        (
-            AttackStrategy::DoubleDip,
-            "Equal(0010) iters=2",
-            "x..x(11) iters=2",
-        ),
-    ];
-    for (strategy, xor_want, cute_want) in expected {
-        let spec = AttackSpec::new(strategy).with_budget(budget());
-        check(
-            &format!("spec/{strategy}/xor"),
-            xor_want,
-            golden(&run_attack(&xor_lock(), &spec)),
-        );
-        check(
-            &format!("spec/{strategy}/cute"),
-            cute_want,
-            golden(&run_attack(&cute_lock(), &spec)),
-        );
-    }
 }
 
 /// Simplification-off bit-identity: a plain [`AttackSpec`] leaves the
@@ -410,7 +342,7 @@ fn golden_simplify_on_is_verdict_identical() {
 #[test]
 fn golden_fall() {
     let tt = TtLock::new(4, 3).lock(&s27()).expect("locks");
-    let r = fall_attack(&tt);
+    let r = fall_attack_with(&tt, &AttackBudget::default(), &Portfolio::single());
     let actual = format!(
         "candidates={} keys={} outcome={}",
         r.candidates, r.keys_found, r.outcome
@@ -420,7 +352,7 @@ fn golden_fall() {
         "candidates=1 keys=1 outcome=Equal(1010)",
         actual,
     );
-    let r = fall_attack(&cute_lock());
+    let r = fall_attack_with(&cute_lock(), &AttackBudget::default(), &Portfolio::single());
     let actual = format!(
         "candidates={} keys={} outcome={}",
         r.candidates, r.keys_found, r.outcome

@@ -5,13 +5,10 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cutelock_attacks::bmc::{bbo_attack, bbo_rebuild_attack, int_attack, int_attack_with};
-use cutelock_attacks::dana::dana_attack;
-use cutelock_attacks::fall::fall_attack;
-use cutelock_attacks::kc2::kc2_attack;
+use cutelock_attacks::dana::dana_attack_with_budget;
+use cutelock_attacks::fall::fall_attack_with;
 use cutelock_attacks::portfolio::Portfolio;
-use cutelock_attacks::sat_attack::{scan_sat_attack, scan_sat_attack_with};
-use cutelock_attacks::{AttackBudget, AttackReport};
+use cutelock_attacks::{run_attack, AttackBudget, AttackReport, AttackSpec, AttackStrategy};
 use cutelock_circuits::{itc99, s27::s27};
 use cutelock_core::baselines::XorLock;
 use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
@@ -26,6 +23,12 @@ fn budget() -> AttackBudget {
         conflict_budget: Some(300_000),
         ..AttackBudget::default()
     }
+}
+
+fn spec(strategy: AttackStrategy, portfolio: Portfolio) -> AttackSpec {
+    AttackSpec::new(strategy)
+        .with_budget(budget())
+        .with_portfolio(portfolio)
 }
 
 fn lock_s27(keys: usize) -> LockedCircuit {
@@ -44,45 +47,16 @@ fn lock_s27(keys: usize) -> LockedCircuit {
 fn bench_oracle_guided(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle_guided_s27");
     let multi = lock_s27(4);
+    let int = spec(AttackStrategy::Int, Portfolio::single());
+    let kc2 = spec(AttackStrategy::Kc2, Portfolio::single());
     group.bench_function("int_dead_end_multikey", |b| {
-        b.iter(|| int_attack(&multi, &budget()))
+        b.iter(|| run_attack(&multi, &int))
     });
     group.bench_function("kc2_dead_end_multikey", |b| {
-        b.iter(|| kc2_attack(&multi, &budget()))
+        b.iter(|| run_attack(&multi, &kc2))
     });
     let xor = XorLock::new(4, 3).lock(&s27()).expect("locks");
-    group.bench_function("int_breaks_xorlock", |b| {
-        b.iter(|| int_attack(&xor, &budget()))
-    });
-    group.finish();
-}
-
-/// The PR-acceptance comparison: legacy rebuild-per-bound BBO (first entry
-/// = the group baseline) against the incremental frame-append BBO, on locks
-/// whose attacks deepen through several bounds. The shim's group report
-/// prints the measured speedup.
-fn bench_bbo_incremental(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bbo_rebuild_vs_incremental");
-    // XOR-locked s27: the attack unrolls bound after bound until the key
-    // falls out, so per-bound re-encoding dominates the rebuild path.
-    let xor = XorLock::new(4, 3).lock(&s27()).expect("locks");
-    group.bench_function("rebuild_xorlock", |b| {
-        b.iter(|| bbo_rebuild_attack(&xor, &budget()))
-    });
-    group.bench_function("incremental_xorlock", |b| {
-        b.iter(|| bbo_attack(&xor, &budget()))
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("bbo_rebuild_vs_incremental_multikey");
-    // Multi-key Cute-Lock: the dead-end (CNS) discovery path.
-    let multi = lock_s27(4);
-    group.bench_function("rebuild_deadend", |b| {
-        b.iter(|| bbo_rebuild_attack(&multi, &budget()))
-    });
-    group.bench_function("incremental_deadend", |b| {
-        b.iter(|| bbo_attack(&multi, &budget()))
-    });
+    group.bench_function("int_breaks_xorlock", |b| b.iter(|| run_attack(&xor, &int)));
     group.finish();
 }
 
@@ -107,37 +81,45 @@ fn golden(r: &AttackReport) -> String {
 fn bench_portfolio(c: &mut Criterion) {
     let xor = XorLock::new(4, 3).lock(&s27()).expect("locks");
     let multi = lock_s27(4);
+    let raced = |strategy: AttackStrategy, lc: &LockedCircuit, threads: usize| {
+        golden(&run_attack(lc, &spec(strategy, Portfolio::new(4, threads))))
+    };
     for lc in [&xor, &multi] {
-        let reference = golden(&int_attack_with(lc, &budget(), &Portfolio::new(4, 1)));
+        let reference = raced(AttackStrategy::Int, lc, 1);
         for threads in [2, 4] {
             assert_eq!(
-                golden(&int_attack_with(lc, &budget(), &Portfolio::new(4, threads))),
+                raced(AttackStrategy::Int, lc, threads),
                 reference,
                 "portfolio race diverged at {threads} threads"
             );
         }
         assert_eq!(
-            golden(&scan_sat_attack_with(lc, &budget(), &Portfolio::new(4, 4))),
-            golden(&scan_sat_attack_with(lc, &budget(), &Portfolio::new(4, 1))),
+            raced(AttackStrategy::ScanSat, lc, 4),
+            raced(AttackStrategy::ScanSat, lc, 1),
         );
     }
 
-    let race = Portfolio::new(4, 4);
+    let (int, int4) = (
+        spec(AttackStrategy::Int, Portfolio::single()),
+        spec(AttackStrategy::Int, Portfolio::new(4, 4)),
+    );
     let mut group = c.benchmark_group("portfolio_vs_single");
-    group.bench_function("single_int_xorlock", |b| {
-        b.iter(|| int_attack(&xor, &budget()))
-    });
+    group.bench_function("single_int_xorlock", |b| b.iter(|| run_attack(&xor, &int)));
     group.bench_function("portfolio4_int_xorlock", |b| {
-        b.iter(|| int_attack_with(&xor, &budget(), &race))
+        b.iter(|| run_attack(&xor, &int4))
     });
     group.finish();
 
+    let (sat, sat4) = (
+        spec(AttackStrategy::ScanSat, Portfolio::single()),
+        spec(AttackStrategy::ScanSat, Portfolio::new(4, 4)),
+    );
     let mut group = c.benchmark_group("portfolio_vs_single_multikey");
     group.bench_function("single_sat_deadend", |b| {
-        b.iter(|| scan_sat_attack(&multi, &budget()))
+        b.iter(|| run_attack(&multi, &sat))
     });
     group.bench_function("portfolio4_sat_deadend", |b| {
-        b.iter(|| scan_sat_attack_with(&multi, &budget(), &race))
+        b.iter(|| run_attack(&multi, &sat4))
     });
     group.finish();
 }
@@ -241,7 +223,7 @@ fn bench_dana(c: &mut Criterion) {
     for name in ["b03", "b12", "b14"] {
         let circuit = itc99(name).expect("exists");
         group.bench_with_input(BenchmarkId::from_parameter(name), &circuit, |b, circ| {
-            b.iter(|| dana_attack(&circ.netlist))
+            b.iter(|| dana_attack_with_budget(&circ.netlist, &AttackBudget::default()))
         });
     }
     group.finish();
@@ -262,7 +244,7 @@ fn bench_fall(c: &mut Criterion) {
         .lock(&circuit.netlist)
         .expect("locks");
         group.bench_with_input(BenchmarkId::from_parameter(name), &locked, |b, lc| {
-            b.iter(|| fall_attack(lc))
+            b.iter(|| fall_attack_with(lc, &AttackBudget::default(), &Portfolio::single()))
         });
     }
     group.finish();
@@ -271,7 +253,6 @@ fn bench_fall(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(5));
-    targets = bench_oracle_guided, bench_bbo_incremental, bench_portfolio, bench_clause_sharing,
-        bench_dana, bench_fall
+    targets = bench_oracle_guided, bench_portfolio, bench_clause_sharing, bench_dana, bench_fall
 }
 criterion_main!(benches);

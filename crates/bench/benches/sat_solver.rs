@@ -1,12 +1,11 @@
 //! Criterion benchmarks of the CDCL solver and the unified circuit encoder
 //! — the kernels underneath every oracle-guided attack timing in Tables
-//! III–IV — plus the `scope_gc_vs_leak` group that justifies the solver's
-//! clause-database garbage collection on `pop_scope`.
+//! III–IV.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cutelock_circuits::itc99;
 use cutelock_netlist::unroll::{scan_view, InitState, KeySharing};
-use cutelock_sat::{Binding, CircuitEncoder, Lit, SatResult, Solver, Var};
+use cutelock_sat::{Binding, CircuitEncoder, Lit, Solver, Var};
 
 /// Pigeonhole PHP(n+1, n): compact, reliably hard UNSAT instances.
 fn pigeonhole(holes: usize) -> Solver {
@@ -40,56 +39,6 @@ fn bench_pigeonhole(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// The multi-scope attack-loop pattern: one long-lived solver, one shared
-/// variable set, and round after round of retractable clause groups (a
-/// PHP(6,5) instance each) solved to UNSAT and popped. Without clause-DB
-/// GC every popped round's clauses — problem and learnt alike — linger in
-/// the shared variables' watch lists, so round `N` drags `N-1` rounds of
-/// corpses through propagation; with GC each pop compacts the database.
-fn multi_scope_run(rounds: usize, gc: bool) -> u64 {
-    const HOLES: usize = 5;
-    let pigeons = HOLES + 1;
-    let mut s = Solver::new();
-    s.set_scope_gc(gc);
-    let vars: Vec<Vec<Var>> = (0..pigeons)
-        .map(|_| (0..HOLES).map(|_| s.new_var()).collect())
-        .collect();
-    for _ in 0..rounds {
-        s.push_scope();
-        for p in &vars {
-            let clause: Vec<Lit> = p.iter().map(|&v| Lit::positive(v)).collect();
-            s.add_scoped_clause(&clause);
-        }
-        for h in 0..HOLES {
-            let column: Vec<Lit> = vars.iter().map(|p| Lit::negative(p[h])).collect();
-            for (i, &l1) in column.iter().enumerate() {
-                for &l2 in column.iter().skip(i + 1) {
-                    s.add_scoped_clause(&[l1, l2]);
-                }
-            }
-        }
-        assert_eq!(s.solve_scoped(&[]), SatResult::Unsat, "PHP is UNSAT");
-        s.pop_scope();
-    }
-    let st = s.stats();
-    if gc {
-        assert!(st.gc_runs > 0, "GC must have fired across {rounds} rounds");
-        assert!(st.gc_freed_clauses > 0, "GC must reclaim retired clauses");
-    } else {
-        assert_eq!(st.gc_runs, 0, "leak baseline must not collect");
-    }
-    st.conflicts
-}
-
-fn bench_scope_gc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scope_gc_vs_leak");
-    const ROUNDS: usize = 30;
-    // Baseline first: the legacy leak-until-touched behavior.
-    group.bench_function("leak", |b| b.iter(|| multi_scope_run(ROUNDS, false)));
-    group.bench_function("gc", |b| b.iter(|| multi_scope_run(ROUNDS, true)));
     group.finish();
 }
 
@@ -132,6 +81,6 @@ fn bench_unroll_and_solve(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(5));
-    targets = bench_pigeonhole, bench_scope_gc, bench_encode, bench_unroll_and_solve
+    targets = bench_pigeonhole, bench_encode, bench_unroll_and_solve
 }
 criterion_main!(benches);

@@ -6,11 +6,10 @@
 //! is that **no attack recovers a working key**: cells read `CNS`, a wrong
 //! key (`x..x`), or time out.
 //!
-//! Since PR 3 the BBO and INT columns run the *same* incremental
-//! frame-append algorithm (see `cutelock_attacks::bmc`) and are expected
-//! to agree cell-for-cell; the paper's historical rebuild-per-bound BBO
-//! survives only as `bbo_rebuild_attack`, benchmarked in the `attacks`
-//! criterion groups rather than tabulated here.
+//! The BBO and INT columns run the *same* incremental frame-append
+//! algorithm (see `cutelock_attacks::bmc`) and are expected to agree
+//! cell-for-cell; NEOS's historical rebuild-per-bound BBO is not
+//! reproduced.
 //!
 //! Whole-circuit jobs (lock + all three attacks) are fanned across
 //! [`cutelock_sim::pool::Pool`] and merged in table order, so the printed

@@ -5,11 +5,10 @@
 //! KC2 plus the RANE model (secret initial state). Expected: every cell is
 //! `CNS`, a wrong key, or a timeout — never a verified key.
 //!
-//! Since PR 3 the BBO and INT columns run the *same* incremental
-//! frame-append algorithm (see `cutelock_attacks::bmc`) and are expected
-//! to agree cell-for-cell; the paper's historical rebuild-per-bound BBO
-//! survives only as `bbo_rebuild_attack`, benchmarked in the `attacks`
-//! criterion groups rather than tabulated here.
+//! The BBO and INT columns run the *same* incremental frame-append
+//! algorithm (see `cutelock_attacks::bmc`) and are expected to agree
+//! cell-for-cell; NEOS's historical rebuild-per-bound BBO is not
+//! reproduced.
 //!
 //! Whole-circuit jobs (lock + all four attacks) are fanned across
 //! [`cutelock_sim::pool::Pool`] and merged in table order, so the printed

@@ -18,8 +18,10 @@
 //! where it *does* find the key (81% success in FALL's own paper).
 
 use cutelock_attacks::dana::{dana_attack_with_budget, score_against_ground_truth};
-use cutelock_attacks::fall::{fall_attack_with, fall_attack_with_budget, FallReport};
-use cutelock_attacks::{AttackOutcome, AttackReport, AttackStrategy, RunRecord, RunStats};
+use cutelock_attacks::fall::{fall_attack_with, FallReport};
+use cutelock_attacks::{
+    AttackOutcome, AttackReport, AttackStrategy, Portfolio, RunRecord, RunStats,
+};
 use cutelock_bench::params::{in_quick_set, TABLE5};
 use cutelock_bench::{rule, Options};
 use cutelock_circuits::itc99;
@@ -191,7 +193,7 @@ fn main() {
             let circuit = itc99(name).ok()?;
             let ki = circuit.netlist.input_count().clamp(2, 8);
             let tt = TtLock::new(ki, 7).lock(&circuit.netlist).ok()?;
-            Some((name, fall_attack_with_budget(&tt, &budget)))
+            Some((name, fall_attack_with(&tt, &budget, &Portfolio::single())))
         });
         let mut tt_broken = 0usize;
         let mut tt_total = 0usize;

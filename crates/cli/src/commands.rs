@@ -5,10 +5,10 @@ use std::io::{BufRead, Write};
 use std::time::Duration;
 
 use cutelock_attacks::certify::prove_locked_equivalence;
-use cutelock_attacks::dana::{dana_attack_with_budget, score_against_ground_truth};
-use cutelock_attacks::portfolio::{Portfolio, Strategy};
+use cutelock_attacks::dana::dana_attack_with_budget;
+use cutelock_attacks::portfolio::Portfolio;
 use cutelock_attacks::{
-    run_attack, run_race, write_records, AttackBudget, AttackSpec, AttackStrategy, RunRecord,
+    run_attack, write_records, AttackBudget, AttackSpec, AttackStrategy, RunRecord,
 };
 use cutelock_circuits::{iscas89, iscas89_names, itc99, itc99_names};
 use cutelock_core::baselines::{DkLock, SledLock, TtLock, XorLock};
@@ -42,7 +42,7 @@ COMMANDS:
                from a key file instead of drawing it from --seed)
               [--keys-out FILE]   (writes the key schedule)
   attack    Run an attack against a locked netlist
-              --mode sat|bbo|int|kc2|rane|appsat|double-dip|fall|dana|race
+              --mode sat|bbo|int|kc2|rane|appsat|double-dip|fall|dana
               --locked FILE --oracle FILE [--timeout SECS] [--quick]
               [--portfolio K] [--threads N] [--share] [--share-cap N]
               [--no-simplify] [--verbose]
@@ -54,11 +54,9 @@ COMMANDS:
                epoch barriers, still bit-identical for any N; --share-cap N
                scales the exchange caps (tuning only, like --threads);
                netlists are simplified (strash/const-fold/COI) before
-               encoding; --no-simplify attacks them as-read — fall and
-               race skip simplification either way;
-               --verbose prints clause-sharing totals after the run;
-               --mode race instead races whole strategies
-               (sat/kc2/int) with cooperative cancellation)
+               encoding; --no-simplify attacks them as-read — fall
+               skips simplification either way;
+               --verbose prints clause-sharing totals after the run)
               exit 0: decisive verdict (key recovered, or CNS proof that
               no constant key exists); exit 2: refuted key, FAIL, or
               timeout — nothing was settled (dana, which clusters rather
@@ -335,19 +333,10 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
         let mut sizes: Vec<usize> = r.clusters.iter().map(Vec::len).collect();
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         println!("cluster sizes: {sizes:?}");
-        let _ = score_against_ground_truth; // reachable via library API
         return Ok(());
     }
     let strategy =
         AttackStrategy::parse(mode).ok_or_else(|| format!("unknown attack mode `{mode}`"))?;
-    // For --mode race, --threads defaults to one worker per strategy; an
-    // explicit --threads wins (e.g. `--threads 1` serializes them) and
-    // --portfolio K threads through as each strategy's query-race width.
-    let threads = if strategy == AttackStrategy::Race && args.opt("threads").is_none() {
-        Strategy::ALL.len()
-    } else {
-        threads
-    };
     let mut portfolio = Portfolio::new(k, threads).with_share(share);
     if share_cap > 0 {
         portfolio.share_cap = ShareCap::with_limit(share_cap);
@@ -359,21 +348,8 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
         .with_budget(budget)
         .with_portfolio(portfolio)
         .with_simplify(!args.has("no-simplify"));
-    let report = if strategy == AttackStrategy::Race {
-        let race = run_race(&locked, &spec);
-        for (s, report) in &race.reports {
-            println!("  {:<4} {report}", s.name());
-        }
-        match race.winner {
-            Some(w) => println!("race: winner={} {}", w.name(), race.report),
-            None => println!("race: no decisive verdict; best was {}", race.report),
-        }
-        race.report
-    } else {
-        let report = run_attack(&locked, &spec);
-        println!("{mode}: {report}");
-        report
-    };
+    let report = run_attack(&locked, &spec);
+    println!("{mode}: {report}");
     if args.has("verbose") {
         // The ledger totals are deterministic (DETERMINISM.md Rule 7), so
         // verbose output stays byte-identical across --threads too.
@@ -774,11 +750,9 @@ mod tests {
     }
 
     #[test]
-    fn attack_quick_race_mode_runs() {
-        // No strategy reaches a decisive verdict on the held lock: the
-        // race reports its best outcome and the command exits 2.
+    fn attack_race_mode_is_unknown() {
         let err = dispatch(&sv(&["attack", "--quick", "--mode", "race"])).unwrap_err();
-        assert!(err.contains("not decisive"), "got: {err}");
+        assert!(err.contains("unknown attack mode"), "got: {err}");
     }
 
     #[test]

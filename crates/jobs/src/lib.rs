@@ -26,11 +26,9 @@
 //!   environment is offline) and the matching blocking client.
 //!
 //! Determinism contract (see `docs/DETERMINISM.md`): given the same
-//! `SUBMIT` line, a job's *result* is a pure function of its spec for
-//! every deterministic strategy — which is what makes the result cache
-//! sound, and why nondeterministic jobs (`--mode race`) are exempt from
-//! caching. Cross-job *completion order* under concurrency is explicitly
-//! not deterministic.
+//! `SUBMIT` line, a job's *result* is a pure function of its spec — which
+//! is what makes the result cache sound. Cross-job *completion order*
+//! under concurrency is explicitly not deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

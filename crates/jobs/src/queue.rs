@@ -23,8 +23,8 @@
 //!   [`LockedCircuit::fingerprint`](cutelock_core::LockedCircuit::fingerprint));
 //!   a key whose result is already cached completes the job instantly
 //!   ([`JobStatus::cached`]), and a successful run populates the cache.
-//!   Nondeterministic jobs (the attack-level race) must submit without a
-//!   key — the cache stores only results that are functions of their spec.
+//!   The cache stores only results that are functions of their spec; a
+//!   job whose result is not must submit without a key.
 //! * **Purity.** Nothing here touches sockets or stdio: the TCP layer in
 //!   [`crate::server`] is a thin framing shim over these same methods,
 //!   which is what makes the scheduler unit-testable in-process.
@@ -104,7 +104,7 @@ pub struct SubmitRequest {
     pub label: String,
     /// Admission lane.
     pub lane: Lane,
-    /// Result-cache key; `None` opts out (nondeterministic jobs must).
+    /// Result-cache key; `None` opts out of the cache.
     pub cache_key: Option<u64>,
     /// The work itself.
     pub work: JobWork,

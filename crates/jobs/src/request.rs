@@ -11,14 +11,12 @@
 //!   deterministically from the given parameters, builds an
 //!   [`AttackSpec`], and runs [`run_attack`]. Batch lane. Cached by
 //!   (circuit fingerprint, strategy, budget, portfolio width, share
-//!   on/off, simplify on/off) for every deterministic strategy; `--mode
-//!   race` is wall-clock nondeterministic and is never cached. With
-//!   `--share on` the result line grows a deterministic
-//!   `shared=exported/imported/dups` field (DETERMINISM.md Rule 7), so
-//!   cached replays stay byte-identical. `--simplify` (default `on`) runs
-//!   the netlist simplification engine in front of the encoder; it can
-//!   change which wrong key survives a capped search, so it is keyed like
-//!   `--share`.
+//!   on/off, simplify on/off). With `--share on` the result line grows a
+//!   deterministic `shared=exported/imported/dups` field (DETERMINISM.md
+//!   Rule 7), so cached replays stay byte-identical. `--simplify` (default
+//!   `on`) runs the netlist simplification engine in front of the
+//!   encoder; it can change which wrong key survives a capped search, so
+//!   it is keyed like `--share`.
 //! * `SUBMIT verify [--circuit s27] [--scheme …] [--frames N]
 //!   [--conflicts N] …` — SAT-proves the locked instance cycle-exact
 //!   against its original under its own schedule
@@ -238,10 +236,7 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
         .with_budget(budget)
         .with_portfolio(portfolio)
         .with_simplify(simplify);
-    // The race strategy is wall-clock nondeterministic: never cache it.
-    let cache_key = strategy
-        .is_deterministic()
-        .then(|| attack_cache_key(&locked, &spec));
+    let cache_key = Some(attack_cache_key(&locked, &spec));
     let label = format!("attack {mode} {} {}", locked.netlist.name(), locked.scheme);
     let work: crate::queue::JobWork = Box::new(move |stop: &Arc<AtomicBool>| {
         let mut spec = spec;
@@ -435,14 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn race_mode_is_never_cached() {
-        let req = submit("attack --mode race").unwrap();
-        assert_eq!(req.cache_key, None);
-        let det = submit("attack --mode int").unwrap();
-        assert!(det.cache_key.is_some());
-    }
-
-    #[test]
     fn cache_key_ignores_threads_but_not_strategy_or_seed() {
         let key = |line: &str| submit(line).unwrap().cache_key.unwrap();
         let base = key("attack --mode int --seed 1");
@@ -567,7 +554,13 @@ mod tests {
     fn bad_lines_are_rejected_with_useful_messages() {
         assert!(submit("").is_err());
         assert!(submit("attack").unwrap_err().contains("--mode"));
-        assert!(submit("attack --mode nope").unwrap_err().contains("nope"));
+        for mode in ["nope", "race"] {
+            let err = submit(&format!("attack --mode {mode}")).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown attack mode `{mode}`")),
+                "{err}"
+            );
+        }
         assert!(submit("attack --mode sat --bogus 1")
             .unwrap_err()
             .contains("--bogus"));

@@ -50,7 +50,8 @@ mod netlist;
 pub mod simplify;
 pub mod stats;
 pub mod topo;
-pub mod transform;
+#[cfg(test)]
+mod transform;
 pub mod unroll;
 pub mod verilog;
 

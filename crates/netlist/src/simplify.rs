@@ -4,8 +4,8 @@
 //! Every CNF the attack stack solves is lowered from a netlist, so gates
 //! removed here are clauses the solver never sees. [`simplify`] is the
 //! engine behind `EncodeOptions { simplify }` in `cutelock_sat::encode`,
-//! the `attack --no-simplify` escape hatch, and `convert --simplify`; the
-//! older [`crate::transform::cleanup`] is now a thin wrapper over it.
+//! the `attack --no-simplify` escape hatch, `convert --simplify`, and the
+//! synthesis overhead model's pre-mapping sweep.
 //!
 //! The engine runs up to [`SimplifyConfig::max_passes`] passes, each of
 //! which performs, in one topological sweep:

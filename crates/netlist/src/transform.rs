@@ -1,62 +1,22 @@
-//! Netlist cleanup transforms: constant propagation and dead-logic sweep.
+//! Tests of the state-preserving cleanup sweep.
 //!
 //! Locking transforms leave degenerate structures behind (constant-fed
 //! gates from `CONST0`/`CONST1` schedule bits, cones made unreachable by
-//! re-routing). Overhead comparisons are only fair on swept netlists —
-//! synthesis tools like Genus do this implicitly, so the overhead model
-//! applies [`cleanup`] before counting cells.
-//!
-//! Since the [`mod@crate::simplify`] engine landed, `cleanup` is a thin
-//! wrapper over it: one simplification code path serves both the
-//! synthesis overhead model and the encoding front end. `cleanup` runs
-//! the state-preserving configuration
-//! ([`crate::simplify::SimplifyConfig::preserving_state`]): flip-flops
-//! are state, and sweeping them would change observable timing behavior —
-//! a synthesis decision this conservative cleanup does not take.
+//! re-routing). Overhead comparisons are only fair on swept netlists, so
+//! `cutelock_synth::analyze` runs [`crate::simplify::simplify`] with
+//! [`crate::SimplifyConfig::preserving_state`] before counting cells:
+//! constants propagate, buffers forward, duplicates merge and unobservable
+//! gates go, while inputs, outputs and every flip-flop stay. These tests
+//! pin that configuration's behaviour on the small shapes locking produces.
 
-use crate::simplify::{simplify, SimplifyConfig};
-use crate::{Netlist, NetlistError};
-
-/// Statistics of a [`cleanup`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CleanupStats {
-    /// Gates removed because their output was a derivable constant, a
-    /// pass-through that got forwarded, or a structural duplicate that
-    /// got merged.
-    pub folded: usize,
-    /// Gates removed because nothing observable consumed them.
-    pub swept: usize,
-}
-
-/// Rebuilds `nl` with constants propagated, buffers forwarded, duplicate
-/// gates merged, and unobservable gates removed.
-///
-/// The result computes the same function on the same interface: primary
-/// inputs, outputs and flip-flops are all preserved. This delegates to
-/// [`crate::simplify::simplify`] with the state-preserving configuration;
-/// callers that can afford to drop unobservable flip-flops should call
-/// the engine directly with [`SimplifyConfig::default`].
-///
-/// # Errors
-///
-/// Propagates reconstruction failures (a bug if they happen on a valid
-/// netlist).
-pub fn cleanup(nl: &Netlist) -> Result<(Netlist, CleanupStats), NetlistError> {
-    let (out, stats) = simplify(nl, &SimplifyConfig::preserving_state())?;
-    Ok((
-        out,
-        CleanupStats {
-            folded: stats.folded + stats.merged,
-            swept: stats.swept_gates,
-        },
-    ))
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::bench;
+    use crate::simplify::{simplify, SimplifyConfig, SimplifyStats};
     use crate::{GateKind, Netlist};
+
+    fn cleanup(nl: &Netlist) -> Result<(Netlist, SimplifyStats), crate::NetlistError> {
+        simplify(nl, &SimplifyConfig::preserving_state())
+    }
 
     #[test]
     fn constants_fold_through() {
@@ -69,7 +29,7 @@ mod tests {
         let (clean, stats) = cleanup(&nl).unwrap();
         // y = NOT(XOR(a,1)) = NOT(NOT(a)) = a; structure shrinks.
         assert!(clean.gate_count() < nl.gate_count());
-        assert!(stats.folded > 0);
+        assert!(stats.folded + stats.merged > 0);
         // Function preserved (exhaustive).
         for a in [false, true] {
             let eval = |nl: &Netlist| {
@@ -97,7 +57,7 @@ mod tests {
         .unwrap();
         let (clean, stats) = cleanup(&nl).unwrap();
         assert_eq!(clean.gate_count(), 1);
-        assert_eq!(stats.swept, 2);
+        assert_eq!(stats.swept_gates, 2);
     }
 
     #[test]
@@ -154,7 +114,7 @@ mod tests {
         .unwrap();
         let (clean, stats) = cleanup(&nl).unwrap();
         // g2 merges into g1, XOR(g1, g1) folds to constant false.
-        assert!(stats.folded > 0, "{stats:?}");
+        assert!(stats.folded + stats.merged > 0, "{stats:?}");
         assert!(clean.gate_count() <= 1, "got {}", clean.gate_count());
     }
 

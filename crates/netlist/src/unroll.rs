@@ -98,7 +98,7 @@ pub fn unroll(
     // Current value (in `out`) of each original FF's q.
     let mut state: Vec<NetId> = Vec::with_capacity(nl.dff_count());
     let mut initial_state = Vec::new();
-    for (i, ff) in nl.dffs().iter().enumerate() {
+    for ff in nl.dffs() {
         let name = format!("{}@0", nl.net_name(ff.q()));
         let id = match init {
             InitState::Free => {
@@ -117,7 +117,6 @@ pub fn unroll(
             }
             InitState::Zero => out.add_gate(crate::GateKind::Const0, name, &[])?,
         };
-        let _ = i;
         state.push(id);
     }
 
@@ -130,8 +129,7 @@ pub fn unroll(
         let mut map: HashMap<NetId, NetId> = HashMap::new();
         let mut this_inputs = Vec::new();
         let mut this_keys = Vec::new();
-        for (pos, &inp) in nl.inputs().iter().enumerate() {
-            let _ = pos;
+        for &inp in nl.inputs() {
             if is_key(inp) {
                 match keys {
                     KeySharing::Shared => {

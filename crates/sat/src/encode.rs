@@ -382,10 +382,7 @@ impl MiterBuilder {
     /// oracle; sequential BMC modes, which only see primary outputs, pass
     /// `&[]`).
     ///
-    /// Accepts the view by value or pre-shared (`Rc<ScanView>`): attacks
-    /// that rebuild their solver from scratch per bound (the legacy BBO
-    /// baseline) share one view across rebuilds instead of re-deriving or
-    /// cloning it.
+    /// Accepts the view by value or pre-shared (`Rc<ScanView>`).
     pub fn new(sv: impl Into<Rc<ScanView>>, obs_states: &[usize]) -> Self {
         Self::with_encoder(CircuitEncoder::new(), sv, obs_states)
     }

@@ -141,9 +141,6 @@ pub struct Solver {
     /// Estimated garbage: clauses retired by popped scopes plus learnts
     /// marked deleted, pending physical reclamation.
     garbage_estimate: usize,
-    /// Whether [`Solver::pop_scope`] may trigger automatic clause-database
-    /// garbage collection.
-    scope_gc: bool,
 }
 
 impl Default for Solver {
@@ -183,7 +180,6 @@ impl Solver {
             race_stop: None,
             scopes: Vec::new(),
             garbage_estimate: 0,
-            scope_gc: true,
         }
     }
 
@@ -283,11 +279,10 @@ impl Solver {
     ///
     /// The search loop polls the flag at the same cadence as the deadline —
     /// once per propagate/decide round — and aborts with
-    /// [`SatResult::Unknown`] when it reads `true`. This is how portfolio
-    /// races retire laggard entrants and how an attack-level race cancels
-    /// whole losing strategies: flip one [`AtomicBool`] and every solver
-    /// holding it stops at its next check, leaving its clause database
-    /// intact. Cloned solvers share the installed flag.
+    /// [`SatResult::Unknown`] when it reads `true`. This is how a
+    /// cancelled job stops its attack: flip one [`AtomicBool`] and every
+    /// solver holding it stops at its next check, leaving its clause
+    /// database intact. Cloned solvers share the installed flag.
     pub fn set_stop(&mut self, stop: Option<Arc<AtomicBool>>) {
         self.stop = stop;
     }
@@ -383,12 +378,10 @@ impl Solver {
 
     /// Closes the innermost scope, permanently retracting its clauses.
     ///
-    /// The unit clause `!act` retires every clause the scope guarded; when
-    /// automatic GC is enabled (the default, see
-    /// [`set_scope_gc`](Solver::set_scope_gc)) and enough garbage has
-    /// accumulated, the clause database is physically compacted via
-    /// [`garbage_collect`](Solver::garbage_collect) so retired clauses stop
-    /// occupying watch lists and memory.
+    /// The unit clause `!act` retires every clause the scope guarded; once
+    /// enough garbage has accumulated, the clause database is physically
+    /// compacted via [`garbage_collect`](Solver::garbage_collect) so
+    /// retired clauses stop occupying watch lists and memory.
     ///
     /// # Panics
     ///
@@ -399,18 +392,9 @@ impl Solver {
         // retiring them without touching the clause database structure.
         self.add_clause(&[!act]);
         self.garbage_estimate += added;
-        if self.scope_gc && self.gc_worthwhile() {
+        if self.gc_worthwhile() {
             self.garbage_collect();
         }
-    }
-
-    /// Enables or disables automatic garbage collection on
-    /// [`pop_scope`](Solver::pop_scope). Disabling reproduces the legacy
-    /// leak-until-touched behavior (the `scope_gc_vs_leak` benchmark
-    /// baseline); [`garbage_collect`](Solver::garbage_collect) can still be
-    /// called manually.
-    pub fn set_scope_gc(&mut self, enabled: bool) {
-        self.scope_gc = enabled;
     }
 
     /// True when the pending garbage justifies a full database sweep: at
@@ -573,7 +557,7 @@ impl Solver {
     /// After the batch the importer applies the same database-pressure
     /// valves the search loop uses: a learnt-DB reduction when imports
     /// push the database past the reduction threshold (feeding the
-    /// `scope_gc` garbage estimate), then a physical
+    /// scope-GC garbage estimate), then a physical
     /// [`garbage_collect`](Solver::garbage_collect) once that estimate
     /// says a sweep is worthwhile — so repeated exchanges cannot grow the
     /// database without bound.
@@ -659,7 +643,7 @@ impl Solver {
         if self.ok && self.num_learnts > 4000 + 2 * self.clauses.len() {
             self.reduce_db();
         }
-        if self.ok && self.scope_gc && self.gc_worthwhile() {
+        if self.ok && self.gc_worthwhile() {
             self.garbage_collect();
         }
         (imported, dup_dropped)
@@ -1637,17 +1621,6 @@ mod tests {
         assert_eq!(st.gc_runs, 1);
         assert_eq!(st.gc_freed_clauses, 1);
         assert_eq!(st.clauses, 0);
-    }
-
-    #[test]
-    fn disabled_gc_reproduces_the_leak() {
-        let mut s = Solver::new();
-        s.set_scope_gc(false);
-        let (_, added) = load_big_scope(&mut s, 40);
-        s.pop_scope();
-        let st = s.stats();
-        assert_eq!(st.gc_runs, 0);
-        assert_eq!(st.clauses, added, "retired clauses linger when GC is off");
     }
 
     #[test]

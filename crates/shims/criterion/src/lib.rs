@@ -27,7 +27,7 @@
 //! [`Measurement`] it takes and prints a **comparison table** when it
 //! finishes: each entry's speedup relative to the group's first entry (the
 //! baseline), spreads included. That is how the workspace's
-//! `scope_gc_vs_leak` and `bbo_rebuild_vs_incremental` groups report
+//! `portfolio_vs_single` and `clause_sharing` groups report
 //! defensible — measured, spread-qualified — numbers without the real
 //! criterion's baseline files.
 //!

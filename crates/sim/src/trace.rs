@@ -105,11 +105,7 @@ pub fn bus_hex(bits: &[Logic]) -> String {
     // Pad to a multiple of 4 on the MSB side.
     let pad = (4 - bits.len() % 4) % 4;
     let mut nibbles = Vec::new();
-    let mut cur = Vec::with_capacity(4);
-    for i in 0..pad {
-        let _ = i;
-        cur.push(Logic::Zero);
-    }
+    let mut cur = vec![Logic::Zero; pad];
     for &b in bits {
         cur.push(b);
         if cur.len() == 4 {

@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use cutelock_netlist::{GateKind, Netlist, NetlistError};
+use cutelock_netlist::{simplify, GateKind, Netlist, NetlistError, SimplifyConfig};
 use cutelock_sim::activity::switching_activity;
 
 use crate::CellLibrary;
@@ -81,8 +81,9 @@ pub fn analyze(
     seed: u64,
 ) -> Result<OverheadReport, NetlistError> {
     // Synthesis tools sweep constants and dead logic before reporting;
-    // doing the same keeps locked-vs-original comparisons fair.
-    let (nl, _stats) = cutelock_netlist::transform::cleanup(nl)?;
+    // doing the same keeps locked-vs-original comparisons fair. Flip-flops
+    // are state, so the sweep keeps every one of them.
+    let (nl, _stats) = simplify(nl, &SimplifyConfig::preserving_state())?;
     let nl = &nl;
     let mapped = tech_map(nl);
     let mut area = 0.0;

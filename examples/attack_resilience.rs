@@ -53,12 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "attack", "Cute-Lock-Str", "single-key", "XOR-lock"
     );
     println!("{}", "-".repeat(72));
-    let run = |name: &str,
-               f: &dyn Fn(&LockedCircuit) -> AttackReport,
-               a: &LockedCircuit,
-               b: &LockedCircuit,
-               c: &LockedCircuit| {
-        let (ra, rb, rc) = (f(a), f(b), f(c));
+    let run = |name: &str, strategy: AttackStrategy| {
+        let spec = AttackSpec::new(strategy).with_budget(budget.clone());
+        let [ra, rb, rc] = [&cute, &single, &xor].map(|lc| run_attack(lc, &spec));
         println!(
             "{:<26} {:>14} {:>14} {:>14}",
             name,
@@ -69,36 +66,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ra
     };
 
-    let r1 = run(
-        "SAT (scan access)",
-        &|l| scan_sat_attack(l, &budget),
-        &cute,
-        &single,
-        &xor,
-    );
-    let r2 = run(
-        "BMC / BBO",
-        &|l| bbo_attack(l, &budget),
-        &cute,
-        &single,
-        &xor,
-    );
-    let r3 = run(
-        "BMC / INT",
-        &|l| int_attack(l, &budget),
-        &cute,
-        &single,
-        &xor,
-    );
-    let r4 = run("KC2", &|l| kc2_attack(l, &budget), &cute, &single, &xor);
-    let r5 = run(
-        "RANE (secret init)",
-        &|l| rane_attack(l, &budget),
-        &cute,
-        &single,
-        &xor,
-    );
-    for r in [&r1, &r2, &r3, &r4, &r5] {
+    let held = [
+        run("SAT (scan access)", AttackStrategy::ScanSat),
+        run("BMC / BBO", AttackStrategy::Bbo),
+        run("BMC / INT", AttackStrategy::Int),
+        run("KC2", AttackStrategy::Kc2),
+        run("RANE (secret init)", AttackStrategy::Rane),
+    ];
+    for r in &held {
         assert!(
             r.outcome.defense_held(),
             "Cute-Lock must hold: {}",
@@ -107,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Removal/dataflow attacks on the multi-key lock.
-    let fall = fall_attack(&cute);
+    let fall = fall_attack_with(&cute, &AttackBudget::default(), &Portfolio::single());
     println!(
         "{:<26} {:>14}",
         "FALL (oracle-less)",
@@ -116,8 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(fall.keys_found, 0);
 
     let truth = circuit.word_labels();
-    let clean_nmi = score_against_ground_truth(&dana_attack(original), &truth);
-    let locked_nmi = score_against_ground_truth(&dana_attack(&cute.netlist), &truth);
+    let dana = |nl: &Netlist| dana_attack_with_budget(nl, &AttackBudget::default());
+    let clean_nmi = score_against_ground_truth(&dana(original), &truth);
+    let locked_nmi = score_against_ground_truth(&dana(&cute.netlist), &truth);
     println!(
         "{:<26} {:>14}",
         "DANA (NMI locked/clean)",

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Attack it with the incremental oracle-guided unrolling attack
     //    (NEOS "INT" mode). The constant-key model dead-ends.
-    let report = int_attack(&locked, &AttackBudget::default());
+    let report = run_attack(&locked, &AttackSpec::new(AttackStrategy::Int));
     println!(
         "INT attack: {} after {} DIP iterations (bound {})",
         report.outcome, report.iterations, report.bound

@@ -38,7 +38,7 @@
 //!
 //! // Correct key sequence: equivalent. Oracle-guided attack: dead end.
 //! assert!(locked.verify_equivalence(300, 7)?);
-//! let report = int_attack(&locked, &AttackBudget::default());
+//! let report = run_attack(&locked, &AttackSpec::new(AttackStrategy::Int));
 //! assert!(report.outcome.defense_held());
 //! # Ok(())
 //! # }
@@ -64,15 +64,11 @@ pub use cutelock_synth as synth;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use cutelock_attacks::bmc::{bbo_attack, int_attack};
-    pub use cutelock_attacks::dana::{dana_attack, nmi, score_against_ground_truth};
-    pub use cutelock_attacks::fall::fall_attack;
-    pub use cutelock_attacks::kc2::kc2_attack;
-    pub use cutelock_attacks::portfolio::{portfolio_attack, Portfolio, Strategy};
-    pub use cutelock_attacks::rane::rane_attack;
-    pub use cutelock_attacks::sat_attack::scan_sat_attack;
+    pub use cutelock_attacks::dana::{dana_attack_with_budget, nmi, score_against_ground_truth};
+    pub use cutelock_attacks::fall::fall_attack_with;
     pub use cutelock_attacks::{
-        run_attack, run_race, AttackBudget, AttackOutcome, AttackReport, AttackSpec, AttackStrategy,
+        run_attack, AttackBudget, AttackOutcome, AttackReport, AttackSpec, AttackStrategy,
+        Portfolio,
     };
     pub use cutelock_circuits::{iscas89, itc99, synthezza, BenchmarkCircuit};
     pub use cutelock_core::baselines::{DkLock, HarpoonLock, SledLock, TtLock, XorLock};

@@ -15,6 +15,11 @@ fn budget() -> AttackBudget {
     }
 }
 
+/// Runs `strategy` through the spec door under the test budget.
+fn attack(strategy: AttackStrategy, locked: &LockedCircuit) -> AttackReport {
+    run_attack(locked, &AttackSpec::new(strategy).with_budget(budget()))
+}
+
 #[test]
 fn lock_export_reimport_attack_s27() {
     // Lock s27, write it to .bench, parse it back, and attack the reparsed
@@ -44,7 +49,7 @@ fn lock_export_reimport_attack_s27() {
         locked_ffs: locked.locked_ffs.clone(),
     };
     assert!(rebuilt.verify_equivalence(300, 5).expect("simulates"));
-    let report = int_attack(&rebuilt, &budget());
+    let report = attack(AttackStrategy::Int, &rebuilt);
     assert!(report.outcome.defense_held(), "got {}", report.outcome);
 }
 
@@ -61,7 +66,7 @@ fn beh_pipeline_on_synthezza_benchmark() {
     .lock(&stg)
     .expect("locks");
     assert!(locked.verify_equivalence(300, 2).expect("simulates"));
-    let report = kc2_attack(&locked, &budget());
+    let report = attack(AttackStrategy::Kc2, &locked);
     assert!(report.outcome.defense_held(), "got {}", report.outcome);
 }
 
@@ -70,9 +75,9 @@ fn every_attack_breaks_the_xor_baseline_on_iscas() {
     let circuit = iscas89("s349").expect("exists");
     let locked = XorLock::new(5, 7).lock(&circuit.netlist).expect("locks");
     for (name, report) in [
-        ("scan-sat", scan_sat_attack(&locked, &budget())),
-        ("int", int_attack(&locked, &budget())),
-        ("kc2", kc2_attack(&locked, &budget())),
+        ("scan-sat", attack(AttackStrategy::ScanSat, &locked)),
+        ("int", attack(AttackStrategy::Int, &locked)),
+        ("kc2", attack(AttackStrategy::Kc2, &locked)),
     ] {
         assert!(
             matches!(report.outcome, AttackOutcome::KeyFound(_)),
@@ -173,7 +178,7 @@ fn sled_baseline_resists_constant_key_but_depends_on_seed() {
     let circuit = itc99("b06").expect("exists");
     let locked = SledLock::new(4, 5).lock(&circuit.netlist).expect("locks");
     assert!(locked.verify_equivalence(200, 4).expect("simulates"));
-    let report = int_attack(&locked, &budget());
+    let report = attack(AttackStrategy::Int, &locked);
     assert!(report.outcome.defense_held(), "got {}", report.outcome);
 }
 
@@ -186,7 +191,7 @@ fn dk_lock_pipeline_round_trips() {
     assert!(locked.verify_equivalence(200, 1).expect("simulates"));
     // DK-Lock's key is constant, so oracle-guided attacks succeed — the
     // vulnerability the paper cites ([31]) manifests as key recovery here.
-    let report = int_attack(&locked, &budget());
+    let report = attack(AttackStrategy::Int, &locked);
     assert!(
         matches!(
             report.outcome,

@@ -17,6 +17,11 @@ fn budget() -> AttackBudget {
     }
 }
 
+/// Runs `strategy` through the spec door under the test budget.
+fn attack(strategy: AttackStrategy, locked: &LockedCircuit) -> AttackReport {
+    run_attack(locked, &AttackSpec::new(strategy).with_budget(budget()))
+}
+
 /// Table I: Cute-Lock-Beh preserves behavior under the correct schedule and
 /// corrupts it under wrong keys.
 #[test]
@@ -84,11 +89,11 @@ fn claim_tables34_attacks_dead_end() {
     .expect("locks");
     for locked in [&beh, &strv] {
         for report in [
-            bbo_attack(locked, &budget()),
-            int_attack(locked, &budget()),
-            kc2_attack(locked, &budget()),
-            rane_attack(locked, &budget()),
-            scan_sat_attack(locked, &budget()),
+            attack(AttackStrategy::Bbo, locked),
+            attack(AttackStrategy::Int, locked),
+            attack(AttackStrategy::Kc2, locked),
+            attack(AttackStrategy::Rane, locked),
+            attack(AttackStrategy::ScanSat, locked),
         ] {
             assert!(
                 report.outcome.defense_held(),
@@ -113,7 +118,7 @@ fn claim_single_key_reduction_breaks() {
     })
     .lock(&cute_lock::circuits::s27::s27())
     .expect("locks");
-    let report = int_attack(&locked, &budget());
+    let report = attack(AttackStrategy::Int, &locked);
     assert!(
         matches!(report.outcome, AttackOutcome::KeyFound(_)),
         "got {}",
@@ -136,12 +141,12 @@ fn claim_table5_fall() {
     })
     .lock(&circuit.netlist)
     .expect("locks");
-    let fall = fall_attack(&cute);
+    let fall = fall_attack_with(&cute, &AttackBudget::default(), &Portfolio::single());
     assert_eq!(fall.candidates, 0);
     assert_eq!(fall.keys_found, 0);
 
     let tt = TtLock::new(5, 5).lock(&circuit.netlist).expect("locks");
-    let fall_tt = fall_attack(&tt);
+    let fall_tt = fall_attack_with(&tt, &AttackBudget::default(), &Portfolio::single());
     assert!(fall_tt.keys_found >= 1, "FALL must break TTLock");
 }
 
@@ -154,7 +159,10 @@ fn claim_table5_dana_degradation() {
     for name in ["b04", "b08", "b12"] {
         let circuit = itc99(name).expect("exists");
         let truth = circuit.word_labels();
-        let clean = score_against_ground_truth(&dana_attack(&circuit.netlist), &truth);
+        let clean = score_against_ground_truth(
+            &dana_attack_with_budget(&circuit.netlist, &AttackBudget::default()),
+            &truth,
+        );
         let locked = CuteLockStr::new(CuteLockStrConfig {
             keys: 4,
             key_bits: 5,
@@ -165,7 +173,10 @@ fn claim_table5_dana_degradation() {
         })
         .lock(&circuit.netlist)
         .expect("locks");
-        let after = score_against_ground_truth(&dana_attack(&locked.netlist), &truth);
+        let after = score_against_ground_truth(
+            &dana_attack_with_budget(&locked.netlist, &AttackBudget::default()),
+            &truth,
+        );
         total += 1;
         if after < clean - 1e-9 {
             degraded += 1;
@@ -218,6 +229,6 @@ fn claim_one_ff_suffices() {
     })
     .lock(&itc99("b03").expect("exists").netlist)
     .expect("locks");
-    let report = int_attack(&locked, &budget());
+    let report = attack(AttackStrategy::Int, &locked);
     assert!(report.outcome.defense_held(), "got {}", report.outcome);
 }
