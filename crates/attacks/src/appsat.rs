@@ -20,14 +20,14 @@
 //! fewer iterations.
 
 use cutelock_core::{KeyValue, LockedCircuit};
-use cutelock_sat::SatResult;
+use cutelock_sat::Solver;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::outcome::verify_candidate_key;
+use crate::dip::{Miter, Run};
 use crate::portfolio::Portfolio;
 use crate::scan::ScanModel;
-use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
+use crate::{AttackBudget, AttackReport};
 
 /// Settings specific to AppSAT.
 #[derive(Debug, Clone, Copy)]
@@ -50,128 +50,71 @@ impl Default for AppSatConfig {
     }
 }
 
-/// Estimated error rate of candidate `key` over random stimulus, via the
-/// 64-lane batched miter: `queries` cycles × 64 lanes of samples per call
-/// instead of one scalar sequence.
-fn estimate_error(locked: &LockedCircuit, key: &KeyValue, queries: usize, rng: &mut StdRng) -> f64 {
-    locked
-        .wide_corruption_rate(key, queries, rng.next_u64())
-        .unwrap_or(1.0)
+/// The scan miter plus AppSAT's settle step: every `settle_every` DIPs,
+/// estimate the current candidate's error rate over random stimulus and
+/// stop once it is low enough.
+struct AppSat {
+    scan: ScanModel,
+    config: AppSatConfig,
+    rng: StdRng,
+}
+
+impl Miter for AppSat {
+    fn solver(&mut self) -> &mut Solver {
+        self.scan.solver()
+    }
+
+    fn key(&self) -> KeyValue {
+        self.scan.key()
+    }
+
+    fn learn(&mut self, run: &Run) -> bool {
+        self.scan.learn(run)
+    }
+
+    fn settle(&mut self, run: &Run) -> Option<AttackReport> {
+        if run.iterations % self.config.settle_every != 0 {
+            return None;
+        }
+        let cand = self.key();
+        // The 64-lane batched miter: `queries` cycles × 64 lanes of samples
+        // per estimate.
+        let err = run
+            .locked
+            .wide_corruption_rate(&cand, self.config.queries, self.rng.next_u64())
+            .unwrap_or(1.0);
+        (err <= self.config.error_threshold).then(|| run.judge(cand, 0xa1, self.solver()))
+    }
 }
 
 /// Runs AppSAT on `locked`, racing each solver query across the given
 /// [`Portfolio`].
 ///
-/// Returns [`AttackOutcome::KeyFound`] only when the settled key verifies
-/// exactly; an approximate key that still errs is reported as
-/// [`AttackOutcome::WrongKey`] (the paper's `x..x`).
+/// Returns [`AttackOutcome::KeyFound`](crate::AttackOutcome::KeyFound) only
+/// when the settled key verifies exactly; an approximate key that still
+/// errs is reported as
+/// [`AttackOutcome::WrongKey`](crate::AttackOutcome::WrongKey) (the
+/// paper's `x..x`).
 pub(crate) fn appsat_attack_with(
     locked: &LockedCircuit,
     budget: &AttackBudget,
     config: &AppSatConfig,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    let start = budget.start();
-    let mk = |outcome, iterations, stats: RunStats| AttackReport {
-        outcome,
-        elapsed: budget.clock.now().duration_since(start),
-        iterations,
-        bound: 1,
-        stats,
+    let mut run = Run::new(locked, budget, portfolio, 1);
+    let Some(scan) = ScanModel::new(&run) else {
+        return run.fail();
     };
-    let Some(mut m) = ScanModel::new(locked, budget.conflict_budget) else {
-        return mk(AttackOutcome::Fail, 0, RunStats::default());
+    let mut m = AppSat {
+        scan,
+        config: *config,
+        rng: StdRng::seed_from_u64(0xa995a7),
     };
-    m.solver().set_clock(budget.clock.clone());
-    portfolio.install(m.solver());
-    let mut rng = StdRng::seed_from_u64(0xa995a7);
-    let diff = m.obs_differ();
-    // Retractable DIP-hunt constraint (see `sat_attack`): the final
-    // extraction reuses the same live solver once the scope is popped.
-    m.solver().push_scope();
-    m.solver().add_scoped_clause(&[diff]);
-    let mut iterations = 0usize;
-    loop {
-        let Some(rem) = budget.remaining(start) else {
-            return mk(
-                AttackOutcome::Timeout,
-                iterations,
-                m.solver().stats().into(),
-            );
-        };
-        m.solver().set_timeout(Some(rem));
-        match portfolio.race_scoped(m.solver(), &[]) {
-            SatResult::Unknown => {
-                return mk(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-            SatResult::Unsat => break,
-            SatResult::Sat => {
-                iterations += 1;
-                if iterations > budget.max_iterations {
-                    return mk(
-                        AttackOutcome::Timeout,
-                        iterations,
-                        m.solver().stats().into(),
-                    );
-                }
-                let x = m.values(&m.xs);
-                let s = m.values(&m.ss);
-                m.constrain_pattern(&x, &s);
-                if portfolio.race(m.solver()) == SatResult::Unsat {
-                    return mk(AttackOutcome::Cns, iterations, m.solver().stats().into());
-                }
-                // Settle phase: estimate the current candidate's error.
-                if iterations % config.settle_every == 0 {
-                    let cand = KeyValue::from_bits(m.values(&m.k1));
-                    let err = estimate_error(locked, &cand, config.queries, &mut rng);
-                    if err <= config.error_threshold {
-                        return if verify_candidate_key(locked, &cand, 256, 0xa1) {
-                            mk(
-                                AttackOutcome::KeyFound(cand),
-                                iterations,
-                                m.solver().stats().into(),
-                            )
-                        } else {
-                            mk(
-                                AttackOutcome::WrongKey(cand),
-                                iterations,
-                                m.solver().stats().into(),
-                            )
-                        };
-                    }
-                }
-            }
-        }
+    let diff = m.scan.obs_differ(0, 1);
+    if let Err(end) = run.hunt(&mut m, &[&[diff]]) {
+        return end;
     }
-    m.solver().pop_scope();
-    match portfolio.race(m.solver()) {
-        SatResult::Unsat => mk(AttackOutcome::Cns, iterations, m.solver().stats().into()),
-        SatResult::Unknown => mk(
-            AttackOutcome::Timeout,
-            iterations,
-            m.solver().stats().into(),
-        ),
-        SatResult::Sat => {
-            let cand = KeyValue::from_bits(m.values(&m.k1));
-            if verify_candidate_key(locked, &cand, 256, 0xa2) {
-                mk(
-                    AttackOutcome::KeyFound(cand),
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            } else {
-                mk(
-                    AttackOutcome::WrongKey(cand),
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-        }
-    }
+    run.extract(&mut m, 0xa2)
 }
 
 /// Runs the Double-DIP attack: each iteration demands an input pattern on
@@ -184,142 +127,32 @@ pub(crate) fn double_dip_attack_with(
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    let start = budget.start();
-    let mk = |outcome, iterations, stats: RunStats| AttackReport {
-        outcome,
-        elapsed: budget.clock.now().duration_since(start),
-        iterations,
-        bound: 1,
-        stats,
+    let mut run = Run::new(locked, budget, portfolio, 1);
+    let Some(mut m) = ScanModel::new(&run) else {
+        return run.fail();
     };
-    let Some(mut m) = ScanModel::new(locked, budget.conflict_budget) else {
-        return mk(AttackOutcome::Fail, 0, RunStats::default());
-    };
-    m.solver().set_clock(budget.clock.clone());
-    portfolio.install(m.solver());
-    // Third key copy sharing the same inputs.
-    let (k3, f3) = m.add_key_copy();
-    let d12 = m.obs_differ();
-    let (f1, obs3) = (m.f1.clone(), f3);
-    let d13 = m.m.obs_differ(&f1, &obs3);
-
-    // Phase 1 scope: demand a *double* DIP (both miters differ).
-    m.solver().push_scope();
-    m.solver().add_scoped_clause(&[d12]);
-    m.solver().add_scoped_clause(&[d13]);
-    let mut iterations = 0usize;
-    loop {
-        let Some(rem) = budget.remaining(start) else {
-            return mk(
-                AttackOutcome::Timeout,
-                iterations,
-                m.solver().stats().into(),
-            );
-        };
-        m.solver().set_timeout(Some(rem));
-        match portfolio.race_scoped(m.solver(), &[]) {
-            SatResult::Unknown => {
-                return mk(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-            SatResult::Unsat => break,
-            SatResult::Sat => {
-                iterations += 1;
-                if iterations > budget.max_iterations {
-                    return mk(
-                        AttackOutcome::Timeout,
-                        iterations,
-                        m.solver().stats().into(),
-                    );
-                }
-                let x = m.values(&m.xs);
-                let s = m.values(&m.ss);
-                // One oracle query constrains all three key copies (the
-                // third must stay consistent too).
-                let (k1, k2) = (m.k1.clone(), m.k2.clone());
-                m.constrain_pattern_for(&[&k1, &k2, &k3], &x, &s);
-                if portfolio.race(m.solver()) == SatResult::Unsat {
-                    return mk(AttackOutcome::Cns, iterations, m.solver().stats().into());
-                }
-            }
-        }
+    // A third key copy sharing the same inputs: each DIP now constrains
+    // all three.
+    m.add_key_copy();
+    let d12 = m.obs_differ(0, 1);
+    let d13 = m.obs_differ(0, 2);
+    // Phase 1: demand a *double* DIP (both miters differ).
+    if let Err(end) = run.hunt(&mut m, &[&[d12], &[d13]]) {
+        return end;
     }
-    m.solver().pop_scope();
-    // Fall back to the single-miter termination: no pair of distinguishable
-    // keys remains at all, or only double-DIPs are exhausted. Phase 2
-    // scope: a plain single-miter DIP.
-    m.solver().push_scope();
-    m.solver().add_scoped_clause(&[d12]);
-    loop {
-        let Some(rem) = budget.remaining(start) else {
-            return mk(
-                AttackOutcome::Timeout,
-                iterations,
-                m.solver().stats().into(),
-            );
-        };
-        m.solver().set_timeout(Some(rem));
-        match portfolio.race_scoped(m.solver(), &[]) {
-            SatResult::Unknown => {
-                return mk(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-            SatResult::Unsat => break,
-            SatResult::Sat => {
-                iterations += 1;
-                if iterations > budget.max_iterations {
-                    return mk(
-                        AttackOutcome::Timeout,
-                        iterations,
-                        m.solver().stats().into(),
-                    );
-                }
-                let x = m.values(&m.xs);
-                let s = m.values(&m.ss);
-                m.constrain_pattern(&x, &s);
-                if portfolio.race(m.solver()) == SatResult::Unsat {
-                    return mk(AttackOutcome::Cns, iterations, m.solver().stats().into());
-                }
-            }
-        }
+    // Phase 2: once double DIPs are exhausted, fall back to the plain
+    // single-miter hunt over the first two copies.
+    m.keys.truncate(2);
+    if let Err(end) = run.hunt(&mut m, &[&[d12]]) {
+        return end;
     }
-    m.solver().pop_scope();
-    match portfolio.race(m.solver()) {
-        SatResult::Unsat => mk(AttackOutcome::Cns, iterations, m.solver().stats().into()),
-        SatResult::Unknown => mk(
-            AttackOutcome::Timeout,
-            iterations,
-            m.solver().stats().into(),
-        ),
-        SatResult::Sat => {
-            let cand = KeyValue::from_bits(m.values(&m.k1));
-            if verify_candidate_key(locked, &cand, 256, 0xdd) {
-                mk(
-                    AttackOutcome::KeyFound(cand),
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            } else {
-                mk(
-                    AttackOutcome::WrongKey(cand),
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-        }
-    }
+    run.extract(&mut m, 0xdd)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_attack, AttackSpec, AttackStrategy};
+    use crate::{run_attack, AttackOutcome, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::{TtLock, XorLock};
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};

@@ -30,19 +30,19 @@
 //! permanently — so learnt clauses survive across bounds and iterations.
 //! NEOS's `bbo` and `int` modes differ only in lineage (`bbo` historically
 //! re-solved from scratch per bound), so both strategies run this one
-//! engine. KC2 adds key-bit fixation on top — see [`crate::kc2`].
+//! miter through the crate's shared DIP loop (one hunt per bound). KC2
+//! adds key-bit fixation to each learn step — see [`crate::kc2`].
 
 use std::rc::Rc;
 
-use cutelock_core::clock::Instant;
 use cutelock_core::{KeyValue, LockedCircuit};
 use cutelock_netlist::unroll::{scan_view, ScanView};
 use cutelock_sat::{CircuitEncoder, Lit, MiterBuilder, PortVals, SatResult, Solver};
 use cutelock_sim::{NetlistOracle, SequentialOracle};
 
-use crate::outcome::verify_candidate_key;
+use crate::dip::{Miter, Run};
 use crate::portfolio::Portfolio;
-use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
+use crate::{AttackBudget, AttackOutcome, AttackReport};
 
 /// How the attacker models the initial state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,344 +61,215 @@ pub(crate) fn bmc_attack_with(
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Reset, false, portfolio).run()
+    unrolled_attack(locked, budget, portfolio, InitModel::Reset, false)
 }
 
-/// One miter copy's per-frame literals.
-struct Chain {
-    /// Data-input literals per frame (only kept for the first copy).
-    xs: Vec<Vec<Lit>>,
-    /// Primary-output literals per frame.
-    pos: Vec<Vec<Lit>>,
-    /// State literals feeding the *next* frame.
-    state: Vec<Lit>,
+/// The unrolling attack shared by BBO/INT, [`crate::kc2`] (`fix_key_bits`)
+/// and [`crate::rane`] ([`InitModel::Secret`]): one DIP hunt per bound on
+/// one persistent miter, then a candidate key; a wrong key deepens the
+/// unrolling until `max_bound`.
+pub(crate) fn unrolled_attack(
+    locked: &LockedCircuit,
+    budget: &AttackBudget,
+    portfolio: &Portfolio,
+    init: InitModel,
+    fix_key_bits: bool,
+) -> AttackReport {
+    // The scan view is derived before the budget's clock starts.
+    let sv = Rc::new(scan_view(&locked.netlist).expect("locked netlist is well-formed"));
+    let mut run = Run::new(locked, budget, portfolio, 0);
+    let ki = locked.netlist.key_inputs().len();
+    if ki == 0 {
+        return run.fail();
+    }
+    let oracle = NetlistOracle::new(locked.original.clone()).expect("oracle netlist valid");
+    let mut m = Unrolled::new(&run, sv, oracle, init, fix_key_bits.then(|| vec![None; ki]));
+    for bound in 1..=budget.max_bound {
+        run.bound = bound;
+        let differ = m.extend_to(bound);
+        if let Err(end) = run.hunt(&mut m, &[&differ]) {
+            return end;
+        }
+        // No DIS at this bound: extract and verify a candidate key.
+        let report = run.extract(&mut m, 0xd1f);
+        if bound == budget.max_bound || !matches!(report.outcome, AttackOutcome::WrongKey(_)) {
+            return report;
+        }
+        // A wrong key: deepen the unrolling and keep going.
+    }
+    // Only reached with `max_bound == 0`: no bound was ever tried.
+    run.fail()
 }
 
-/// A run's incremental state: the miter (owning the solver), the two
-/// key-literal vectors, both chains, and the shared secret-initial-state
-/// literals (if any).
-struct IncState {
+/// The unrolled miter: two chains of time frames with private key vectors,
+/// appended as the bound grows, on one incremental solver, so learnt
+/// clauses survive across bounds and iterations.
+struct Unrolled {
     m: MiterBuilder,
+    oracle: NetlistOracle,
+    /// Reset values of the flip-flops (the [`InitModel::Reset`] start).
+    reset: Vec<bool>,
+    /// The shared secret initial state ([`InitModel::Secret`]).
+    secret: Option<Vec<Lit>>,
     k1: Vec<Lit>,
     k2: Vec<Lit>,
-    c1: Chain,
-    c2: Chain,
-    secret: Option<Vec<Lit>>,
+    /// The shared data-input literals of each frame.
+    xs: Vec<Vec<Lit>>,
+    /// The first copy's state literals feeding its *next* frame.
+    state1: Vec<Lit>,
+    /// The second copy's state literals feeding its *next* frame.
+    state2: Vec<Lit>,
+    /// One "outputs differ" literal per frame.
+    diff_lits: Vec<Lit>,
+    /// KC2's fixed key bits, when key-bit fixation is on.
+    fixed: Option<Vec<Option<bool>>>,
 }
 
-/// The shared DIP-loop engine (also used by [`crate::kc2`] and
-/// [`crate::rane`]).
-pub(crate) struct Engine<'a> {
-    locked: &'a LockedCircuit,
-    budget: &'a AttackBudget,
-    init: InitModel,
-    /// KC2 extension: probe and fix implied key bits after each iteration.
-    fix_key_bits: bool,
-    /// Query-level portfolio racing (and the attack-level stop flag).
-    portfolio: &'a Portfolio,
-    /// The scan view, derived before the budget's clock starts.
-    sv: Rc<ScanView>,
-    start: Instant,
-    iterations: usize,
-}
-
-impl<'a> Engine<'a> {
-    pub(crate) fn new(
-        locked: &'a LockedCircuit,
-        budget: &'a AttackBudget,
-        init: InitModel,
-        fix_key_bits: bool,
-        portfolio: &'a Portfolio,
-    ) -> Self {
-        let sv = Rc::new(scan_view(&locked.netlist).expect("locked netlist is well-formed"));
-        Self {
-            locked,
-            budget,
-            init,
-            fix_key_bits,
-            portfolio,
-            sv,
-            start: budget.start(),
-            iterations: 0,
-        }
-    }
-
-    fn remaining(&self) -> Option<std::time::Duration> {
-        self.budget.remaining(self.start)
-    }
-
-    fn report(&self, outcome: AttackOutcome, bound: usize, stats: RunStats) -> AttackReport {
-        AttackReport {
-            outcome,
-            elapsed: self.budget.clock.now().duration_since(self.start),
-            iterations: self.iterations,
-            bound,
-            stats,
-        }
-    }
-
+impl Unrolled {
     /// A fresh miter over the scan view with keys, optional secret initial
     /// state, and empty frame chains — the bound-0 state of a run.
-    fn fresh_state(&self) -> IncState {
-        let mut m = MiterBuilder::new(Rc::clone(&self.sv), &[]);
-        m.enc
-            .solver
-            .set_conflict_budget(self.budget.conflict_budget);
-        m.enc.solver.set_clock(self.budget.clock.clone());
-        self.portfolio.install(&mut m.enc.solver);
+    fn new(
+        run: &Run,
+        sv: Rc<ScanView>,
+        oracle: NetlistOracle,
+        init: InitModel,
+        fixed: Option<Vec<Option<bool>>>,
+    ) -> Self {
+        let mut m = MiterBuilder::new(sv, &[]);
+        run.prepare(&mut m.enc.solver);
         let k1 = m.fresh_keys();
         let k2 = m.fresh_keys();
-        let secret: Option<Vec<Lit>> = (self.init == InitModel::Secret)
-            .then(|| m.enc.fresh_lits(self.locked.netlist.dff_count()));
-        let init = self.init_state(&mut m.enc, secret.as_deref());
-        let c1 = Chain {
-            xs: Vec::new(),
-            pos: Vec::new(),
-            state: init.clone(),
-        };
-        let c2 = Chain {
-            xs: Vec::new(),
-            pos: Vec::new(),
-            state: init,
-        };
-        IncState {
+        let dffs = run.locked.netlist.dffs();
+        let secret = (init == InitModel::Secret).then(|| m.enc.fresh_lits(dffs.len()));
+        let reset: Vec<bool> = dffs.iter().map(|ff| ff.init().unwrap_or(false)).collect();
+        let start = init_state(&mut m.enc, secret.as_deref(), &reset);
+        Self {
             m,
+            oracle,
+            reset,
+            secret,
             k1,
             k2,
-            c1,
-            c2,
-            secret,
+            xs: Vec::new(),
+            state1: start.clone(),
+            state2: start,
+            diff_lits: Vec::new(),
+            fixed,
         }
     }
 
-    /// Initial-state literals for a fresh chain: the RANE secret variables
-    /// when provided, otherwise reset constants.
-    fn init_state(&self, enc: &mut CircuitEncoder, secret: Option<&[Lit]>) -> Vec<Lit> {
-        match (self.init, secret) {
-            (InitModel::Secret, Some(s0)) => s0.to_vec(),
-            _ => {
-                let bits: Vec<bool> = self
-                    .locked
-                    .netlist
-                    .dffs()
-                    .iter()
-                    .map(|ff| ff.init().unwrap_or(false))
-                    .collect();
-                enc.lits_const(&bits)
-            }
+    /// Extends the miter up to `bound` frames — fresh shared data inputs
+    /// per frame, state threaded from the previous frame — and returns the
+    /// hunt constraint: some frame's outputs differ.
+    fn extend_to(&mut self, bound: usize) -> Vec<Lit> {
+        while self.xs.len() < bound {
+            let f1 = self
+                .m
+                .frame(&self.k1, PortVals::Shared(&self.state1), PortVals::Fresh)
+                .expect("scan view encodes");
+            let f2 = self
+                .m
+                .frame(
+                    &self.k2,
+                    PortVals::Shared(&self.state2),
+                    PortVals::Shared(&f1.xs),
+                )
+                .expect("scan view encodes");
+            self.diff_lits
+                .push(self.m.enc.differ(&f1.outputs, &f2.outputs));
+            self.xs.push(f1.xs);
+            self.state1 = f1.next_state;
+            self.state2 = f2.next_state;
         }
+        self.diff_lits.clone()
+    }
+}
+
+/// Initial-state literals for a fresh chain: the RANE secret variables
+/// when provided, otherwise reset constants.
+fn init_state(enc: &mut CircuitEncoder, secret: Option<&[Lit]>, reset: &[bool]) -> Vec<Lit> {
+    match secret {
+        Some(s0) => s0.to_vec(),
+        None => enc.lits_const(reset),
+    }
+}
+
+impl Miter for Unrolled {
+    fn solver(&mut self) -> &mut Solver {
+        &mut self.m.enc.solver
     }
 
-    /// Adds the oracle-consistency constraints for a discriminating input
-    /// sequence: both key copies must reproduce the oracle outputs.
-    fn add_dip_constraints(
-        &self,
-        m: &mut MiterBuilder,
-        k1: &[Lit],
-        k2: &[Lit],
-        secret: Option<&[Lit]>,
-        xseq: &[Vec<bool>],
-        oracle_out: &[Vec<bool>],
-    ) {
-        for keys in [k1, k2] {
-            let mut state = self.init_state(&mut m.enc, secret);
-            for (xs, ys) in xseq.iter().zip(oracle_out) {
-                let f = m
+    fn key(&self) -> KeyValue {
+        KeyValue::from_bits(self.m.enc.values(&self.k1))
+    }
+
+    /// Replays the discriminating input sequence on the oracle from reset
+    /// and pins both key copies' unrolled outputs to its answer; KC2 then
+    /// fixes the key bits those constraints imply.
+    fn learn(&mut self, run: &Run) -> bool {
+        let xseq: Vec<Vec<bool>> = self
+            .xs
+            .iter()
+            .map(|frame| self.m.enc.values(frame))
+            .collect();
+        self.oracle.reset();
+        let ys: Vec<Vec<bool>> = xseq.iter().map(|x| self.oracle.step(x)).collect();
+        for keys in [&self.k1, &self.k2] {
+            let mut state = init_state(&mut self.m.enc, self.secret.as_deref(), &self.reset);
+            for (xs, ys) in xseq.iter().zip(&ys) {
+                let f = self
+                    .m
                     .frame(keys, PortVals::Shared(&state), PortVals::Const(xs))
                     .expect("scan view encodes");
-                m.enc.pin(&f.outputs, ys);
+                self.m.enc.pin(&f.outputs, ys);
                 state = f.next_state;
             }
         }
-    }
-
-    /// KC2-style key-bit fixation: probe each still-free key bit under a
-    /// small conflict budget; implied bits get asserted as units, shrinking
-    /// the key condition.
-    ///
-    /// Returns `true` when the attack's wall-clock deadline expired
-    /// mid-probe (the caller must report [`AttackOutcome::Timeout`]). The
-    /// probe loop checks the deadline *between* probes — a wide key no
-    /// longer blows past `AttackBudget::timeout` one 2 000-conflict probe at
-    /// a time — and the main loop's conflict budget is restored on every
-    /// exit path, timeout included.
-    fn crunch_key_bits(&self, solver: &mut Solver, k1: &[Lit], fixed: &mut [Option<bool>]) -> bool {
-        let mut timed_out = false;
-        for (j, &kj) in k1.iter().enumerate() {
-            if fixed[j].is_some() {
-                continue;
-            }
-            let Some(rem) = self.remaining() else {
-                timed_out = true;
-                break;
-            };
-            solver.set_timeout(Some(rem));
-            solver.set_conflict_budget(Some(2_000));
-            if solver.solve_with_assumptions(&[kj]) == SatResult::Unsat {
-                solver.add_clause(&[!kj]);
-                fixed[j] = Some(false);
-            } else if solver.solve_with_assumptions(&[!kj]) == SatResult::Unsat {
-                solver.add_clause(&[kj]);
-                fixed[j] = Some(true);
-            }
+        match &mut self.fixed {
+            Some(fixed) => crunch_key_bits(run, &mut self.m.enc.solver, &self.k1, fixed),
+            None => false,
         }
-        solver.set_conflict_budget(self.budget.conflict_budget);
-        timed_out
     }
+}
 
-    pub(crate) fn run(mut self) -> AttackReport {
-        let ki = self.locked.netlist.key_inputs().len();
-        if ki == 0 {
-            return self.report(AttackOutcome::Fail, 0, RunStats::default());
+/// KC2-style key-bit fixation: probe each still-free key bit under a
+/// small conflict budget; implied bits get asserted as units, shrinking
+/// the key condition.
+///
+/// Returns `true` when the attack's wall-clock deadline expired
+/// mid-probe (the caller must report [`AttackOutcome::Timeout`]). The
+/// probe loop checks the deadline *between* probes — a wide key no
+/// longer blows past `AttackBudget::timeout` one 2 000-conflict probe at
+/// a time — and the main loop's conflict budget is restored on every
+/// exit path, timeout included.
+fn crunch_key_bits(run: &Run, solver: &mut Solver, k1: &[Lit], fixed: &mut [Option<bool>]) -> bool {
+    let mut timed_out = false;
+    for (j, &kj) in k1.iter().enumerate() {
+        if fixed[j].is_some() {
+            continue;
         }
-        let mut oracle =
-            NetlistOracle::new(self.locked.original.clone()).expect("oracle netlist valid");
-
-        let mut inc: Option<IncState> = None;
-        let mut diff_lits: Vec<Lit> = Vec::new();
-        let mut fixed: Vec<Option<bool>> = vec![None; ki];
-
-        for bound in 1..=self.budget.max_bound {
-            let st = inc.get_or_insert_with(|| self.fresh_state());
-
-            // Extend the miter up to `bound` frames: fresh shared data
-            // inputs per frame, state threaded from the previous frame.
-            while st.c1.pos.len() < bound {
-                let f1 =
-                    st.m.frame(&st.k1, PortVals::Shared(&st.c1.state), PortVals::Fresh)
-                        .expect("scan view encodes");
-                let f2 =
-                    st.m.frame(
-                        &st.k2,
-                        PortVals::Shared(&st.c2.state),
-                        PortVals::Shared(&f1.xs),
-                    )
-                    .expect("scan view encodes");
-                let d = st.m.enc.differ(&f1.outputs, &f2.outputs);
-                st.c1.xs.push(f1.xs);
-                st.c1.pos.push(f1.outputs);
-                st.c1.state = f1.next_state;
-                st.c2.pos.push(f2.outputs);
-                st.c2.state = f2.next_state;
-                diff_lits.push(d);
-            }
-
-            // DIP loop at this bound. The "some frame's outputs differ"
-            // constraint holds only while we hunt for discriminating
-            // sequences, so it lives in a retractable scope: one clause per
-            // bound instead of one dead activation clause per iteration,
-            // and the solver (with everything it learnt) stays live for the
-            // candidate-key extraction and the next bound.
-            st.m.enc.solver.push_scope();
-            st.m.enc.solver.add_scoped_clause(&diff_lits);
-            loop {
-                let Some(rem) = self.remaining() else {
-                    return self.report(
-                        AttackOutcome::Timeout,
-                        bound,
-                        st.m.enc.solver.stats().into(),
-                    );
-                };
-                st.m.enc.solver.set_timeout(Some(rem));
-                match self.portfolio.race_scoped(&mut st.m.enc.solver, &[]) {
-                    SatResult::Unknown => {
-                        return self.report(
-                            AttackOutcome::Timeout,
-                            bound,
-                            st.m.enc.solver.stats().into(),
-                        )
-                    }
-                    SatResult::Unsat => break, // no DIS at this bound
-                    SatResult::Sat => {
-                        self.iterations += 1;
-                        if self.iterations > self.budget.max_iterations {
-                            return self.report(
-                                AttackOutcome::Timeout,
-                                bound,
-                                st.m.enc.solver.stats().into(),
-                            );
-                        }
-                        let xseq: Vec<Vec<bool>> = st
-                            .c1
-                            .xs
-                            .iter()
-                            .map(|frame| st.m.enc.values(frame))
-                            .collect();
-                        oracle.reset();
-                        let ys: Vec<Vec<bool>> = xseq.iter().map(|x| oracle.step(x)).collect();
-                        self.add_dip_constraints(
-                            &mut st.m,
-                            &st.k1,
-                            &st.k2,
-                            st.secret.as_deref(),
-                            &xseq,
-                            &ys,
-                        );
-                        if self.fix_key_bits
-                            && self.crunch_key_bits(&mut st.m.enc.solver, &st.k1, &mut fixed)
-                        {
-                            return self.report(
-                                AttackOutcome::Timeout,
-                                bound,
-                                st.m.enc.solver.stats().into(),
-                            );
-                        }
-                        // Consistency: does any constant key remain?
-                        if self.portfolio.race(&mut st.m.enc.solver) == SatResult::Unsat {
-                            return self.report(
-                                AttackOutcome::Cns,
-                                bound,
-                                st.m.enc.solver.stats().into(),
-                            );
-                        }
-                    }
-                }
-            }
-            st.m.enc.solver.pop_scope();
-
-            // No DIS at this bound: extract and verify a candidate key.
-            match self.portfolio.race(&mut st.m.enc.solver) {
-                SatResult::Unsat => {
-                    return self.report(AttackOutcome::Cns, bound, st.m.enc.solver.stats().into())
-                }
-                SatResult::Unknown => {
-                    return self.report(
-                        AttackOutcome::Timeout,
-                        bound,
-                        st.m.enc.solver.stats().into(),
-                    )
-                }
-                SatResult::Sat => {
-                    let key = KeyValue::from_bits(st.m.enc.values(&st.k1));
-                    if verify_candidate_key(self.locked, &key, 256, 0xd1f) {
-                        return self.report(
-                            AttackOutcome::KeyFound(key),
-                            bound,
-                            st.m.enc.solver.stats().into(),
-                        );
-                    }
-                    if bound == self.budget.max_bound {
-                        return self.report(
-                            AttackOutcome::WrongKey(key),
-                            bound,
-                            st.m.enc.solver.stats().into(),
-                        );
-                    }
-                    // Deepen the unrolling and keep going.
-                }
-            }
+        let Some(rem) = run.remaining() else {
+            timed_out = true;
+            break;
+        };
+        solver.set_timeout(Some(rem));
+        solver.set_conflict_budget(Some(2_000));
+        if solver.solve_with_assumptions(&[kj]) == SatResult::Unsat {
+            solver.add_clause(&[!kj]);
+            fixed[j] = Some(false);
+        } else if solver.solve_with_assumptions(&[!kj]) == SatResult::Unsat {
+            solver.add_clause(&[kj]);
+            fixed[j] = Some(true);
         }
-        let stats = inc
-            .as_ref()
-            .map(|st| st.m.enc.solver.stats().into())
-            .unwrap_or_default();
-        self.report(AttackOutcome::Fail, self.budget.max_bound, stats)
     }
+    solver.set_conflict_budget(run.budget.conflict_budget);
+    timed_out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::verify_candidate_key;
     use crate::{run_attack, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::XorLock;
@@ -453,14 +324,14 @@ mod tests {
             ..quick_budget()
         };
         let portfolio = Portfolio::single();
-        let engine = Engine::new(&lc, &budget, InitModel::Reset, true, &portfolio);
+        let run = Run::new(&lc, &budget, &portfolio, 0);
         let mut solver = Solver::new();
         solver.set_conflict_budget(budget.conflict_budget);
         let k1: Vec<Lit> = (0..4).map(|_| Lit::positive(solver.new_var())).collect();
         let mut fixed = vec![None; 4];
         let conflicts_before = solver.stats().conflicts;
         assert!(
-            engine.crunch_key_bits(&mut solver, &k1, &mut fixed),
+            crunch_key_bits(&run, &mut solver, &k1, &mut fixed),
             "expired deadline must report a timeout"
         );
         assert_eq!(
@@ -483,14 +354,14 @@ mod tests {
         let lc = XorLock::new(2, 3).lock(&s27()).unwrap();
         let budget = quick_budget();
         let portfolio = Portfolio::single();
-        let engine = Engine::new(&lc, &budget, InitModel::Reset, true, &portfolio);
+        let run = Run::new(&lc, &budget, &portfolio, 0);
         let mut solver = Solver::new();
         solver.set_conflict_budget(budget.conflict_budget);
         let k1: Vec<Lit> = (0..2).map(|_| Lit::positive(solver.new_var())).collect();
         // Force k1[0] true so the probe of !k1[0] is UNSAT and fixes a bit.
         solver.add_clause(&[k1[0]]);
         let mut fixed = vec![None; 2];
-        assert!(!engine.crunch_key_bits(&mut solver, &k1, &mut fixed));
+        assert!(!crunch_key_bits(&run, &mut solver, &k1, &mut fixed));
         assert_eq!(fixed[0], Some(true));
         assert_eq!(solver.conflict_budget(), budget.conflict_budget);
     }

@@ -13,10 +13,13 @@
 //!
 //! Output quality is scored with **Normalized Mutual Information** ([`nmi`])
 //! against the ground-truth word partition recorded by the circuit
-//! generators, exactly as in the paper (Table V: original circuits score
-//! 0.87–0.99; Cute-Lock-Str drags the average down to ≈0.4 because locked
-//! flip-flops are re-wired through MUX trees into foreign cones and the
-//! counter).
+//! generators, as in the paper. The paper's Table V reports 0.87–0.99 on
+//! the original circuits and an average of ≈0.41 under Cute-Lock-Str,
+//! because locked flip-flops are re-wired through MUX trees into foreign
+//! cones and the counter. This implementation scores far lower on clean
+//! circuits: `table5 --quick` prints averages of 0.58 clean and 0.50
+//! locked, full `table5` 0.65 and 0.57. `ROADMAP.md` item 4 ("Table V
+//! does not reproduce") tracks the gap.
 
 use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;

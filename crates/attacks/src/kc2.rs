@@ -11,7 +11,7 @@
 
 use cutelock_core::LockedCircuit;
 
-use crate::bmc::{Engine, InitModel};
+use crate::bmc::{unrolled_attack, InitModel};
 use crate::portfolio::Portfolio;
 use crate::{AttackBudget, AttackReport};
 
@@ -23,7 +23,7 @@ pub(crate) fn kc2_attack_with(
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Reset, true, portfolio).run()
+    unrolled_attack(locked, budget, portfolio, InitModel::Reset, true)
 }
 
 #[cfg(test)]

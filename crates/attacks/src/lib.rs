@@ -48,8 +48,18 @@
 //! through the unified encoding engine in
 //! [`cutelock_sat::encode`]
 //! ([`CircuitEncoder`](cutelock_sat::CircuitEncoder) /
-//! [`MiterBuilder`](cutelock_sat::MiterBuilder)), so the modules here
-//! contain DIP-loop logic only.
+//! [`MiterBuilder`](cutelock_sat::MiterBuilder)).
+//!
+//! The seven oracle-guided strategies share one DIP loop, written once in
+//! the private `dip` module: hunt for a discriminating input, learn it as
+//! oracle constraints, check that some constant key is still consistent
+//! (`CNS` when none is), and finally extract and verify a key. Each attack
+//! module holds only its miter — how its copies are encoded and how one
+//! discriminating input becomes constraints — and the order of its hunts:
+//! the scan model's two key copies (SAT, AppSAT with its settle step,
+//! Double-DIP with a third copy for its first hunt) and the unrolled
+//! frame chains (BBO/INT, KC2's key-bit fixation, RANE's secret initial
+//! state).
 //!
 //! # Example
 //!
@@ -76,6 +86,7 @@ pub mod appsat;
 pub mod bmc;
 pub mod certify;
 pub mod dana;
+mod dip;
 pub mod fall;
 pub mod kc2;
 mod outcome;

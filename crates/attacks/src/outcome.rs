@@ -88,13 +88,6 @@ impl AttackBudget {
         self.timeout
             .checked_sub(self.clock.now().duration_since(start))
     }
-
-    /// Replaces the clock (builder style) — the hook tests use to swap in
-    /// a `VirtualClock`.
-    pub fn with_clock(mut self, clock: ClockHandle) -> Self {
-        self.clock = clock;
-        self
-    }
 }
 
 /// Budget equality compares the numeric limits and requires both budgets

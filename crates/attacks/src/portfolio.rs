@@ -168,12 +168,6 @@ impl Portfolio {
         self
     }
 
-    /// Sets the sharing exchange caps (builder style).
-    pub fn with_share_cap(mut self, cap: ShareCap) -> Self {
-        self.share_cap = cap;
-        self
-    }
-
     /// `(exported, imported, dup_dropped)` clause-sharing totals across
     /// every race this portfolio (or a clone) has run.
     pub fn share_stats(&self) -> (u64, u64, u64) {

@@ -15,7 +15,7 @@
 
 use cutelock_core::LockedCircuit;
 
-use crate::bmc::{Engine, InitModel};
+use crate::bmc::{unrolled_attack, InitModel};
 use crate::portfolio::Portfolio;
 use crate::{AttackBudget, AttackReport};
 
@@ -26,7 +26,7 @@ pub(crate) fn rane_attack_with(
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    Engine::new(locked, budget, InitModel::Secret, false, portfolio).run()
+    unrolled_attack(locked, budget, portfolio, InitModel::Secret, false)
 }
 
 #[cfg(test)]

@@ -14,20 +14,21 @@
 //! survives even *with* scan access (paper §I): each DIP pins the counter
 //! to some time `t` and teaches the attacker that the constant key must
 //! equal `schedule[t]` — two DIPs with different times leave no consistent
-//! key and the attack ends in [`AttackOutcome::Cns`].
+//! key and the attack ends in
+//! [`AttackOutcome::Cns`](crate::AttackOutcome::Cns).
 //!
 //! The miter itself — two scan-view copies with private keys, shared
 //! inputs, and a retractable differ constraint — is built entirely by the
-//! unified [`MiterBuilder`](cutelock_sat::MiterBuilder) engine; this module
-//! is the DIP loop only.
+//! unified [`MiterBuilder`](cutelock_sat::MiterBuilder) engine, and the
+//! hunt-then-extract loop is the crate's one DIP loop (`dip.rs`); this
+//! module only wires the two together.
 
-use cutelock_core::{KeyValue, LockedCircuit};
-use cutelock_sat::SatResult;
+use cutelock_core::LockedCircuit;
 
-use crate::outcome::verify_candidate_key;
+use crate::dip::Run;
 use crate::portfolio::Portfolio;
 use crate::scan::ScanModel;
-use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
+use crate::{AttackBudget, AttackReport};
 
 /// Runs the scan-access oracle-guided SAT attack, racing each solver query
 /// across the given [`Portfolio`] (a `k <= 1` portfolio runs one solver).
@@ -36,96 +37,21 @@ pub(crate) fn scan_sat_attack_with(
     budget: &AttackBudget,
     portfolio: &Portfolio,
 ) -> AttackReport {
-    let start = budget.start();
-    let report = |outcome: AttackOutcome, iterations: usize, stats: RunStats| AttackReport {
-        outcome,
-        elapsed: budget.clock.now().duration_since(start),
-        iterations,
-        bound: 1,
-        stats,
+    let mut run = Run::new(locked, budget, portfolio, 1);
+    let Some(mut m) = ScanModel::new(&run) else {
+        return run.fail();
     };
-    let Some(mut m) = ScanModel::new(locked, budget.conflict_budget) else {
-        return report(AttackOutcome::Fail, 0, RunStats::default());
-    };
-    m.solver().set_clock(budget.clock.clone());
-    portfolio.install(m.solver());
-    let diff = m.obs_differ();
-    // The "observations differ" constraint holds only during the DIP hunt:
-    // keep it in a retractable scope so the final key-extraction solve runs
-    // on the same live solver, unconstrained by the miter.
-    m.solver().push_scope();
-    m.solver().add_scoped_clause(&[diff]);
-
-    let mut iterations = 0usize;
-    loop {
-        let Some(rem) = budget.remaining(start) else {
-            return report(
-                AttackOutcome::Timeout,
-                iterations,
-                m.solver().stats().into(),
-            );
-        };
-        m.solver().set_timeout(Some(rem));
-        match portfolio.race_scoped(m.solver(), &[]) {
-            SatResult::Unknown => {
-                return report(
-                    AttackOutcome::Timeout,
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-            SatResult::Unsat => break,
-            SatResult::Sat => {
-                iterations += 1;
-                if iterations > budget.max_iterations {
-                    return report(
-                        AttackOutcome::Timeout,
-                        iterations,
-                        m.solver().stats().into(),
-                    );
-                }
-                let x_dip = m.values(&m.xs);
-                let s_dip = m.values(&m.ss);
-                // Ask the oracle and constrain both key copies on this
-                // pattern.
-                m.constrain_pattern(&x_dip, &s_dip);
-                if portfolio.race(m.solver()) == SatResult::Unsat {
-                    return report(AttackOutcome::Cns, iterations, m.solver().stats().into());
-                }
-            }
-        }
+    let diff = m.obs_differ(0, 1);
+    if let Err(end) = run.hunt(&mut m, &[&[diff]]) {
+        return end;
     }
-    m.solver().pop_scope();
-    match portfolio.race(m.solver()) {
-        SatResult::Unsat => report(AttackOutcome::Cns, iterations, m.solver().stats().into()),
-        SatResult::Unknown => report(
-            AttackOutcome::Timeout,
-            iterations,
-            m.solver().stats().into(),
-        ),
-        SatResult::Sat => {
-            let key = KeyValue::from_bits(m.values(&m.k1));
-            if verify_candidate_key(locked, &key, 256, 0x5a7) {
-                report(
-                    AttackOutcome::KeyFound(key),
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            } else {
-                report(
-                    AttackOutcome::WrongKey(key),
-                    iterations,
-                    m.solver().stats().into(),
-                )
-            }
-        }
-    }
+    run.extract(&mut m, 0x5a7)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_attack, AttackSpec, AttackStrategy};
+    use crate::{run_attack, AttackOutcome, AttackSpec, AttackStrategy};
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::{TtLock, XorLock};
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};

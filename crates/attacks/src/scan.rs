@@ -9,10 +9,12 @@
 //! bookkeeping: which flip-flops are shared with the oracle, and how oracle
 //! scan queries become pinned constraint frames.
 
-use cutelock_core::LockedCircuit;
+use cutelock_core::{KeyValue, LockedCircuit};
 use cutelock_netlist::unroll::scan_view;
-use cutelock_sat::{Frame, Lit, MiterBuilder, PortVals};
+use cutelock_sat::{Frame, Lit, MiterBuilder, PortVals, Solver};
 use cutelock_sim::NetlistOracle;
+
+use crate::dip::{Miter, Run};
 
 /// For each flip-flop of the *original* circuit (the oracle's scan-chain
 /// order), its index in the locked circuit's flip-flop list.
@@ -42,26 +44,26 @@ pub(crate) fn shared_ffs(locked: &LockedCircuit) -> Vec<usize> {
         .collect()
 }
 
-/// The two-copy scan miter every combinational oracle-guided attack starts
-/// from: private key vectors `k1`/`k2`, shared data (`xs`) and state (`ss`)
-/// inputs, and the two encoded copies (`f1`/`f2`) whose observations the
-/// DIP hunt compares.
+/// The scan miter every combinational oracle-guided attack starts from:
+/// key copies with private key vectors (`keys`, two to begin with), shared
+/// data (`xs`) and state (`ss`) inputs, and one encoded frame per copy
+/// (`frames`) whose observations the DIP hunt compares.
 pub(crate) struct ScanModel {
-    pub shared_ffs: Vec<usize>,
-    pub m: MiterBuilder,
-    pub oracle: NetlistOracle,
-    pub k1: Vec<Lit>,
-    pub k2: Vec<Lit>,
-    pub xs: Vec<Lit>,
-    pub ss: Vec<Lit>,
-    pub f1: Frame,
-    pub f2: Frame,
+    shared_ffs: Vec<usize>,
+    m: MiterBuilder,
+    oracle: NetlistOracle,
+    /// Key vector per copy; every DIP constrains each of them.
+    pub(crate) keys: Vec<Vec<Lit>>,
+    xs: Vec<Lit>,
+    ss: Vec<Lit>,
+    frames: Vec<Frame>,
 }
 
 impl ScanModel {
-    /// Builds the miter, or `None` when the netlist has no key inputs or is
-    /// structurally unusable.
-    pub fn new(locked: &LockedCircuit, conflict_budget: Option<u64>) -> Option<Self> {
+    /// Builds the two-copy miter, or `None` when the netlist has no key
+    /// inputs or is structurally unusable.
+    pub(crate) fn new(run: &Run) -> Option<Self> {
+        let locked = run.locked;
         if locked.netlist.key_inputs().is_empty() {
             return None;
         }
@@ -69,7 +71,7 @@ impl ScanModel {
         let oracle = NetlistOracle::new(locked.original.clone()).ok()?;
         let shared = shared_ffs(locked);
         let mut m = MiterBuilder::new(sv, &shared);
-        m.enc.solver.set_conflict_budget(conflict_budget);
+        run.prepare(&mut m.enc.solver);
         let k1 = m.fresh_keys();
         let k2 = m.fresh_keys();
         let xs = m.fresh_data();
@@ -84,60 +86,59 @@ impl ScanModel {
             shared_ffs: shared,
             m,
             oracle,
-            k1,
-            k2,
+            keys: vec![k1, k2],
             xs,
             ss,
-            f1,
-            f2,
+            frames: vec![f1, f2],
         })
     }
 
-    /// The live incremental solver (scopes, budgets, solving).
-    pub fn solver(&mut self) -> &mut cutelock_sat::Solver {
+    /// The miter constraint: some observation of copies `a` and `b`
+    /// differs.
+    pub(crate) fn obs_differ(&mut self, a: usize, b: usize) -> Lit {
+        let (fa, fb) = (self.frames[a].clone(), self.frames[b].clone());
+        self.m.obs_differ(&fa, &fb)
+    }
+
+    /// Adds another key copy sharing `xs`/`ss` (Double-DIP's third).
+    pub(crate) fn add_key_copy(&mut self) {
+        let keys = self.m.fresh_keys();
+        let frame = self
+            .m
+            .frame(
+                &keys,
+                PortVals::Shared(&self.ss),
+                PortVals::Shared(&self.xs),
+            )
+            .expect("scan view encodes");
+        self.keys.push(keys);
+        self.frames.push(frame);
+    }
+}
+
+impl Miter for ScanModel {
+    fn solver(&mut self) -> &mut Solver {
         &mut self.m.enc.solver
     }
 
-    /// Model values of `lits` after a SAT answer.
-    pub fn values(&self, lits: &[Lit]) -> Vec<bool> {
-        self.m.enc.values(lits)
-    }
-
-    /// The miter constraint: some observation of the two copies differs.
-    pub fn obs_differ(&mut self) -> Lit {
-        let (f1, f2) = (self.f1.clone(), self.f2.clone());
-        self.m.obs_differ(&f1, &f2)
-    }
-
-    /// Adds a third (or nth) key copy sharing `xs`/`ss`, for Double-DIP.
-    pub fn add_key_copy(&mut self) -> (Vec<Lit>, Frame) {
-        let keys = self.m.fresh_keys();
-        let (ss, xs) = (self.ss.clone(), self.xs.clone());
-        let frame = self
-            .m
-            .frame(&keys, PortVals::Shared(&ss), PortVals::Shared(&xs))
-            .expect("scan view encodes");
-        (keys, frame)
+    fn key(&self) -> KeyValue {
+        KeyValue::from_bits(self.m.enc.values(&self.keys[0]))
     }
 
     /// Queries the oracle on scan pattern `(x, s)` and pins a fresh
-    /// constraint copy per key vector in `key_copies` to its answer.
-    pub fn constrain_pattern_for(&mut self, key_copies: &[&[Lit]], x: &[bool], s: &[bool]) {
+    /// constraint copy per key vector to its answer.
+    fn learn(&mut self, _run: &Run) -> bool {
+        let x = self.m.enc.values(&self.xs);
+        let s = self.m.enc.values(&self.ss);
         let s_shared: Vec<bool> = self.shared_ffs.iter().map(|&f| s[f]).collect();
-        let (y, s_next) = self.oracle.scan_query(&s_shared, x);
-        for &keys in key_copies {
+        let (y, s_next) = self.oracle.scan_query(&s_shared, &x);
+        for keys in &self.keys {
             let f = self
                 .m
-                .frame(keys, PortVals::Const(s), PortVals::Const(x))
+                .frame(keys, PortVals::Const(&s), PortVals::Const(&x))
                 .expect("scan view encodes");
             self.m.pin_observations(&f, &y, &s_next);
         }
-    }
-
-    /// Pins both miter key copies to the oracle's answer on `(x, s)` — the
-    /// step after every discriminating input pattern.
-    pub fn constrain_pattern(&mut self, x: &[bool], s: &[bool]) {
-        let (k1, k2) = (self.k1.clone(), self.k2.clone());
-        self.constrain_pattern_for(&[&k1, &k2], x, s);
+        false
     }
 }

@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use cutelock_attacks::fall::fall_attack_with;
 use cutelock_attacks::portfolio::Portfolio;
+use cutelock_attacks::RunStats;
 use cutelock_attacks::{
     run_attack, AttackBudget, AttackOutcome, AttackReport, AttackSpec, AttackStrategy,
 };
@@ -20,6 +21,7 @@ use cutelock_circuits::s27::s27;
 use cutelock_core::baselines::{TtLock, XorLock};
 use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 use cutelock_core::LockedCircuit;
+use cutelock_core::{KeySchedule, KeyValue};
 
 fn budget() -> AttackBudget {
     AttackBudget {
@@ -358,4 +360,70 @@ fn golden_fall() {
         r.candidates, r.keys_found, r.outcome
     );
     check("fall/cute", "candidates=0 keys=0 outcome=FAIL", actual);
+}
+
+/// The exits every oracle-guided strategy takes before it judges a key,
+/// frozen per strategy: a netlist with no key inputs (`FAIL`, nothing
+/// solved), an iteration cap of zero (`N/A` on the first DIP), and, for
+/// the unrolling strategies, a bound cap of zero (`FAIL` at bound 0).
+#[test]
+fn golden_loop_exits() {
+    // Each strategy with the bound its keyless `FAIL` reports: the scan
+    // attacks always report bound 1, the unrolling attacks the bound
+    // reached (none).
+    let strategies = [
+        (AttackStrategy::ScanSat, 1),
+        (AttackStrategy::AppSat, 1),
+        (AttackStrategy::DoubleDip, 1),
+        (AttackStrategy::Bbo, 0),
+        (AttackStrategy::Int, 0),
+        (AttackStrategy::Kc2, 0),
+        (AttackStrategy::Rane, 0),
+    ];
+    let keyless = LockedCircuit {
+        netlist: s27(),
+        original: s27(),
+        schedule: KeySchedule::constant(KeyValue::from_u64(0, 1), 1),
+        scheme: "none",
+        counter_ffs: Vec::new(),
+        locked_ffs: Vec::new(),
+    };
+    let locks = [
+        XorLock::new(6, 41).lock(&s27()).expect("locks"),
+        cute_lock(),
+    ];
+    let cut = |max_iterations, max_bound| AttackBudget {
+        max_iterations,
+        max_bound,
+        ..budget()
+    };
+    for (strategy, keyless_bound) in strategies {
+        let run = |lc: &LockedCircuit, budget: AttackBudget| {
+            let r = run_attack(lc, &AttackSpec::new(strategy).with_budget(budget));
+            (r.outcome.label(), r.iterations, r.bound, r.stats)
+        };
+        let zero = RunStats::default();
+        assert_eq!(
+            run(&keyless, budget()),
+            ("FAIL", 0, keyless_bound, zero),
+            "{strategy}/keyless"
+        );
+        for lc in &locks {
+            let (label, iterations, _, _) = run(lc, cut(0, 6));
+            assert_eq!(
+                (label, iterations),
+                ("N/A", 1),
+                "{strategy}/{}/max_iterations=0",
+                lc.scheme
+            );
+            if keyless_bound == 0 {
+                assert_eq!(
+                    run(lc, cut(256, 0)),
+                    ("FAIL", 0, 0, zero),
+                    "{strategy}/{}/max_bound=0",
+                    lc.scheme
+                );
+            }
+        }
+    }
 }

@@ -28,7 +28,7 @@ use cutelock_core::beh::{CuteLockBeh, CuteLockBehConfig, WrongfulPolicy};
 use cutelock_core::{KeySchedule, KeyValue};
 
 const USAGE: &str = "table3 [--quick] [--single-key] [--only NAME] [--timeout SECS] \
-                     [--threads N] [--no-times] [--portfolio K] [--share] [--share-cap N] [--no-simplify] \
+                     [--threads N] [--no-times] [--portfolio K] [--share] [--no-simplify] \
                      [--store FILE]\n\
                      Cute-Lock-Beh vs BBO/INT/KC2 on the Synthezza suite (paper Table III)";
 

@@ -25,7 +25,7 @@ use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 use cutelock_core::{KeySchedule, KeyValue};
 
 const USAGE: &str = "table4 [--quick] [--single-key] [--only NAME] [--timeout SECS] \
-                     [--threads N] [--no-times] [--portfolio K] [--share] [--share-cap N] [--no-simplify] \
+                     [--threads N] [--no-times] [--portfolio K] [--share] [--no-simplify] \
                      [--store FILE]\n\
                      Cute-Lock-Str vs BBO/INT/KC2/RANE on ISCAS'89 + ITC'99 (paper Table IV)";
 

@@ -7,7 +7,10 @@
 //! * **DANA**: register clustering on the locked netlist, scored by NMI
 //!   against the generator's ground-truth words. The paper reports the
 //!   clean-circuit scores at 0.87–0.99 and the locked scores collapsing to
-//!   an average ≈ 0.41 (range 0.00–0.99).
+//!   an average ≈ 0.41 (range 0.00–0.99). This binary prints averages of
+//!   0.58 clean / 0.50 locked with `--quick` and 0.65 / 0.57 on the full
+//!   set; `ROADMAP.md` item 4 ("Table V does not reproduce") tracks the
+//!   gap.
 //! * **FALL**: candidates and keys found (the paper reports 0 / 0
 //!   everywhere) plus CPU time.
 //!
@@ -29,7 +32,7 @@ use cutelock_core::baselines::TtLock;
 use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 
 const USAGE: &str = "table5 [--quick] [--only NAME] [--baselines] [--timeout SECS] \
-                     [--threads N] [--no-times] [--portfolio K] [--share] [--share-cap N] [--no-simplify] \
+                     [--threads N] [--no-times] [--portfolio K] [--share] [--no-simplify] \
                      [--store FILE]\n\
                      DANA NMI + FALL on Cute-Lock-Str-locked ITC'99 (paper Table V)";
 

@@ -52,7 +52,6 @@ pub mod params;
 use std::time::Duration;
 
 use cutelock_attacks::{AttackBudget, AttackReport, AttackSpec, AttackStrategy, Portfolio};
-use cutelock_sat::ShareCap;
 use cutelock_sim::pool::Pool;
 
 /// Command-line options shared by the table binaries.
@@ -87,10 +86,6 @@ pub struct Options {
     /// entrant-index order — so sharing never breaks the `--threads`
     /// determinism diff either.
     pub share: bool,
-    /// `--share-cap N`: scales the sharing quality caps via
-    /// [`ShareCap::with_limit`] (`None` = [`ShareCap::default`]). A tuning
-    /// knob like `--threads`, never part of a result's identity.
-    pub share_cap: Option<usize>,
     /// Run the netlist simplification engine in front of every encoding
     /// (default **on** at the bins, like the CLI; `--no-simplify` turns it
     /// off, `--simplify` spells the default explicitly). Simplification is
@@ -119,7 +114,6 @@ impl Default for Options {
             no_times: false,
             portfolio_k: 1,
             share: false,
-            share_cap: None,
             simplify: true,
             store: None,
         }
@@ -179,13 +173,6 @@ impl Options {
                         std::process::exit(2);
                     }
                 }
-                "--share-cap" => {
-                    let n: usize = args.next().and_then(|t| t.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--share-cap needs a limit\n{usage}");
-                        std::process::exit(2);
-                    });
-                    opt.share_cap = Some(n);
-                }
                 "--help" | "-h" => {
                     println!("{usage}");
                     std::process::exit(0);
@@ -221,11 +208,7 @@ impl Options {
     /// entrants serially on the calling worker; every width produces the
     /// same answer (see [`Options::portfolio_k`]).
     pub fn portfolio_with(&self, width: usize) -> Portfolio {
-        let mut p = Portfolio::new(self.portfolio_k, width.max(1)).with_share(self.share);
-        if let Some(n) = self.share_cap {
-            p.share_cap = ShareCap::with_limit(n);
-        }
-        p
+        Portfolio::new(self.portfolio_k, width.max(1)).with_share(self.share)
     }
 
     /// [`Options::portfolio_with`] at width 1 — for callers outside the
@@ -312,6 +295,7 @@ pub fn rule(width: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cutelock_sat::ShareCap;
 
     fn parse(args: &[&str]) -> Options {
         let argv = std::iter::once("bin".to_string()).chain(args.iter().map(|s| s.to_string()));
@@ -387,8 +371,6 @@ mod tests {
         let o = parse(&["--share", "--portfolio", "4"]);
         assert!(o.portfolio().share);
         assert_eq!(o.portfolio().share_cap, ShareCap::default());
-        let o = parse(&["--share", "--share-cap", "4"]);
-        assert_eq!(o.portfolio().share_cap, ShareCap::with_limit(4));
     }
 
     #[test]

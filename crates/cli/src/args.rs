@@ -10,9 +10,11 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses everything after the subcommand. `bools` lists the flags that
-    /// take no value.
-    pub fn parse(argv: &[String], bools: &[&str]) -> Result<Self, String> {
+    /// Parses everything after the subcommand. `values` lists the flags
+    /// that take a value and `bools` the flags that take none; any other
+    /// flag is an error, so a misspelt or retired flag never goes silently
+    /// unread.
+    pub fn parse(argv: &[String], values: &[&str], bools: &[&str]) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
@@ -21,9 +23,11 @@ impl Args {
             };
             if bools.contains(&name) {
                 out.flags.push(name.to_string());
-            } else {
+            } else if values.contains(&name) {
                 let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                 out.values.insert(name.to_string(), v.clone());
+            } else {
+                return Err(format!("unknown flag --{name}"));
             }
         }
         Ok(out)
@@ -68,7 +72,7 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_bools() {
-        let a = Args::parse(&sv(&["--in", "x.bench", "--quick"]), &["quick"]).unwrap();
+        let a = Args::parse(&sv(&["--in", "x.bench", "--quick"]), &["in"], &["quick"]).unwrap();
         assert_eq!(a.req("in").unwrap(), "x.bench");
         assert!(a.has("quick"));
         assert!(!a.has("verbose"));
@@ -78,9 +82,9 @@ mod tests {
 
     #[test]
     fn rejects_positional_and_missing_values() {
-        assert!(Args::parse(&sv(&["stray"]), &[]).is_err());
-        assert!(Args::parse(&sv(&["--in"]), &[]).is_err());
-        let a = Args::parse(&sv(&["--keys", "zzz"]), &[]).unwrap();
+        assert!(Args::parse(&sv(&["stray"]), &[], &[]).is_err());
+        assert!(Args::parse(&sv(&["--in"]), &["in"], &[]).is_err());
+        let a = Args::parse(&sv(&["--keys", "zzz"]), &["keys"], &[]).unwrap();
         assert!(a.num("keys", 1usize).is_err());
         assert!(a.req("absent").is_err());
     }

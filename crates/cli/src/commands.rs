@@ -18,7 +18,6 @@ use cutelock_core::{KeySchedule, KeyValue, LockedCircuit};
 use cutelock_jobs::{Client, Limits, ServeConfig, Server};
 use cutelock_netlist::{bench, simplify, verilog, Netlist, NetlistStats, SimplifyConfig};
 use cutelock_sat::equiv::EquivResult;
-use cutelock_sat::ShareCap;
 use cutelock_synth::{analyze, CellLibrary, OverheadComparison};
 
 use crate::args::Args;
@@ -44,15 +43,16 @@ COMMANDS:
   attack    Run an attack against a locked netlist
               --mode sat|bbo|int|kc2|rane|appsat|double-dip|fall|dana
               --locked FILE --oracle FILE [--timeout SECS] [--quick]
-              [--portfolio K] [--threads N] [--share] [--share-cap N]
-              [--no-simplify] [--verbose]
+              [--portfolio K] [--threads N] [--share] [--no-simplify]
+              [--verbose] [--virtual-clock NS]
               (--quick caps the budget for a smoke run; without
                --locked/--oracle it locks a built-in s27 and attacks that;
                --portfolio K races K diversified solvers per SAT query
                across N worker threads — the result is bit-identical for
                any N; --share exchanges learnt clauses between entrants at
-               epoch barriers, still bit-identical for any N; --share-cap N
-               scales the exchange caps (tuning only, like --threads);
+               epoch barriers, still bit-identical for any N;
+               --virtual-clock NS measures --timeout on a clock advancing
+               NS nanoseconds per solver conflict instead of wall time;
                netlists are simplified (strash/const-fold/COI) before
                encoding; --no-simplify attacks them as-read — fall
                skips simplification either way;
@@ -141,7 +141,7 @@ fn write_out(path: Option<&str>, content: &str) -> Result<(), String> {
 }
 
 fn cmd_bench(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["suite", "name", "out"], &[])?;
     let suite = args.req("suite")?;
     let name = args.req("name")?;
     if name == "list" {
@@ -163,7 +163,7 @@ fn cmd_bench(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["in"], &[])?;
     let nl = read_netlist(args.req("in")?)?;
     let st = NetlistStats::of(&nl);
     println!("{}: {st}", nl.name());
@@ -178,7 +178,21 @@ fn cmd_stats(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_lock(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "in",
+            "out",
+            "scheme",
+            "keys",
+            "key-bits",
+            "ffs",
+            "seed",
+            "schedule-file",
+            "keys-out",
+        ],
+        &[],
+    )?;
     let nl = read_netlist(args.req("in")?)?;
     let scheme = args.req("scheme")?;
     let mut keys: usize = args.num("keys", 4)?;
@@ -240,7 +254,20 @@ fn cmd_lock(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_attack(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["quick", "share", "no-simplify", "verbose"])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "mode",
+            "locked",
+            "oracle",
+            "timeout",
+            "virtual-clock",
+            "portfolio",
+            "threads",
+            "store",
+        ],
+        &["quick", "share", "no-simplify", "verbose"],
+    )?;
     let quick = args.has("quick");
     // The built-in smoke target only stands in when *neither* netlist was
     // given; with one of the two present, the normal path reports the
@@ -312,7 +339,6 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
     let k: usize = args.num("portfolio", 1)?;
     let threads: usize = args.num("threads", 1)?;
     let share = args.has("share");
-    let share_cap: usize = args.num("share-cap", 0)?;
     // DANA clusters registers rather than producing a verdict; it is the
     // one mode outside the AttackSpec door (it attacks a bare netlist).
     if mode == "dana" {
@@ -337,10 +363,7 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
     }
     let strategy =
         AttackStrategy::parse(mode).ok_or_else(|| format!("unknown attack mode `{mode}`"))?;
-    let mut portfolio = Portfolio::new(k, threads).with_share(share);
-    if share_cap > 0 {
-        portfolio.share_cap = ShareCap::with_limit(share_cap);
-    }
+    let portfolio = Portfolio::new(k, threads).with_share(share);
     // Simplification defaults ON at the CLI (the spec layer defaults it
     // off to keep library callers and golden pins raw); --no-simplify is
     // the escape hatch.
@@ -386,7 +409,21 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
     use cutelock_store::trajectory::{compare, parse_json, to_json, BenchEntry};
     use cutelock_store::{query, ColumnType, Value};
 
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "store",
+            "metric",
+            "where",
+            "group-by",
+            "percentiles",
+            "emit-bench",
+            "tag",
+            "compare-baseline",
+            "threshold",
+        ],
+        &[],
+    )?;
     let store_path = args.req("store")?;
     let table = read_table(store_path).map_err(|e| format!("{store_path}: {e}"))?;
 
@@ -549,7 +586,7 @@ fn group_label(key: &[cutelock_store::Value]) -> String {
 /// client sends `SHUTDOWN`. The scheduler core and the line protocol live
 /// in the `cutelock_jobs` crate; this command is flag parsing only.
 fn cmd_serve(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["addr", "workers", "max-timeout"], &[])?;
     let addr = args.opt("addr").unwrap_or("127.0.0.1:0");
     let workers: usize = args.num("workers", 2)?;
     let max_timeout: u64 = args.num("max-timeout", 3600)?;
@@ -574,7 +611,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
 /// `cutelock client`: pipe stdin lines to a daemon, one response line per
 /// request. Exits on EOF or after relaying a `SHUTDOWN`.
 fn cmd_client(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["addr"], &[])?;
     let addr = args.req("addr")?;
     let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     for line in std::io::stdin().lock().lines() {
@@ -597,7 +634,11 @@ fn cmd_client(argv: &[String]) -> Result<(), String> {
 /// the `certify` module provides as a library, exposed as exit codes for
 /// scripts and CI (0 = equivalent, 2 = corrupting sequence / inconclusive).
 fn cmd_verify(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["no-simplify"])?;
+    let args = Args::parse(
+        argv,
+        &["locked", "original", "keys", "frames", "conflicts"],
+        &["no-simplify"],
+    )?;
     let locked_nl = read_netlist(args.req("locked")?)?;
     let original = read_netlist(args.req("original")?)?;
     let kpath = args.req("keys")?;
@@ -656,7 +697,7 @@ fn cmd_verify(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_overhead(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["original", "locked"], &[])?;
     let original = read_netlist(args.req("original")?)?;
     let locked = read_netlist(args.req("locked")?)?;
     let lib = CellLibrary::default();
@@ -676,7 +717,7 @@ fn cmd_overhead(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_convert(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["simplify"])?;
+    let args = Args::parse(argv, &["in", "to", "out"], &["simplify"])?;
     let mut nl = read_netlist(args.req("in")?)?;
     if args.has("simplify") {
         let (out, sst) = simplify(&nl, &SimplifyConfig::default()).map_err(|e| e.to_string())?;
@@ -730,9 +771,9 @@ mod tests {
 
     #[test]
     fn attack_quick_share_flags_parse_and_run() {
-        // --share/--share-cap/--verbose thread through to the portfolio;
-        // the held lock still ends non-decisive (exit 2), proving the
-        // exchange changes no verdict.
+        // --share/--verbose thread through to the portfolio; the held lock
+        // still ends non-decisive (exit 2), proving the exchange changes
+        // no verdict.
         let err = dispatch(&sv(&[
             "attack",
             "--quick",
@@ -741,12 +782,22 @@ mod tests {
             "--threads",
             "2",
             "--share",
-            "--share-cap",
-            "16",
             "--verbose",
         ]))
         .unwrap_err();
         assert!(err.contains("not decisive"), "got: {err}");
+    }
+
+    #[test]
+    fn attack_rejects_flags_it_does_not_read() {
+        // A retired flag and a misspelt one both fail before any attack
+        // runs, naming the flag (a silently ignored `--mdoe int` would
+        // attack with the default `sat`).
+        for (name, value) in [("share-cap", "16"), ("mdoe", "int")] {
+            let flag = format!("--{name}");
+            let err = dispatch(&sv(&["attack", "--quick", &flag, value])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag}"));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The binary in `src/main.rs` is a thin wrapper over this crate:
 //! [`args`] parses `--flag value` / boolean-flag argument lists with no
-//! third-party dependency, and [`commands`] implements the subcommands
+//! third-party dependency, rejecting any flag a subcommand does not read, and [`commands`] implements the subcommands
 //! (`bench`, `stats`, `lock`, `attack`, `verify`, `overhead`, `convert`) on top of
 //! the workspace crates. Splitting the logic into a library keeps every
 //! piece unit-testable and lets [`commands::dispatch`] be driven directly
@@ -18,7 +18,7 @@
 //!     .iter()
 //!     .map(ToString::to_string)
 //!     .collect();
-//! let args = Args::parse(&argv, &["quick"])?;
+//! let args = Args::parse(&argv, &["mode", "timeout"], &["quick"])?;
 //! assert_eq!(args.req("mode")?, "sat");
 //! assert!(args.has("quick"));
 //! assert_eq!(args.num("timeout", 60u64)?, 60);

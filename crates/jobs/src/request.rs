@@ -7,7 +7,7 @@
 //! * `SUBMIT attack --mode <m> [--circuit s27] [--scheme str|xor|ttlock|
 //!   dklock|sled] [--keys K] [--key-bits KI] [--ffs N] [--seed S]
 //!   [--timeout SECS] [--portfolio K] [--threads N] [--share on|off]
-//!   [--share-cap N] [--simplify on|off]` — locks a built-in benchmark
+//!   [--simplify on|off]` — locks a built-in benchmark
 //!   deterministically from the given parameters, builds an
 //!   [`AttackSpec`], and runs [`run_attack`]. Batch lane. Cached by
 //!   (circuit fingerprint, strategy, budget, portfolio width, share
@@ -32,8 +32,6 @@
 //! worker-thread counts (`--threads`) never change a result, so they stay
 //! *out* of the key; anything that can change a verdict (strategy, budget,
 //! portfolio width, share on/off, circuit, lock parameters) goes in.
-//! `--share-cap` is a tuning knob like `--threads` — it scales the
-//! exchange without touching the verdict identity — so it stays out too.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
@@ -51,7 +49,7 @@ use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 use cutelock_core::LockedCircuit;
 use cutelock_netlist::Netlist;
 use cutelock_sat::equiv::EquivResult;
-use cutelock_sat::{Lit, SatResult, ShareCap, Solver, Var};
+use cutelock_sat::{Lit, SatResult, Solver, Var};
 
 use crate::queue::{Lane, SubmitRequest};
 
@@ -162,11 +160,10 @@ fn lock_builtin(flags: &Flags) -> Result<LockedCircuit, String> {
 }
 
 /// Folds an attack/verify spec into the circuit fingerprint — the
-/// (circuit, scheme, params, seed) cache key. `--threads` and
-/// `--share-cap` are deliberately absent: per `docs/DETERMINISM.md`,
-/// worker counts never change results, and the share cap is the same kind
-/// of tuning knob. Share on/off *is* keyed: the exchange changes the
-/// search trajectory (and the result line grows a `shared=` field).
+/// (circuit, scheme, params, seed) cache key. `--threads` is deliberately
+/// absent: per `docs/DETERMINISM.md`, worker counts never change results.
+/// Share on/off *is* keyed: the exchange changes the search trajectory
+/// (and the result line grows a `shared=` field).
 fn attack_cache_key(locked: &LockedCircuit, spec: &AttackSpec) -> u64 {
     let mut fp = Fingerprint::new();
     fp.update_u64(locked.fingerprint());
@@ -194,7 +191,6 @@ const ATTACK_FLAGS: &[&str] = &[
     "portfolio",
     "threads",
     "share",
-    "share-cap",
     "simplify",
 ];
 
@@ -215,7 +211,6 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
         Some("off") => false,
         Some(other) => return Err(format!("--share: expected on|off, got `{other}`")),
     };
-    let share_cap: usize = flags.num("share-cap", 0)?;
     // Simplification defaults on (matching the CLI); it changes the search
     // trajectory, so the switch joins the cache key below.
     let simplify = match flags.opt("simplify") {
@@ -228,13 +223,9 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
         clock: limits.clock.clone(),
         ..AttackBudget::default()
     };
-    let mut portfolio = Portfolio::new(k, threads).with_share(share);
-    if share_cap > 0 {
-        portfolio.share_cap = ShareCap::with_limit(share_cap);
-    }
     let spec = AttackSpec::new(strategy)
         .with_budget(budget)
-        .with_portfolio(portfolio)
+        .with_portfolio(Portfolio::new(k, threads).with_share(share))
         .with_simplify(simplify);
     let cache_key = Some(attack_cache_key(&locked, &spec));
     let label = format!("attack {mode} {} {}", locked.netlist.name(), locked.scheme);
@@ -457,11 +448,12 @@ mod tests {
             key("attack --mode int --seed 1 --portfolio 2 --share off"),
             "--share off is the default"
         );
-        let on = key("attack --mode int --seed 1 --portfolio 2 --share on");
+        // The exchange cap cannot enter the key: it is no request
+        // parameter at all.
+        let cap = "share-cap";
         assert_eq!(
-            on,
-            key("attack --mode int --seed 1 --portfolio 2 --share on --share-cap 32"),
-            "the cap is a tuning knob like --threads: out of the key"
+            submit(&format!("attack --mode int --{cap} 32")).err(),
+            Some(format!("unknown flag --{cap}")),
         );
     }
 

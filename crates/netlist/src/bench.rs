@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Driver, GateKind, NetId, Netlist, NetlistError};
+use crate::{GateKind, NetId, Netlist, NetlistError};
 
 /// Parses `.bench` source text into a [`Netlist`].
 ///
@@ -314,11 +314,6 @@ pub fn structurally_equal(a: &Netlist, b: &Netlist) -> bool {
         v
     };
     gates(a) == gates(b)
-}
-
-/// Returns true when `id` is driven by a gate (not an input or flip-flop).
-pub fn is_gate_output(nl: &Netlist, id: NetId) -> bool {
-    matches!(nl.net(id).driver(), Driver::Gate(_))
 }
 
 #[cfg(test)]

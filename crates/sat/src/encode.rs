@@ -52,72 +52,14 @@
 //! assert_eq!(m.enc.solver.solve(), SatResult::Unsat);
 //! ```
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cutelock_netlist::simplify::{simplify, SimplifyConfig, SimplifyStats};
 use cutelock_netlist::unroll::{unroll, InitState, KeySharing, ScanView, Unrolled};
 use cutelock_netlist::{NetId, Netlist, NetlistError};
 
 use crate::tseitin::{self, CircuitCnf};
 use crate::{Lit, Solver};
-
-/// Front-end options applied to a netlist *before* it reaches
-/// [`CircuitEncoder`] / [`MiterBuilder`].
-///
-/// Today the front end is a single switch: run the
-/// [`mod@cutelock_netlist::simplify`] engine (structural hashing, constant
-/// folding, cone-of-influence trimming) over the netlist first. The
-/// state-preserving configuration
-/// ([`SimplifyConfig::preserving_state`]) is used so flip-flop count,
-/// order and names — which attacks address state by — survive unchanged;
-/// only combinational structure shrinks.
-///
-/// `Default` turns simplification **on** (callers wanting the raw netlist
-/// use [`EncodeOptions::off`] or the CLI's `--no-simplify`); attack specs
-/// default it *off* so the frozen golden pins stay bit-identical unless a
-/// caller opts in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeOptions {
-    /// Run netlist simplification in front of CNF lowering.
-    pub simplify: bool,
-}
-
-impl Default for EncodeOptions {
-    fn default() -> Self {
-        Self { simplify: true }
-    }
-}
-
-impl EncodeOptions {
-    /// Options with every front-end pass disabled: the encoder sees the
-    /// netlist exactly as the caller built it.
-    pub fn off() -> Self {
-        Self { simplify: false }
-    }
-
-    /// Applies the front end to a netlist headed for the encoder.
-    ///
-    /// Returns the (possibly borrowed, when nothing is enabled) netlist to
-    /// encode plus the [`SimplifyStats`] describing what the front end
-    /// removed (all-zero when simplification is off).
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist reconstruction failures from the simplifier (a
-    /// bug if they happen on a valid netlist).
-    pub fn prepare<'a>(
-        &self,
-        nl: &'a Netlist,
-    ) -> Result<(Cow<'a, Netlist>, SimplifyStats), NetlistError> {
-        if !self.simplify {
-            return Ok((Cow::Borrowed(nl), SimplifyStats::default()));
-        }
-        let (out, stats) = simplify(nl, &SimplifyConfig::preserving_state())?;
-        Ok((Cow::Owned(out), stats))
-    }
-}
 
 /// Bindings from nets of a circuit about to be encoded to literals that
 /// already exist in the solver — the shared-input wiring of a miter.
@@ -177,16 +119,6 @@ impl CircuitEncoder {
     /// A fresh encoder with an empty solver.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Wraps an existing (possibly pre-loaded) solver.
-    pub fn from_solver(solver: Solver) -> Self {
-        Self { solver }
-    }
-
-    /// Unwraps into the solver, keeping every encoded clause.
-    pub fn into_solver(self) -> Solver {
-        self.solver
     }
 
     // ------------------------------------------------------------------

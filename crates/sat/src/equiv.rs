@@ -358,26 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_options_prepare_respects_switch() {
-        use crate::encode::EncodeOptions;
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nOUTPUT(y)\nb1 = BUF(a)\nb2 = BUF(b1)\ny = NOT(b2)\n",
-        )
-        .unwrap();
-        let (raw, stats) = EncodeOptions::off().prepare(&nl).unwrap();
-        assert_eq!(raw.gate_count(), 3);
-        assert!(!stats.changed());
-        let (simplified, stats) = EncodeOptions::default().prepare(&nl).unwrap();
-        assert_eq!(simplified.gate_count(), 1);
-        assert!(stats.gates_removed() == 2 && stats.changed());
-        assert_eq!(
-            simplify_self_check(&nl, &simplified, 1, None).unwrap(),
-            EquivResult::Equivalent
-        );
-    }
-
-    #[test]
     fn rejects_sequential_inputs_to_comb_equiv() {
         let seq = bench::parse(
             "s",

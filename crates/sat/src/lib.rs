@@ -64,7 +64,7 @@ mod solver;
 pub mod tseitin;
 
 pub use config::{PolarityMode, SolverConfig};
-pub use encode::{Binding, CircuitEncoder, EncodeOptions, Frame, MiterBuilder, PortVals};
+pub use encode::{Binding, CircuitEncoder, Frame, MiterBuilder, PortVals};
 pub use lit::{Lit, Var};
 pub use share::{merge_exports, ShareCap, SharedClause};
 pub use solver::{SatResult, Solver, SolverStats};

@@ -47,8 +47,8 @@ impl Default for ShareCap {
 }
 
 impl ShareCap {
-    /// A cap scaled by a single knob (the CLI's `--share-cap N`): clauses
-    /// up to `n` literals and LBD up to `n/2` qualify, batches carry up to
+    /// A cap scaled by a single knob (the `clause_sharing` benchmark's
+    /// wider filter): clauses up to `n` literals and LBD up to `n/2` qualify, batches carry up to
     /// `32 * n` clauses. `ShareCap::default()` equals `with_limit(8)`.
     pub fn with_limit(n: usize) -> Self {
         let n = n.max(2);

@@ -778,12 +778,6 @@ impl Solver {
         (0..self.num_vars()).map(|i| self.assigns[i] == 1).collect()
     }
 
-    /// Returns to decision level 0 (dropping any model), making the solver
-    /// ready for clause additions.
-    pub fn backtrack_to_root(&mut self) {
-        self.cancel_until(0);
-    }
-
     // ------------------------------------------------------------------
     // Search
     // ------------------------------------------------------------------
