@@ -701,17 +701,6 @@ mod tests {
         assert_eq!(s.gate_count(), 2);
         assert!(stats.merged >= 1, "{stats}");
         assert_equiv(&nl, &s);
-
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ng1 = AND(a, b)\ng2 = AND(b, a)\n\
-             y = XOR(g1, g2)\n",
-        )
-        .unwrap();
-        let (s, stats) = simplify(&nl, &SimplifyConfig::preserving_state()).unwrap();
-        // g2 merges into g1, XOR(g1, g1) folds to constant false.
-        assert!(stats.folded + stats.merged > 0, "{stats:?}");
-        assert!(s.gate_count() <= 1, "got {}", s.gate_count());
     }
 
     #[test]
@@ -725,18 +714,6 @@ mod tests {
         assert_eq!(s.gate_count(), 1);
         assert_eq!(s.gates()[0].kind(), GateKind::And);
         assert_equiv(&nl, &s);
-
-        // Buffer chains forward too.
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nOUTPUT(y)\nb1 = BUF(a)\nb2 = BUF(b1)\ny = NOT(b2)\n",
-        )
-        .unwrap();
-        let (s, _) = simplify(&nl, &SimplifyConfig::preserving_state()).unwrap();
-        assert_eq!(s.gate_count(), 1);
-        let g = &s.gates()[0];
-        assert_eq!(g.kind(), GateKind::Not);
-        assert_eq!(s.net_name(g.inputs()[0]), "a");
     }
 
     #[test]
@@ -777,18 +754,6 @@ mod tests {
         assert!(s.gate_count() <= 3, "got {}", s.gate_count());
         assert!(stats.folded > 0);
         assert_equiv(&nl, &s);
-
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nOUTPUT(y)\nz = CONST1()\nt1 = AND(a, z)\n\
-             t2 = XOR(t1, z)\ny = NOT(t2)\n",
-        )
-        .unwrap();
-        let (s, stats) = simplify(&nl, &SimplifyConfig::preserving_state()).unwrap();
-        // y = NOT(XOR(a,1)) = NOT(NOT(a)) = a; structure shrinks.
-        assert!(s.gate_count() < nl.gate_count());
-        assert!(stats.folded + stats.merged > 0);
-        assert_equiv(&nl, &s);
     }
 
     #[test]
@@ -805,15 +770,6 @@ mod tests {
         assert_equiv(&nl, &s);
         assert_eq!(s.gate_count(), 2);
         assert!(s.gates().iter().all(|g| g.kind() != GateKind::Mux));
-
-        // Equal branches: MUX(s, a, a) = a.
-        let nl = bench::parse(
-            "t",
-            "INPUT(s)\nINPUT(a)\nOUTPUT(y)\nm = MUX(s, a, a)\ny = NOT(m)\n",
-        )
-        .unwrap();
-        let (s, _) = simplify(&nl, &SimplifyConfig::preserving_state()).unwrap();
-        assert_eq!(s.gate_count(), 1);
     }
 
     #[test]
@@ -830,30 +786,6 @@ mod tests {
         // FF order and q names preserved.
         let names: Vec<&str> = p.dffs().iter().map(|ff| p.net_name(ff.q())).collect();
         assert_eq!(names, ["q0", "q1", "q2"]);
-
-        // Dead combinational logic goes even when every flip-flop stays.
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ndead1 = AND(a, b)\n\
-             dead2 = NOT(dead1)\ny = XOR(a, b)\n",
-        )
-        .unwrap();
-        let (p, pstats) = simplify(&nl, &SimplifyConfig::preserving_state()).unwrap();
-        assert_eq!(p.gate_count(), 1);
-        assert_eq!(pstats.swept_gates, 2);
-
-        // A locked-looking netlist with constants in the cone keeps its
-        // behaviour: one scan step agrees exhaustively over (a, b, q).
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n# @init q 0\nq = DFF(d)\n\
-             one = CONST1()\nsel = AND(b, one)\nd = MUX(sel, q, a)\n\
-             y = XOR(q, a)\n",
-        )
-        .unwrap();
-        let (p, _) = simplify(&nl, &SimplifyConfig::preserving_state()).unwrap();
-        let scan = |nl: &Netlist| crate::unroll::scan_view(nl).unwrap().netlist;
-        assert_equiv(&scan(&nl), &scan(&p));
     }
 
     #[test]
@@ -867,20 +799,6 @@ mod tests {
         let (s, _) = simplify(&nl, &SimplifyConfig::default()).unwrap();
         assert_eq!(s.output_count(), 3);
         assert_equiv(&nl, &s);
-        s.validate().unwrap();
-
-        // Flip-flops and their init values are interface too.
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nOUTPUT(y)\n# @init q 1\nq = DFF(d)\nz = CONST0()\n\
-             d = OR(a, z)\ny = BUF(q)\n",
-        )
-        .unwrap();
-        let (s, _) = simplify(&nl, &SimplifyConfig::preserving_state()).unwrap();
-        assert_eq!(s.dff_count(), 1);
-        assert_eq!(s.dffs()[0].init(), Some(true));
-        assert_eq!(s.input_count(), 1);
-        assert_eq!(s.output_count(), 1);
         s.validate().unwrap();
     }
 
