@@ -3,13 +3,12 @@
 //! Simulation-based validation (`LockedCircuit::verify_equivalence`)
 //! samples; this module *proves*, by SAT, that the locked circuit driven
 //! with the correct key schedule is equivalent to the original for **all**
-//! input sequences up to a bounded number of cycles from reset — and,
-//! dually, that a given wrong key provably corrupts some sequence. The
-//! unrolled two-circuit instance is lowered through
-//! [`CircuitEncoder::encode_unrolled`], the same engine the attacks use,
-//! and backs the `cutelock verify` CLI subcommand.
+//! input sequences up to a bounded number of cycles from reset, or finds
+//! a sequence that tells them apart. The unrolled two-circuit instance is
+//! lowered through [`CircuitEncoder::encode_unrolled`], the same engine the
+//! attacks use, and backs the `cutelock verify` CLI subcommand.
 
-use cutelock_core::{KeyValue, LockedCircuit};
+use cutelock_core::LockedCircuit;
 use cutelock_netlist::unroll::{unroll, InitState, KeySharing};
 use cutelock_netlist::NetlistError;
 use cutelock_sat::equiv::EquivResult;
@@ -31,53 +30,6 @@ pub fn prove_locked_equivalence(
     frames: usize,
     conflict_budget: Option<u64>,
 ) -> Result<EquivResult, NetlistError> {
-    check_key_feed(locked, frames, conflict_budget, |t| {
-        locked.schedule.key_at_cycle(t as u64).clone()
-    })
-    .map(|r| match r {
-        // Equivalent for all sequences = certification success.
-        KeyFeedResult::NeverDiffers => EquivResult::Equivalent,
-        KeyFeedResult::Differs(cex) => EquivResult::Counterexample(cex),
-        KeyFeedResult::Unknown => EquivResult::Unknown,
-    })
-}
-
-/// Proves that applying `wrong` constantly corrupts *some* input sequence
-/// within `frames` cycles (i.e. the lock is not transparent to this key).
-///
-/// Returns the corrupting input sequence, or `None` when the wrong key is
-/// provably transparent within the bound (a red flag for the lock).
-///
-/// # Errors
-///
-/// Propagates unrolling/encoding failures.
-pub fn prove_wrong_key_corrupts(
-    locked: &LockedCircuit,
-    wrong: &KeyValue,
-    frames: usize,
-    conflict_budget: Option<u64>,
-) -> Result<Option<Vec<Vec<bool>>>, NetlistError> {
-    let r = check_key_feed(locked, frames, conflict_budget, |_| wrong.clone())?;
-    Ok(match r {
-        KeyFeedResult::Differs(cex) => Some(cex),
-        _ => None,
-    })
-}
-
-enum KeyFeedResult {
-    NeverDiffers,
-    Differs(Vec<Vec<bool>>),
-    Unknown,
-}
-
-/// Core check: unroll locked and original, bind the locked key port per
-/// frame via `key_of`, share data inputs, and ask for an output difference.
-fn check_key_feed(
-    locked: &LockedCircuit,
-    frames: usize,
-    conflict_budget: Option<u64>,
-    key_of: impl Fn(usize) -> KeyValue,
-) -> Result<KeyFeedResult, NetlistError> {
     assert!(frames > 0);
     let mut enc = CircuitEncoder::new();
     enc.solver.set_conflict_budget(conflict_budget);
@@ -88,9 +40,9 @@ fn check_key_feed(
         KeySharing::PerFrame,
         &Binding::new(),
     )?;
-    // Pin the locked key port to the fed key, frame by frame.
+    // Pin the locked key port to the scheduled key, frame by frame.
     for (t, keys) in ul.frame_keys.iter().enumerate() {
-        let kv = key_of(t);
+        let kv = locked.schedule.key_at_cycle(t as u64);
         enc.pin(&cnf_l.lits(keys), kv.bits());
     }
     // Share the data inputs positionally.
@@ -120,14 +72,14 @@ fn check_key_feed(
     let diff = enc.differ(&lo, &oo);
     enc.solver.add_clause(&[diff]);
     Ok(match enc.solver.solve() {
-        SatResult::Unsat => KeyFeedResult::NeverDiffers,
-        SatResult::Unknown => KeyFeedResult::Unknown,
-        SatResult::Sat => {
-            let cex: Vec<Vec<bool>> = (0..frames)
+        // Equivalent for all sequences = certification success.
+        SatResult::Unsat => EquivResult::Equivalent,
+        SatResult::Unknown => EquivResult::Unknown,
+        SatResult::Sat => EquivResult::Counterexample(
+            (0..frames)
                 .map(|t| enc.values(&cnf_l.lits(&ul.frame_inputs[t])))
-                .collect();
-            KeyFeedResult::Differs(cex)
-        }
+                .collect(),
+        ),
     })
 }
 
@@ -137,6 +89,7 @@ mod tests {
     use cutelock_circuits::s27::s27;
     use cutelock_core::beh::{CuteLockBeh, CuteLockBehConfig, WrongfulPolicy};
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
+    use cutelock_core::{KeySchedule, KeyValue};
     use cutelock_fsm::detector::sequence_detector;
 
     #[test]
@@ -187,16 +140,25 @@ mod tests {
         })
         .lock(&s27())
         .unwrap();
+        let keys = locked.schedule.num_keys();
+        let certify_constant = |key: KeyValue| {
+            let mut doctored = locked.clone();
+            doctored.schedule = KeySchedule::constant(key, keys);
+            prove_locked_equivalence(&doctored, 8, None).unwrap()
+        };
         let wrong = locked.schedule.key_at_time(0).flipped(0);
-        let cex = prove_wrong_key_corrupts(&locked, &wrong, 8, None).unwrap();
-        assert!(cex.is_some(), "wrong key must corrupt within 8 cycles");
+        assert!(
+            matches!(certify_constant(wrong), EquivResult::Counterexample(_)),
+            "wrong key must corrupt within 8 cycles"
+        );
         // And the correct key value for time 0, applied constantly, must
         // also corrupt (it is wrong at time 1).
         let t0 = locked.schedule.key_at_time(0).clone();
         if locked.schedule.key_at_time(1) != &t0 {
-            assert!(prove_wrong_key_corrupts(&locked, &t0, 8, None)
-                .unwrap()
-                .is_some());
+            assert!(matches!(
+                certify_constant(t0),
+                EquivResult::Counterexample(_)
+            ));
         }
     }
 }

@@ -5,14 +5,14 @@
 //! re-implements the published algorithms on the workspace's own SAT solver
 //! and simulators:
 //!
-//! * [`sat_attack`] — the combinational oracle-guided SAT attack
+//! * `sat_attack` — the combinational oracle-guided SAT attack
 //!   (Subramanyan et al.), applied through the full-scan view;
-//! * [`bmc`] — sequential unrolling attacks: `BBO` and `INT`, both running
+//! * `bmc` — sequential unrolling attacks: `BBO` and `INT`, both running
 //!   on one persistent incremental solver (frames appended per bound, the
 //!   per-bound miter constraint in a retractable solver scope);
-//! * [`kc2`] — key-condition crunching: incremental BMC plus key-bit
+//! * `kc2` — key-condition crunching: incremental BMC plus key-bit
 //!   fixation, after Shamsi et al.;
-//! * [`rane`] — RANE-style formal attack modeling the initial state as a
+//! * `rane` — RANE-style formal attack modeling the initial state as a
 //!   secret;
 //! * [`fall`] — FALL-style functional analysis (comparator detection +
 //!   candidate extraction + SAT verification), oracle-less;
@@ -46,7 +46,7 @@
 //! two-copy model, the frame-appending BMC chains, FALL's confirmation
 //! check, and the certifier's unrolled equivalence instances — is built
 //! through the unified encoding engine in
-//! [`cutelock_sat::encode`]
+//! `cutelock_sat::encode`
 //! ([`CircuitEncoder`](cutelock_sat::CircuitEncoder) /
 //! [`MiterBuilder`](cutelock_sat::MiterBuilder)).
 //!
@@ -82,20 +82,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod appsat;
-pub mod bmc;
+pub(crate) mod appsat;
+pub(crate) mod bmc;
 pub mod certify;
 pub mod dana;
 mod dip;
 pub mod fall;
-pub mod kc2;
+pub(crate) mod kc2;
 mod outcome;
 pub mod portfolio;
-pub mod rane;
-pub mod record;
-pub mod sat_attack;
+pub(crate) mod rane;
+pub(crate) mod record;
+pub(crate) mod sat_attack;
 mod scan;
-pub mod spec;
+pub(crate) mod spec;
 
 pub use outcome::{AttackBudget, AttackOutcome, AttackReport, RunStats};
 pub use portfolio::Portfolio;

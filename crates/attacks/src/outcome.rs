@@ -77,14 +77,14 @@ pub struct AttackBudget {
 impl AttackBudget {
     /// The budget's idea of "now" — what attacks record as their start
     /// instant and what `remaining` measures against.
-    pub fn start(&self) -> Instant {
+    pub(crate) fn start(&self) -> Instant {
         self.clock.now()
     }
 
     /// Time still unspent by an attack that started at `start` (`None`
     /// once the deadline has passed) — the single deadline check every
     /// attack loop polls.
-    pub fn remaining(&self, start: Instant) -> Option<Duration> {
+    pub(crate) fn remaining(&self, start: Instant) -> Option<Duration> {
         self.timeout
             .checked_sub(self.clock.now().duration_since(start))
     }

@@ -1,7 +1,7 @@
 //! Deterministic portfolio SAT racing — the place the SAT layer itself
 //! goes multi-core.
 //!
-//! Each DIP/BMC query ([`Portfolio::race_scoped`] / [`Portfolio::race`])
+//! Each DIP/BMC query (`Portfolio::race_scoped` / [`Portfolio::race`])
 //! clones the attack's live incremental solver into `k` entrants,
 //! diversifies them with [`SolverConfig::portfolio`], and races the clones
 //! across the scoped work-stealing [`Pool`]'s threads. The race proceeds
@@ -58,7 +58,7 @@ use cutelock_sim::pool::Pool;
 /// double it. Small enough that easy queries (the common case in a DIP
 /// loop) finish in one slice, large enough that the per-epoch barrier is
 /// noise on hard ones.
-pub const DEFAULT_EPOCH_BASE: u64 = 2_000;
+pub(crate) const DEFAULT_EPOCH_BASE: u64 = 2_000;
 
 /// Portfolio settings threaded through every attack entry point.
 ///
@@ -74,7 +74,7 @@ pub struct Portfolio {
     /// identical for any value; this only buys wall-clock.
     pub threads: usize,
     /// Conflicts per entrant in the first epoch slice (doubled each
-    /// epoch). [`DEFAULT_EPOCH_BASE`] when built via the constructors.
+    /// epoch). `DEFAULT_EPOCH_BASE` when built via the constructors.
     pub epoch_base: u64,
     /// Attack-level cancellation: installed into every solver the attack
     /// creates, so a running attack can be retired from outside (the job
@@ -116,7 +116,7 @@ pub struct ShareLedger {
 
 impl ShareLedger {
     /// `(exported, imported, dup_dropped)` so far.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
+    pub(crate) fn snapshot(&self) -> (u64, u64, u64) {
         (
             self.exported.load(Ordering::Relaxed),
             self.imported.load(Ordering::Relaxed),
@@ -177,12 +177,12 @@ impl Portfolio {
     /// Installs this portfolio's attack-level stop flag into a solver the
     /// attack just created — every engine calls this right after building
     /// its miter.
-    pub fn install(&self, solver: &mut Solver) {
+    pub(crate) fn install(&self, solver: &mut Solver) {
         solver.set_stop(self.stop.clone());
     }
 
     /// True when the attack-level stop flag has been raised.
-    pub fn stop_requested(&self) -> bool {
+    pub(crate) fn stop_requested(&self) -> bool {
         self.stop
             .as_ref()
             .is_some_and(|f| f.load(Ordering::Relaxed))
@@ -190,7 +190,7 @@ impl Portfolio {
 
     /// Races a [`Solver::solve_scoped`] query (every open scope active)
     /// and leaves the winning entrant's state in `solver`.
-    pub fn race_scoped(&self, solver: &mut Solver, assumptions: &[Lit]) -> SatResult {
+    pub(crate) fn race_scoped(&self, solver: &mut Solver, assumptions: &[Lit]) -> SatResult {
         self.race_inner(solver, true, assumptions)
     }
 

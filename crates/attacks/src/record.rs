@@ -63,7 +63,7 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// The store schema every run record writes under.
-    pub fn schema() -> Schema {
+    pub(crate) fn schema() -> Schema {
         Schema::new(&[
             ("circuit", ColumnType::Str),
             ("scheme", ColumnType::Str),
@@ -127,7 +127,7 @@ impl RunRecord {
     }
 
     /// This record as a store row, in [`RunRecord::schema`] column order.
-    pub fn row(&self) -> Vec<Value> {
+    pub(crate) fn row(&self) -> Vec<Value> {
         vec![
             Value::str(self.circuit.clone()),
             Value::str(self.scheme.clone()),

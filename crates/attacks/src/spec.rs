@@ -119,22 +119,22 @@ pub struct AttackSpec {
     /// ([`cutelock_netlist::simplify()`], state-preserving configuration)
     /// over both the locked netlist and the oracle before attacking.
     ///
-    /// Defaults **off** so the frozen golden pins stay bit-identical; the
-    /// CLI and the table bins flip it on by default (escape hatch:
-    /// `--no-simplify`). Ignored by [`AttackStrategy::Fall`] (its
-    /// comparator analysis reads the locked structure as-built).
+    /// Defaults **on** everywhere ([`AttackSpec::new`], the CLI, the table
+    /// bins, the daemon); `with_simplify(false)` runs the raw netlists.
+    /// Ignored by [`AttackStrategy::Fall`] (its comparator analysis reads
+    /// the locked structure as-built).
     pub simplify: bool,
 }
 
 impl AttackSpec {
-    /// A spec with the default budget, no portfolio racing, and no
-    /// simplification.
+    /// A spec with the default budget, no portfolio racing, and
+    /// simplification on.
     pub fn new(strategy: AttackStrategy) -> Self {
         Self {
             strategy,
             budget: AttackBudget::default(),
             portfolio: Portfolio::single(),
-            simplify: false,
+            simplify: true,
         }
     }
 
@@ -267,19 +267,19 @@ mod tests {
                 ..AttackBudget::default()
             })
             .with_portfolio(Portfolio::new(4, 2))
-            .with_simplify(true);
+            .with_simplify(false);
         assert_eq!(spec.strategy, AttackStrategy::Int);
         assert_eq!(spec.budget.timeout.as_secs(), 5);
         assert_eq!(spec.portfolio.k, 4);
-        assert!(spec.simplify);
+        assert!(!spec.simplify);
     }
 
     #[test]
-    fn simplify_defaults_off_for_golden_stability() {
-        // The frozen golden pins rely on plain specs encoding the raw
-        // netlists; simplification is strictly opt-in at this layer.
+    fn simplify_defaults_on() {
+        // One default for every entry point: the CLI, the table bins and
+        // the daemon build on `AttackSpec::new` and never flip it.
         for s in AttackStrategy::ALL {
-            assert!(!AttackSpec::new(s).simplify, "{s}");
+            assert!(AttackSpec::new(s).simplify, "{s}");
         }
     }
 

@@ -87,11 +87,11 @@ pub struct Options {
     /// determinism diff either.
     pub share: bool,
     /// Run the netlist simplification engine in front of every encoding
-    /// (default **on** at the bins, like the CLI; `--no-simplify` turns it
-    /// off, `--simplify` spells the default explicitly). Simplification is
-    /// itself deterministic, so it never breaks the `--threads`
-    /// determinism diff — but it can change which wrong key survives a
-    /// capped search, so CI diffs on-vs-off at the verdict level only.
+    /// (default **on**, as everywhere; `--no-simplify` turns it off).
+    /// Simplification is itself deterministic, so it never breaks the
+    /// `--threads` determinism diff — but it can change which wrong key
+    /// survives a capped search, so CI diffs on-vs-off at the verdict
+    /// level only.
     pub simplify: bool,
     /// `--store FILE`: append one [`cutelock_attacks::RunRecord`] per
     /// attack run to a `cutelock_store` columnar database after the table
@@ -164,7 +164,6 @@ impl Options {
                     opt.portfolio_k = k.max(1);
                 }
                 "--share" => opt.share = true,
-                "--simplify" => opt.simplify = true,
                 "--no-simplify" => opt.simplify = false,
                 "--store" => {
                     opt.store = args.next();
@@ -207,14 +206,8 @@ impl Options {
     /// [`Pool::map_units`] job was allocated. `portfolio_with(1)` races
     /// entrants serially on the calling worker; every width produces the
     /// same answer (see [`Options::portfolio_k`]).
-    pub fn portfolio_with(&self, width: usize) -> Portfolio {
+    pub(crate) fn portfolio_with(&self, width: usize) -> Portfolio {
         Portfolio::new(self.portfolio_k, width.max(1)).with_share(self.share)
-    }
-
-    /// [`Options::portfolio_with`] at width 1 — for callers outside the
-    /// two-level table dispatch.
-    pub fn portfolio(&self) -> Portfolio {
-        self.portfolio_with(1)
     }
 
     /// The unit counts a table bin hands to [`Pool::map_units`]: each of
@@ -353,24 +346,28 @@ mod tests {
     fn portfolio_flag_builds_a_race() {
         let o = parse(&[]);
         assert_eq!(o.portfolio_k, 1);
-        assert_eq!(o.portfolio().k, 1, "default is single-solver");
+        assert_eq!(o.portfolio_with(1).k, 1, "default is single-solver");
         let o = parse(&["--portfolio", "4"]);
-        assert_eq!(o.portfolio().k, 4);
-        assert_eq!(o.portfolio().threads, 1, "width-1 portfolio races serially");
+        assert_eq!(o.portfolio_with(1).k, 4);
+        assert_eq!(
+            o.portfolio_with(1).threads,
+            1,
+            "width-1 portfolio races serially"
+        );
         assert_eq!(o.portfolio_with(3).threads, 3, "allocated width carries");
         // Zero clamps to the single-solver path rather than erroring.
         let o = parse(&["--portfolio", "0"]);
-        assert_eq!(o.portfolio().k, 1);
+        assert_eq!(o.portfolio_with(1).k, 1);
     }
 
     #[test]
     fn share_flags_configure_the_exchange() {
         let o = parse(&[]);
         assert!(!o.share);
-        assert!(!o.portfolio().share);
+        assert!(!o.portfolio_with(1).share);
         let o = parse(&["--share", "--portfolio", "4"]);
-        assert!(o.portfolio().share);
-        assert_eq!(o.portfolio().share_cap, ShareCap::default());
+        assert!(o.portfolio_with(1).share);
+        assert_eq!(o.portfolio_with(1).share_cap, ShareCap::default());
     }
 
     #[test]
@@ -380,8 +377,14 @@ mod tests {
         assert!(o.spec(AttackStrategy::Int).simplify);
         let o = parse(&["--no-simplify"]);
         assert!(!o.spec(AttackStrategy::Int).simplify);
-        let o = parse(&["--no-simplify", "--simplify"]);
-        assert!(o.simplify, "last flag wins");
+        // The bins and the library share one default.
+        for s in AttackStrategy::ALL {
+            assert_eq!(
+                Options::default().spec(s).simplify,
+                AttackSpec::new(s).simplify,
+                "{s}"
+            );
+        }
     }
 
     #[test]

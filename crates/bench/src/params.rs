@@ -104,7 +104,7 @@ pub const FIG4_RUNS: &[(&str, usize, usize)] = &[
 
 /// The subset used by `--quick` runs: small/medium circuits that finish in
 /// seconds.
-pub const QUICK_SET: &[&str] = &[
+pub(crate) const QUICK_SET: &[&str] = &[
     "bcomp", "cat", "dmac", "e17", "codec", // Synthezza
     "s27", "s298", "s349", "s832", // ISCAS'89
     "b01", "b02", "b06", "b08", "b10", // ITC'99

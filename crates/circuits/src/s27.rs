@@ -8,7 +8,7 @@
 use cutelock_netlist::{bench, Netlist};
 
 /// The `.bench` source of `s27`, with reset-to-0 init directives.
-pub const S27_BENCH: &str = "\
+pub(crate) const S27_BENCH: &str = "\
 # s27 (ISCAS'89)
 INPUT(G0)
 INPUT(G1)

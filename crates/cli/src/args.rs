@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 /// Parsed `--flag value` arguments.
 #[derive(Debug, Default)]
-pub struct Args {
+pub(crate) struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
 }
@@ -14,7 +14,7 @@ impl Args {
     /// that take a value and `bools` the flags that take none; any other
     /// flag is an error, so a misspelt or retired flag never goes silently
     /// unread.
-    pub fn parse(argv: &[String], values: &[&str], bools: &[&str]) -> Result<Self, String> {
+    pub(crate) fn parse(argv: &[String], values: &[&str], bools: &[&str]) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
@@ -34,7 +34,7 @@ impl Args {
     }
 
     /// A required string value.
-    pub fn req(&self, name: &str) -> Result<&str, String> {
+    pub(crate) fn req(&self, name: &str) -> Result<&str, String> {
         self.values
             .get(name)
             .map(String::as_str)
@@ -42,12 +42,12 @@ impl Args {
     }
 
     /// An optional string value.
-    pub fn opt(&self, name: &str) -> Option<&str> {
+    pub(crate) fn opt(&self, name: &str) -> Option<&str> {
         self.values.get(name).map(String::as_str)
     }
 
     /// An optional parsed value with a default.
-    pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub(crate) fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.values.get(name) {
             None => Ok(default),
             Some(v) => v
@@ -57,7 +57,7 @@ impl Args {
     }
 
     /// Whether a boolean flag was given (e.g. `attack --quick`).
-    pub fn has(&self, name: &str) -> bool {
+    pub(crate) fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
 }

@@ -364,9 +364,7 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
     let strategy =
         AttackStrategy::parse(mode).ok_or_else(|| format!("unknown attack mode `{mode}`"))?;
     let portfolio = Portfolio::new(k, threads).with_share(share);
-    // Simplification defaults ON at the CLI (the spec layer defaults it
-    // off to keep library callers and golden pins raw); --no-simplify is
-    // the escape hatch.
+    // --no-simplify runs the raw netlists.
     let spec = AttackSpec::new(strategy)
         .with_budget(budget)
         .with_portfolio(portfolio)
@@ -405,7 +403,7 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
 /// regression gate (`--compare-baseline`, nonzero exit on a median past the
 /// threshold).
 fn cmd_report(argv: &[String]) -> Result<(), String> {
-    use cutelock_store::format::read_table;
+    use cutelock_store::format::read_table_torn;
     use cutelock_store::trajectory::{compare, parse_json, to_json, BenchEntry};
     use cutelock_store::{query, ColumnType, Value};
 
@@ -425,7 +423,10 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
         &[],
     )?;
     let store_path = args.req("store")?;
-    let table = read_table(store_path).map_err(|e| format!("{store_path}: {e}"))?;
+    let (table, torn) = read_table_torn(store_path).map_err(|e| format!("{store_path}: {e}"))?;
+    if torn > 0 {
+        eprintln!("{store_path}: ignored {torn} trailing byte(s) of an unfinished frame");
+    }
 
     // Default metric: attack stores carry `conflicts`, bench stores carry
     // `median_ns`; anything else needs an explicit --metric.

@@ -1,7 +1,7 @@
 //! Library backing the `cutelock` command-line front end.
 //!
 //! The binary in `src/main.rs` is a thin wrapper over this crate:
-//! [`args`] parses `--flag value` / boolean-flag argument lists with no
+//! `args` parses `--flag value` / boolean-flag argument lists with no
 //! third-party dependency, rejecting any flag a subcommand does not read, and [`commands`] implements the subcommands
 //! (`bench`, `stats`, `lock`, `attack`, `verify`, `overhead`, `convert`) on top of
 //! the workspace crates. Splitting the logic into a library keeps every
@@ -11,19 +11,14 @@
 //! # Example
 //!
 //! ```
-//! use cutelock_cli::args::Args;
+//! use cutelock_cli::commands::dispatch;
 //!
-//! # fn main() -> Result<(), String> {
-//! let argv: Vec<String> = ["--mode", "sat", "--quick"]
-//!     .iter()
-//!     .map(ToString::to_string)
-//!     .collect();
-//! let args = Args::parse(&argv, &["mode", "timeout"], &["quick"])?;
-//! assert_eq!(args.req("mode")?, "sat");
-//! assert!(args.has("quick"));
-//! assert_eq!(args.num("timeout", 60u64)?, 60);
-//! # Ok(())
-//! # }
+//! let argv = |words: &[&str]| words.iter().map(ToString::to_string).collect::<Vec<_>>();
+//! // No subcommand prints the help text.
+//! assert!(dispatch(&argv(&[])).is_ok());
+//! // A flag the subcommand does not read fails fast.
+//! let err = dispatch(&argv(&["stats", "--in", "x.bench", "--nope", "1"])).unwrap_err();
+//! assert_eq!(err, "unknown flag --nope");
 //! ```
 //!
 //! The full pipeline walkthrough and crate map live in
@@ -33,5 +28,5 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
+pub(crate) mod args;
 pub mod commands;

@@ -79,11 +79,6 @@ impl CuteLockBeh {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CuteLockBehConfig {
-        &self.config
-    }
-
     /// Locks the machine `stg`, returning the locked circuit; the oracle
     /// (`original`) is the plain synthesis of the same machine.
     ///
@@ -304,7 +299,7 @@ mod tests {
         .lock(&stg)
         .unwrap();
         assert!(lc.verify_equivalence(200, 2).unwrap());
-        assert_eq!(lc.schedule.total_bits(), 18);
+        assert_eq!(lc.schedule.num_keys() * lc.schedule.key_bits(), 18);
     }
 
     #[test]

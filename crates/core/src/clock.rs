@@ -6,7 +6,7 @@
 //! module closes that leak. Code that needs "now" holds a [`ClockHandle`]
 //! and calls [`ClockHandle::now`]; code that performs a unit of search
 //! work (a solver conflict, a simulation cycle, a structural probe) calls
-//! [`ClockHandle::tick`]. Under the default [`WallClock`] a tick is free
+//! [`ClockHandle::tick`]. Under the default `WallClock` a tick is free
 //! and `now` is the real monotonic clock — behavior is bit-identical to
 //! the pre-clock tree. Under a [`VirtualClock`] time advances **only**
 //! via ticks and explicit [`VirtualClock::advance`] calls, so a deadline
@@ -17,7 +17,7 @@
 //! the tokio-test/maybenot idiom: a plain integer instant can be
 //! fabricated, compared, and serialized by tests, which the opaque std
 //! type cannot. `std::time::Instant::now` is called in exactly one place
-//! in the workspace — [`WallClock`]'s implementation below — and CI
+//! in the workspace — `WallClock`'s implementation below — and CI
 //! greps to keep it that way.
 //!
 //! The full pipeline walkthrough and crate map live in
@@ -29,7 +29,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-pub use std::time::Duration;
+pub(crate) use std::time::Duration;
 
 /// A repo-local monotonic instant: nanoseconds since the clock's epoch.
 ///
@@ -49,7 +49,7 @@ impl Instant {
     pub const EPOCH: Instant = Instant { nanos: 0 };
 
     /// The far future: no deadline placed here ever expires.
-    pub const FAR_FUTURE: Instant = Instant { nanos: u64::MAX };
+    pub(crate) const FAR_FUTURE: Instant = Instant { nanos: u64::MAX };
 
     /// An instant `nanos` nanoseconds after the epoch.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -76,13 +76,8 @@ impl Instant {
             .map(Duration::from_nanos)
     }
 
-    /// Alias of [`Instant::duration_since`], mirroring the std name.
-    pub fn saturating_duration_since(self, earlier: Instant) -> Duration {
-        self.duration_since(earlier)
-    }
-
     /// `self + duration`, or `None` on overflow of the nanosecond range.
-    pub fn checked_add(self, duration: Duration) -> Option<Instant> {
+    pub(crate) fn checked_add(self, duration: Duration) -> Option<Instant> {
         u64::try_from(duration.as_nanos())
             .ok()
             .and_then(|d| self.nanos.checked_add(d))
@@ -91,7 +86,7 @@ impl Instant {
 
     /// `self - duration`, or `None` when the result would precede the
     /// epoch.
-    pub fn checked_sub(self, duration: Duration) -> Option<Instant> {
+    pub(crate) fn checked_sub(self, duration: Duration) -> Option<Instant> {
         u64::try_from(duration.as_nanos())
             .ok()
             .and_then(|d| self.nanos.checked_sub(d))
@@ -101,7 +96,7 @@ impl Instant {
 
 impl Add<Duration> for Instant {
     type Output = Instant;
-    /// Saturates at [`Instant::FAR_FUTURE`] instead of panicking: a
+    /// Saturates at `Instant::FAR_FUTURE` instead of panicking: a
     /// deadline that overflows is a deadline that never fires.
     fn add(self, rhs: Duration) -> Instant {
         self.checked_add(rhs).unwrap_or(Instant::FAR_FUTURE)
@@ -162,7 +157,7 @@ pub trait Clock: fmt::Debug + Send + Sync {
 /// The default clock: `std::time::Instant` measured against a lazily
 /// initialized process-wide epoch. [`Clock::tick`] is a no-op.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WallClock;
+pub(crate) struct WallClock;
 
 fn wall_epoch() -> std::time::Instant {
     static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
@@ -211,7 +206,7 @@ impl VirtualClock {
     }
 
     /// Moves time forward by `duration`. Saturates at
-    /// [`Instant::FAR_FUTURE`]; never moves time backwards.
+    /// `Instant::FAR_FUTURE`; never moves time backwards.
     pub fn advance(&self, duration: Duration) {
         self.advance_nanos(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
     }
@@ -224,11 +219,6 @@ impl VirtualClock {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
                 Some(cur.saturating_add(nanos))
             });
-    }
-
-    /// The configured conflict→time rate in nanoseconds per tick.
-    pub fn nanos_per_tick(&self) -> u64 {
-        self.nanos_per_tick
     }
 
     /// A [`ClockHandle`] viewing this clock.
@@ -257,7 +247,7 @@ impl Clock for VirtualClock {
 pub struct ClockHandle(Arc<dyn Clock>);
 
 impl ClockHandle {
-    /// A handle on the process [`WallClock`] — the default everywhere.
+    /// A handle on the process `WallClock` — the default everywhere.
     /// All wall handles share one clock instance, so they compare equal
     /// under [`ClockHandle::same_clock`].
     pub fn wall() -> Self {
@@ -266,7 +256,7 @@ impl ClockHandle {
     }
 
     /// A handle on an arbitrary clock implementation.
-    pub fn new(clock: Arc<dyn Clock>) -> Self {
+    pub(crate) fn new(clock: Arc<dyn Clock>) -> Self {
         ClockHandle(clock)
     }
 

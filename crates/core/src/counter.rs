@@ -10,11 +10,9 @@ use cutelock_netlist::{GateKind, NetId, Netlist, NetlistError};
 
 /// Handles into an inserted counter.
 #[derive(Debug, Clone)]
-pub struct CounterNets {
+pub(crate) struct CounterNets {
     /// Flip-flop indices of the counter bits, LSB first.
     pub ffs: Vec<usize>,
-    /// Counter state nets (`q`), LSB first.
-    pub q: Vec<NetId>,
     /// One decode net per counter time: `is_time[t]` is 1 exactly when the
     /// counter reads `t` (for `t` in `0..k`).
     pub is_time: Vec<NetId>,
@@ -34,7 +32,7 @@ pub struct CounterNets {
 /// # Panics
 ///
 /// Panics if `k == 0`.
-pub fn insert_mod_counter(
+pub(crate) fn insert_mod_counter(
     nl: &mut Netlist,
     k: usize,
     prefix: &str,
@@ -107,7 +105,7 @@ pub fn insert_mod_counter(
         is_time.push(dec);
     }
 
-    Ok(CounterNets { ffs, q, is_time })
+    Ok(CounterNets { ffs, is_time })
 }
 
 #[cfg(test)]

@@ -26,7 +26,11 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// fp.update_str("s27");
 /// fp.update_str("cutelock-str");
 /// let a = fp.finish();
-/// assert_eq!(a, Fingerprint::of(&[b"s27", b"cutelock-str"]));
+/// // Chunk boundaries are part of the input.
+/// let mut b = Fingerprint::new();
+/// b.update_str("s27c");
+/// b.update_str("utelock-str");
+/// assert_ne!(a, b.finish());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint {
@@ -46,7 +50,7 @@ impl Fingerprint {
     }
 
     /// Absorbs raw bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(FNV_PRIME);
@@ -72,7 +76,8 @@ impl Fingerprint {
 
     /// One-shot fingerprint of a sequence of byte chunks, each chunk
     /// domain separated as in [`Fingerprint::update_str`].
-    pub fn of(chunks: &[&[u8]]) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn of(chunks: &[&[u8]]) -> u64 {
         let mut fp = Self::new();
         for chunk in chunks {
             fp.update(chunk);
@@ -83,7 +88,8 @@ impl Fingerprint {
 }
 
 /// One-shot FNV-1a 64-bit hash of a byte string (no domain separator).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+#[cfg(test)]
+pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut fp = Fingerprint::new();
     fp.update(bytes);
     fp.finish()

@@ -33,7 +33,7 @@ impl KeyValue {
     }
 
     /// Number of bits.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.bits.len()
     }
 
@@ -56,7 +56,7 @@ impl KeyValue {
     /// # Errors
     ///
     /// Returns a message for empty strings or non-binary characters.
-    pub fn parse_binary(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse_binary(s: &str) -> Result<Self, String> {
         if s.is_empty() {
             return Err("empty key value".into());
         }
@@ -176,7 +176,7 @@ impl KeySchedule {
     }
 
     /// All keys, time-ordered.
-    pub fn keys(&self) -> &[KeyValue] {
+    pub(crate) fn keys(&self) -> &[KeyValue] {
         &self.keys
     }
 
@@ -184,12 +184,6 @@ impl KeySchedule {
     /// single-key reduction).
     pub fn is_constant(&self) -> bool {
         self.keys.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Total key material in bits (`k * ki`), as reported in the paper's
-    /// "Key Size" columns.
-    pub fn total_bits(&self) -> usize {
-        self.num_keys() * self.key_bits()
     }
 
     /// Serializes the schedule in the key-file format shared by
@@ -304,7 +298,6 @@ mod tests {
         ]);
         assert_eq!(s.num_keys(), 4);
         assert_eq!(s.key_bits(), 2);
-        assert_eq!(s.total_bits(), 8);
         assert_eq!(s.key_at_cycle(0).as_u64(), Some(1));
         assert_eq!(s.key_at_cycle(5).as_u64(), Some(3));
         assert_eq!(s.key_at_cycle(7).as_u64(), Some(0));

@@ -62,7 +62,7 @@ mod key;
 mod locked;
 pub mod str_lock;
 
-pub use counter::{insert_mod_counter, CounterNets};
+pub(crate) use counter::insert_mod_counter;
 pub use cutelock_sim::pool::{self, Pool};
 pub use key::{KeySchedule, KeyValue};
 pub use locked::{LockError, LockedCircuit, LockedOracle};

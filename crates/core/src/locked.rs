@@ -91,7 +91,7 @@ impl LockedCircuit {
 
     /// Non-key primary inputs of the locked netlist, declaration order —
     /// these correspond 1:1 with the original's inputs.
-    pub fn data_input_ids(&self) -> Vec<NetId> {
+    pub(crate) fn data_input_ids(&self) -> Vec<NetId> {
         self.netlist.data_inputs()
     }
 

@@ -106,11 +106,6 @@ impl CuteLockStr {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CuteLockStrConfig {
-        &self.config
-    }
-
     /// Locks `original`, returning the locked circuit and its schedule.
     ///
     /// The transform self-checks its own effectiveness: after construction
@@ -504,7 +499,7 @@ mod tests {
     fn s27_full_tree_equivalent_under_correct_keys() {
         let lc = lock_s27(MuxTreeStyle::FullTree);
         assert!(lc.verify_equivalence(500, 11).unwrap());
-        assert_eq!(lc.schedule.total_bits(), 8);
+        assert_eq!(lc.schedule.num_keys() * lc.schedule.key_bits(), 8);
         assert_eq!(lc.scheme, "cute-lock-str");
     }
 

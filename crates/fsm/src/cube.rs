@@ -20,28 +20,11 @@ impl Cube {
     /// # Panics
     ///
     /// Panics if `width > 64`.
-    pub fn any(width: usize) -> Self {
+    pub(crate) fn any(width: usize) -> Self {
         assert!(width <= 64, "cubes support at most 64 inputs");
         Self {
             care: 0,
             value: 0,
-            width: width as u8,
-        }
-    }
-
-    /// A cube from care/value masks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width > 64` or if `value` has bits outside `care`.
-    pub fn new(width: usize, care: u64, value: u64) -> Self {
-        assert!(width <= 64, "cubes support at most 64 inputs");
-        assert_eq!(value & !care, 0, "value bits outside care set");
-        let mask = if width == 64 { !0 } else { (1u64 << width) - 1 };
-        assert_eq!(care & !mask, 0, "care bits outside width");
-        Self {
-            care,
-            value,
             width: width as u8,
         }
     }
@@ -52,7 +35,8 @@ impl Cube {
     /// # Panics
     ///
     /// Panics on characters other than `0`, `1`, `-` or on length > 64.
-    pub fn from_str_lsb_first(s: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_str_lsb_first(s: &str) -> Self {
         assert!(s.len() <= 64);
         let mut care = 0u64;
         let mut value = 0u64;
@@ -75,34 +59,25 @@ impl Cube {
     }
 
     /// Number of input variables this cube ranges over.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width as usize
-    }
-
-    /// The care mask (1 bits are constrained).
-    pub fn care(&self) -> u64 {
-        self.care
-    }
-
-    /// The value mask (meaningful only on care bits).
-    pub fn value(&self) -> u64 {
-        self.value
     }
 
     /// True when the input pattern `bits` (bit `i` = input `i`) satisfies
     /// the cube.
-    pub fn matches(&self, bits: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn matches(&self, bits: u64) -> bool {
         bits & self.care == self.value
     }
 
     /// True when some input pattern satisfies both cubes.
-    pub fn overlaps(&self, other: &Cube) -> bool {
+    pub(crate) fn overlaps(&self, other: &Cube) -> bool {
         let common = self.care & other.care;
         (self.value ^ other.value) & common == 0
     }
 
     /// Number of minterms covered: `2^(width - |care|)`.
-    pub fn size(&self) -> u128 {
+    pub(crate) fn size(&self) -> u128 {
         1u128 << (self.width as u32 - self.care.count_ones())
     }
 
@@ -111,7 +86,7 @@ impl Cube {
     /// # Panics
     ///
     /// Panics if `i` is out of range or already constrained differently.
-    pub fn with_bit(&self, i: usize, bit: bool) -> Self {
+    pub(crate) fn with_bit(&self, i: usize, bit: bool) -> Self {
         assert!(i < self.width(), "input index out of range");
         let m = 1u64 << i;
         if self.care & m != 0 {
@@ -126,7 +101,7 @@ impl Cube {
     }
 
     /// Iterates over the constrained positions as `(index, bit)` pairs.
-    pub fn literals(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+    pub(crate) fn literals(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
         (0..self.width()).filter_map(move |i| {
             let m = 1u64 << i;
             if self.care & m != 0 {

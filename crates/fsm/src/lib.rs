@@ -3,10 +3,9 @@
 //! Cute-Lock-Beh is defined at the RTL level, on the State Transition Graph
 //! of a sequential design. This crate provides that behavioral substrate:
 //!
-//! * [`Cube`] — input conditions as ternary cubes (`1-0-`);
+//! * `Cube` — input conditions as ternary cubes (`1-0-`);
 //! * [`Stg`] — Mealy-machine state transition graphs with deterministic,
 //!   complete transition relations;
-//! * [`sim`] — behavioral STG simulation;
 //! * [`synth`] — synthesis of an STG to a gate-level
 //!   [`Netlist`](cutelock_netlist::Netlist) (binary state encoding, one-hot
 //!   state decode, cube match logic);
@@ -19,15 +18,22 @@
 //!
 //! ```
 //! use cutelock_fsm::detector::sequence_detector;
-//! use cutelock_fsm::sim::StgSimulator;
+//! use cutelock_fsm::synth::synthesize;
+//! use cutelock_sim::{Logic, Simulator};
 //!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let stg = sequence_detector("1001");
-//! let mut sim = StgSimulator::new(&stg);
-//! let outs: Vec<bool> = [true, false, false, true]
+//! let synthesized = synthesize(&stg)?;
+//! let mut sim = Simulator::new(&synthesized.netlist)?;
+//! sim.reset();
+//! let outs: Vec<Logic> = [true, false, false, true]
 //!     .iter()
-//!     .map(|&bit| sim.step(&[bit])[0])
+//!     .map(|&bit| sim.cycle_with(&[Logic::from_bool(bit)])[0])
 //!     .collect();
-//! assert_eq!(outs, vec![false, false, false, true]); // detects 1001
+//! let detected = [Logic::Zero, Logic::Zero, Logic::Zero, Logic::One];
+//! assert_eq!(outs, detected); // detects 1001
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! The full pipeline walkthrough and crate map live in
@@ -40,9 +46,10 @@
 mod cube;
 pub mod detector;
 pub mod random;
-pub mod sim;
+#[cfg(test)]
+mod sim;
 mod stg;
 pub mod synth;
 
-pub use cube::Cube;
+pub(crate) use cube::Cube;
 pub use stg::{FsmError, StateId, Stg, Transition};

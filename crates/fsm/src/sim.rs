@@ -8,7 +8,7 @@ use crate::{StateId, Stg};
 
 /// A stepping simulator over an [`Stg`].
 #[derive(Debug, Clone)]
-pub struct StgSimulator<'a> {
+pub(crate) struct StgSimulator<'a> {
     stg: &'a Stg,
     state: StateId,
     cycles: u64,
@@ -16,7 +16,7 @@ pub struct StgSimulator<'a> {
 
 impl<'a> StgSimulator<'a> {
     /// Starts a simulation in the machine's reset state.
-    pub fn new(stg: &'a Stg) -> Self {
+    pub(crate) fn new(stg: &'a Stg) -> Self {
         Self {
             stg,
             state: stg.reset(),
@@ -24,23 +24,18 @@ impl<'a> StgSimulator<'a> {
         }
     }
 
-    /// The machine being simulated.
-    pub fn stg(&self) -> &'a Stg {
-        self.stg
-    }
-
     /// Current state.
-    pub fn state(&self) -> StateId {
+    pub(crate) fn state(&self) -> StateId {
         self.state
     }
 
     /// Cycles executed since the last reset.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.cycles
     }
 
     /// Returns to the reset state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.state = self.stg.reset();
         self.cycles = 0;
     }
@@ -52,7 +47,7 @@ impl<'a> StgSimulator<'a> {
     ///
     /// Panics if the input width is wrong or the machine is incomplete at
     /// the current state (a validated machine never is).
-    pub fn step(&mut self, inputs: &[bool]) -> Vec<bool> {
+    pub(crate) fn step(&mut self, inputs: &[bool]) -> Vec<bool> {
         assert_eq!(inputs.len(), self.stg.num_inputs(), "input width mismatch");
         let bits = pack_bits(inputs);
         let t = self
@@ -66,7 +61,7 @@ impl<'a> StgSimulator<'a> {
 
     /// Resets, then runs a whole input sequence, collecting per-cycle
     /// outputs.
-    pub fn run(&mut self, sequence: &[Vec<bool>]) -> Vec<Vec<bool>> {
+    pub(crate) fn run(&mut self, sequence: &[Vec<bool>]) -> Vec<Vec<bool>> {
         self.reset();
         sequence.iter().map(|v| self.step(v)).collect()
     }
@@ -77,7 +72,7 @@ impl<'a> StgSimulator<'a> {
 /// # Panics
 ///
 /// Panics if more than 64 bits are supplied.
-pub fn pack_bits(inputs: &[bool]) -> u64 {
+pub(crate) fn pack_bits(inputs: &[bool]) -> u64 {
     assert!(inputs.len() <= 64);
     inputs
         .iter()
@@ -86,7 +81,7 @@ pub fn pack_bits(inputs: &[bool]) -> u64 {
 }
 
 /// Unpacks a bit mask into `width` bools, bit `i` = result `i`.
-pub fn unpack_bits(bits: u64, width: usize) -> Vec<bool> {
+pub(crate) fn unpack_bits(bits: u64, width: usize) -> Vec<bool> {
     (0..width).map(|i| bits >> i & 1 == 1).collect()
 }
 

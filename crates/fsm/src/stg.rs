@@ -8,12 +8,13 @@ pub struct StateId(pub(crate) u32);
 
 impl StateId {
     /// Dense index of the state.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
     /// Builds a state id from a dense index.
-    pub fn from_index(i: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_index(i: usize) -> Self {
         Self(i as u32)
     }
 }
@@ -137,7 +138,7 @@ impl Stg {
     /// # Panics
     ///
     /// Panics if `num_inputs > 64` (the [`Cube`] limit).
-    pub fn new(name: impl Into<String>, num_inputs: usize, num_outputs: usize) -> Self {
+    pub(crate) fn new(name: impl Into<String>, num_inputs: usize, num_outputs: usize) -> Self {
         assert!(num_inputs <= 64, "at most 64 FSM inputs supported");
         Self {
             name: name.into(),
@@ -170,8 +171,8 @@ impl Stg {
     }
 
     /// Adds a state, returning its id. The first state added becomes the
-    /// reset state unless [`Stg::set_reset`] overrides it.
-    pub fn add_state(&mut self, name: impl Into<String>) -> StateId {
+    /// reset state.
+    pub(crate) fn add_state(&mut self, name: impl Into<String>) -> StateId {
         let id = StateId(self.state_names.len() as u32);
         self.state_names.push(name.into());
         self.transitions.push(Vec::new());
@@ -183,7 +184,8 @@ impl Stg {
     /// # Panics
     ///
     /// Panics for a foreign id.
-    pub fn state_name(&self, id: StateId) -> &str {
+    #[cfg(test)]
+    pub(crate) fn state_name(&self, id: StateId) -> &str {
         &self.state_names[id.index()]
     }
 
@@ -192,7 +194,8 @@ impl Stg {
     /// # Errors
     ///
     /// Fails for a foreign id.
-    pub fn set_reset(&mut self, id: StateId) -> Result<(), FsmError> {
+    #[cfg(test)]
+    pub(crate) fn set_reset(&mut self, id: StateId) -> Result<(), FsmError> {
         if id.index() >= self.num_states() {
             return Err(FsmError::UnknownState(id.0));
         }
@@ -201,7 +204,7 @@ impl Stg {
     }
 
     /// The reset state.
-    pub fn reset(&self) -> StateId {
+    pub(crate) fn reset(&self) -> StateId {
         self.reset
     }
 
@@ -211,7 +214,7 @@ impl Stg {
     ///
     /// Fails on foreign states or mismatched cube/output widths; overlap
     /// and completeness are deferred to [`Stg::validate`].
-    pub fn add_transition(
+    pub(crate) fn add_transition(
         &mut self,
         from: StateId,
         cube: Cube,
@@ -251,12 +254,13 @@ impl Stg {
     /// # Panics
     ///
     /// Panics for a foreign id.
-    pub fn transitions(&self, from: StateId) -> &[Transition] {
+    #[cfg(test)]
+    pub(crate) fn transitions(&self, from: StateId) -> &[Transition] {
         &self.transitions[from.index()]
     }
 
     /// Iterates `(state, transitions)` pairs.
-    pub fn iter_states(&self) -> impl Iterator<Item = (StateId, &[Transition])> {
+    pub(crate) fn iter_states(&self) -> impl Iterator<Item = (StateId, &[Transition])> {
         self.transitions
             .iter()
             .enumerate()
@@ -264,7 +268,8 @@ impl Stg {
     }
 
     /// The transition taken from `state` on input `bits`, if defined.
-    pub fn step(&self, state: StateId, bits: u64) -> Option<&Transition> {
+    #[cfg(test)]
+    pub(crate) fn step(&self, state: StateId, bits: u64) -> Option<&Transition> {
         self.transitions[state.index()]
             .iter()
             .find(|t| t.cube.matches(bits))
@@ -301,7 +306,7 @@ impl Stg {
     }
 
     /// Number of state bits needed for binary encoding.
-    pub fn state_bits(&self) -> usize {
+    pub(crate) fn state_bits(&self) -> usize {
         usize::max(
             1,
             (usize::BITS - (self.num_states() - 1).leading_zeros()) as usize,

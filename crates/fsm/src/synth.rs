@@ -27,12 +27,12 @@ pub struct SynthesizedStg {
     pub input_nets: Vec<NetId>,
     /// Primary output nets `y0…`, in STG output order.
     pub output_nets: Vec<NetId>,
-    /// One-hot decode net per state, indexed by [`StateId::index`].
+    /// One-hot decode net per state, indexed by `StateId::index`.
     pub state_decode: Vec<NetId>,
 }
 
 /// The binary code assigned to a state (its index).
-pub fn state_code(state: StateId) -> u64 {
+pub(crate) fn state_code(state: StateId) -> u64 {
     state.index() as u64
 }
 

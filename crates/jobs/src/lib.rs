@@ -8,7 +8,7 @@
 //!
 //! Three layers, strictly ordered:
 //!
-//! * [`queue`] — the **pure scheduler core**: FIFO admission with an
+//! * `queue` — the **pure scheduler core**: FIFO admission with an
 //!   express/batch fairness lane (cheap `verify` jobs are never starved
 //!   behind hour-long attacks), per-job stop flags wired into the SAT
 //!   solvers' cooperative-cancellation slots (a `CANCEL` on a running
@@ -16,11 +16,11 @@
 //!   (queued → running → done/cancelled/failed), and an in-memory result
 //!   cache keyed by content fingerprint. No sockets, no stdio — it is
 //!   unit-tested entirely in-process.
-//! * [`request`] — the `SUBMIT` grammar: one line of text into a lane,
+//! * `request` — the `SUBMIT` grammar: one line of text into a lane,
 //!   a cache key, and a work closure (attacks, equivalence verification,
 //!   and pigeonhole SAT instances as deterministic long-running test
 //!   jobs).
-//! * [`server`] / [`client`] — the thin TCP framing shim: a
+//! * `server` / `client` — the thin TCP framing shim: a
 //!   `std::net::TcpListener` line protocol (`SUBMIT` / `STATUS` /
 //!   `RESULT` / `CANCEL` / `SHUTDOWN`; no async runtime, the build
 //!   environment is offline) and the matching blocking client.
@@ -33,12 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod queue;
-pub mod request;
-pub mod server;
+pub(crate) mod client;
+pub(crate) mod queue;
+pub(crate) mod request;
+pub(crate) mod server;
 
 pub use client::Client;
-pub use queue::{JobQueue, JobState, JobStatus, Lane, SubmitRequest, WorkerPool};
 pub use request::{parse_submit, Limits};
 pub use server::{ServeConfig, Server};

@@ -47,7 +47,7 @@ pub enum Lane {
 
 impl Lane {
     /// Wire/display name of the lane.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Lane::Express => "express",
             Lane::Batch => "batch",
@@ -57,7 +57,7 @@ impl Lane {
 
 /// Lifecycle state of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
+pub(crate) enum JobState {
     /// Admitted, waiting for a worker.
     Queued,
     /// A worker is executing the job's closure.
@@ -72,7 +72,7 @@ pub enum JobState {
 
 impl JobState {
     /// Wire/display name of the state.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
@@ -83,7 +83,7 @@ impl JobState {
     }
 
     /// True when the job will never change state again.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(
             self,
             JobState::Done | JobState::Cancelled | JobState::Failed
@@ -94,7 +94,7 @@ impl JobState {
 /// A job's work: a closure receiving the job's stop flag (to be installed
 /// into whatever long-running machinery the job drives) and returning a
 /// single-line result string or a single-line error.
-pub type JobWork = Box<dyn FnOnce(&Arc<AtomicBool>) -> Result<String, String> + Send>;
+pub(crate) type JobWork = Box<dyn FnOnce(&Arc<AtomicBool>) -> Result<String, String> + Send>;
 
 /// A parsed, ready-to-enqueue job request (built by [`crate::request`]).
 ///
@@ -122,7 +122,7 @@ impl std::fmt::Debug for SubmitRequest {
 
 /// Snapshot of one job, as reported by [`JobQueue::status`].
 #[derive(Debug, Clone)]
-pub struct JobStatus {
+pub(crate) struct JobStatus {
     /// The job's queue-assigned id.
     pub id: u64,
     /// Label from the submit.
@@ -159,7 +159,6 @@ struct QueueState {
     express: VecDeque<u64>,
     batch: VecDeque<u64>,
     cache: HashMap<u64, String>,
-    cache_hits: u64,
     shutdown: bool,
 }
 
@@ -174,7 +173,7 @@ struct Shared {
 /// The scheduler: admission queues, job table, result cache. Cheap to
 /// clone (all clones share one state).
 #[derive(Clone)]
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     shared: Arc<Shared>,
 }
 
@@ -186,7 +185,7 @@ impl Default for JobQueue {
 
 impl JobQueue {
     /// An empty queue with an empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             shared: Arc::new(Shared {
                 state: Mutex::new(QueueState::default()),
@@ -199,15 +198,12 @@ impl JobQueue {
     /// Admits a job and returns its id. If the request carries a cache key
     /// whose result is already cached, the job is born [`JobState::Done`]
     /// with [`JobStatus::cached`] set and never reaches a worker.
-    pub fn submit(&self, req: SubmitRequest) -> u64 {
+    pub(crate) fn submit(&self, req: SubmitRequest) -> u64 {
         let mut st = self.shared.state.lock().unwrap();
         st.next_id += 1;
         let id = st.next_id;
         let hit = req.cache_key.and_then(|k| st.cache.get(&k).cloned());
         let cached = hit.is_some();
-        if cached {
-            st.cache_hits += 1;
-        }
         let job = Job {
             label: req.label,
             lane: req.lane,
@@ -238,7 +234,7 @@ impl JobQueue {
     }
 
     /// Snapshot of a job, or `None` for an unknown id.
-    pub fn status(&self, id: u64) -> Option<JobStatus> {
+    pub(crate) fn status(&self, id: u64) -> Option<JobStatus> {
         let st = self.shared.state.lock().unwrap();
         st.jobs.get(&id).map(|j| JobStatus {
             id,
@@ -252,7 +248,7 @@ impl JobQueue {
 
     /// Blocks until the job reaches a terminal state, then returns its
     /// snapshot (`None` for an unknown id).
-    pub fn wait(&self, id: u64) -> Option<JobStatus> {
+    pub(crate) fn wait(&self, id: u64) -> Option<JobStatus> {
         let mut st = self.shared.state.lock().unwrap();
         loop {
             match st.jobs.get(&id) {
@@ -278,7 +274,7 @@ impl JobQueue {
     /// it cancelled on return. Terminal jobs are left as they are.
     /// Returns the state observed *after* the request, or `None` for an
     /// unknown id.
-    pub fn cancel(&self, id: u64) -> Option<JobState> {
+    pub(crate) fn cancel(&self, id: u64) -> Option<JobState> {
         let mut st = self.shared.state.lock().unwrap();
         let job = st.jobs.get_mut(&id)?;
         match job.state {
@@ -304,7 +300,7 @@ impl JobQueue {
 
     /// Begins shutdown: queued jobs are cancelled, running jobs have their
     /// stop flags raised, workers exit once idle. Idempotent.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let mut st = self.shared.state.lock().unwrap();
         st.shutdown = true;
         let mut queued: Vec<u64> = st.express.drain(..).collect();
@@ -326,25 +322,20 @@ impl JobQueue {
     }
 
     /// True once [`JobQueue::shutdown`] has been called.
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         self.shared.state.lock().unwrap().shutdown
-    }
-
-    /// Number of submits served straight from the result cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.shared.state.lock().unwrap().cache_hits
     }
 
     /// The worker index that executed a job (`None` while pending or when
     /// the job never ran). Exposed for fairness assertions in tests and
     /// the daemon's status lines.
-    pub fn ran_on(&self, id: u64) -> Option<usize> {
+    pub(crate) fn ran_on(&self, id: u64) -> Option<usize> {
         self.shared.state.lock().unwrap().jobs.get(&id)?.ran_on
     }
 
     /// Spawns `workers` OS threads draining this queue (at least one).
     /// Worker 0 is the express-reserved worker when `workers > 1`.
-    pub fn spawn_workers(&self, workers: usize) -> WorkerPool {
+    pub(crate) fn spawn_workers(&self, workers: usize) -> WorkerPool {
         let n = workers.max(1);
         let handles = (0..n)
             .map(|i| {
@@ -421,24 +412,14 @@ impl JobQueue {
 }
 
 /// Join guard for the worker threads of one [`JobQueue`].
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Number of workers.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// True when the pool has no workers (never, in practice).
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
     /// Waits for every worker to exit (they do so after
     /// [`JobQueue::shutdown`]).
-    pub fn join(self) {
+    pub(crate) fn join(self) {
         for h in self.handles {
             let _ = h.join();
         }
@@ -588,7 +569,6 @@ mod tests {
         assert_eq!(st.state, JobState::Done);
         assert!(st.cached);
         assert_eq!(st.result, Some(Ok("computed".into())));
-        assert_eq!(q.cache_hits(), 1);
     }
 
     #[test]

@@ -1,32 +1,21 @@
-//! Fan-in / fan-out cone extraction and fanout maps.
+//! Fan-in cone extraction and flip-flop dependency analysis.
 //!
 //! Cones stop at *sequential boundaries*: primary inputs and flip-flop
-//! outputs. The structural locking transform uses [`fanin_cone`] to find the
+//! outputs. The structural locking transform uses `fanin_cone` to find the
 //! "hardware" (next-state logic) of a flip-flop so it can be repurposed as
 //! wrongful hardware for another flip-flop, and the DANA-style dataflow
 //! attack uses [`ff_dependency_graph`] to cluster registers.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use crate::{Driver, NetId, Netlist};
-
-/// For every net, the gates that consume it (as input), indexed by gate index.
-pub fn fanout_map(nl: &Netlist) -> Vec<Vec<usize>> {
-    let mut map = vec![Vec::new(); nl.net_count()];
-    for (gi, gate) in nl.gates().iter().enumerate() {
-        for &inp in gate.inputs() {
-            map[inp.index()].push(gi);
-        }
-    }
-    map
-}
 
 /// The transitive fan-in cone of `root`, stopping at primary inputs and
 /// flip-flop outputs.
 ///
 /// Returns the set of nets in the cone, including `root` itself and the
 /// boundary nets (inputs / FF outputs) where the traversal stopped.
-pub fn fanin_cone(nl: &Netlist, root: NetId) -> HashSet<NetId> {
+pub(crate) fn fanin_cone(nl: &Netlist, root: NetId) -> HashSet<NetId> {
     let mut seen = HashSet::new();
     let mut stack = vec![root];
     while let Some(n) = stack.pop() {
@@ -51,23 +40,6 @@ pub fn cone_support(nl: &Netlist, root: NetId) -> Vec<NetId> {
         .collect();
     support.sort();
     support
-}
-
-/// The transitive fan-out cone of `root`: all nets reachable from it through
-/// gates (not through flip-flops).
-pub fn fanout_cone(nl: &Netlist, root: NetId) -> HashSet<NetId> {
-    let fo = fanout_map(nl);
-    let mut seen = HashSet::new();
-    let mut queue = VecDeque::from([root]);
-    while let Some(n) = queue.pop_front() {
-        if !seen.insert(n) {
-            continue;
-        }
-        for &g in &fo[n.index()] {
-            queue.push_back(nl.gates()[g].output());
-        }
-    }
-    seen
 }
 
 /// Directed register dependency graph: edge `i -> j` means the data input of
@@ -176,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_cone_reaches_consumers() {
-        let nl = two_ff_chain();
-        let q1 = nl.find_net("q1").unwrap();
-        let y = nl.find_net("y").unwrap();
-        let cone = fanout_cone(&nl, q1);
-        assert!(cone.contains(&y));
-    }
-
-    #[test]
     fn ff_dependency_graph_chain() {
         let nl = two_ff_chain();
         let g = ff_dependency_graph(&nl);
@@ -210,18 +173,5 @@ mod tests {
         nl.mark_output(y).unwrap();
         let obs = observable_dffs(&nl);
         assert_eq!(obs, vec![true, true, false]);
-    }
-
-    #[test]
-    fn fanout_map_counts_uses() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a").unwrap();
-        let x = nl.add_gate(GateKind::Not, "x", &[a]).unwrap();
-        let y = nl.add_gate(GateKind::And, "y", &[a, x]).unwrap();
-        nl.mark_output(y).unwrap();
-        let fo = fanout_map(&nl);
-        assert_eq!(fo[a.index()].len(), 2);
-        assert_eq!(fo[x.index()].len(), 1);
-        assert_eq!(fo[y.index()].len(), 0);
     }
 }

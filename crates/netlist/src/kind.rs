@@ -55,7 +55,7 @@ impl GateKind {
     ];
 
     /// The canonical upper-case `.bench` mnemonic for this kind.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             Self::And => "AND",
             Self::Or => "OR",
@@ -72,7 +72,7 @@ impl GateKind {
     }
 
     /// Parses a `.bench` mnemonic (case-insensitive).
-    pub fn from_mnemonic(s: &str) -> Option<Self> {
+    pub(crate) fn from_mnemonic(s: &str) -> Option<Self> {
         let up = s.to_ascii_uppercase();
         Some(match up.as_str() {
             "AND" => Self::And,
@@ -92,7 +92,7 @@ impl GateKind {
 
     /// Returns `(min, max)` permitted input counts; `max = usize::MAX` for
     /// variadic kinds.
-    pub fn arity(self) -> (usize, usize) {
+    pub(crate) fn arity(self) -> (usize, usize) {
         match self {
             Self::And | Self::Or | Self::Nand | Self::Nor | Self::Xor | Self::Xnor => {
                 (2, usize::MAX)
@@ -148,7 +148,7 @@ impl GateKind {
 
     /// Returns `true` for kinds whose output inverts when all inputs invert
     /// (self-dual is not required; this is used by structural analyses).
-    pub fn is_inverting(self) -> bool {
+    pub(crate) fn is_inverting(self) -> bool {
         matches!(self, Self::Nand | Self::Nor | Self::Not | Self::Xnor)
     }
 }

@@ -48,7 +48,7 @@ mod error;
 mod kind;
 mod netlist;
 pub mod simplify;
-pub mod stats;
+pub(crate) mod stats;
 pub mod topo;
 #[cfg(test)]
 mod transform;
@@ -66,4 +66,4 @@ pub use stats::NetlistStats;
 /// Logic-locking tools (NEOS, RANE, FALL) all identify key bits by this
 /// conventional name prefix in `.bench` files, so we follow suit: any input
 /// whose name starts with `keyinput` is treated as part of the key port.
-pub const KEY_INPUT_PREFIX: &str = "keyinput";
+pub(crate) const KEY_INPUT_PREFIX: &str = "keyinput";

@@ -45,7 +45,7 @@ pub struct Net {
 
 impl Net {
     /// The net's name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -267,7 +267,7 @@ impl Netlist {
     /// # Errors
     ///
     /// Fails if `q` already has a driver or either id is foreign.
-    pub fn add_dff_to(
+    pub(crate) fn add_dff_to(
         &mut self,
         name: impl Into<String>,
         d: NetId,
@@ -291,12 +291,12 @@ impl Netlist {
         Ok(idx)
     }
 
-    /// Adds a D flip-flop; alias of [`Netlist::add_dff_to`] kept for call-site
+    /// Adds a D flip-flop; alias of `Netlist::add_dff_to` kept for call-site
     /// readability when `q` was created with [`Netlist::add_net`].
     ///
     /// # Errors
     ///
-    /// Same as [`Netlist::add_dff_to`].
+    /// Same as `Netlist::add_dff_to`.
     pub fn add_dff(
         &mut self,
         name: impl Into<String>,
@@ -432,7 +432,7 @@ impl Netlist {
     }
 
     /// Iterates over `(id, net)` pairs.
-    pub fn iter_nets(&self) -> impl Iterator<Item = (NetId, &Net)> {
+    pub(crate) fn iter_nets(&self) -> impl Iterator<Item = (NetId, &Net)> {
         self.nets
             .iter()
             .enumerate()

@@ -108,11 +108,6 @@ pub struct SimplifyStats {
 }
 
 impl SimplifyStats {
-    /// Net gate reduction.
-    pub fn gates_removed(&self) -> usize {
-        self.gates_before.saturating_sub(self.gates_after)
-    }
-
     /// True when simplification changed the netlist at all.
     pub fn changed(&self) -> bool {
         self.passes > 0

@@ -41,16 +41,6 @@ impl NetlistStats {
             per_kind,
         }
     }
-
-    /// Total I/O port count (inputs + outputs), the metric of Fig. 4(d).
-    pub fn io_count(&self) -> usize {
-        self.inputs + self.outputs
-    }
-
-    /// Total cell count (gates + flip-flops), the metric of Fig. 4(c).
-    pub fn cell_count(&self) -> usize {
-        self.gates + self.dffs
-    }
 }
 
 impl fmt::Display for NetlistStats {
@@ -88,8 +78,6 @@ mod tests {
         assert_eq!(s.dffs, 1);
         assert_eq!(s.gates, 3);
         assert_eq!(s.per_kind[&GateKind::Xor], 1);
-        assert_eq!(s.io_count(), 3);
-        assert_eq!(s.cell_count(), 4);
         assert_eq!(s.depth, Some(3));
         let shown = s.to_string();
         assert!(shown.contains("FF=1"));

@@ -3,7 +3,7 @@
 //! Flip-flop outputs and primary inputs are sources; flip-flops legitimately
 //! break cycles. A cycle through gates only is a structural error.
 
-use crate::{Driver, NetId, Netlist, NetlistError};
+use crate::{Driver, Netlist, NetlistError};
 
 /// Returns the gates of `nl` in a topological order: every gate appears after
 /// all gates in its transitive fan-in.
@@ -56,7 +56,7 @@ pub fn gate_order(nl: &Netlist) -> Result<Vec<usize>, NetlistError> {
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] if the gate graph is cyclic.
-pub fn levelize(nl: &Netlist) -> Result<Vec<usize>, NetlistError> {
+pub(crate) fn levelize(nl: &Netlist) -> Result<Vec<usize>, NetlistError> {
     let order = gate_order(nl)?;
     let mut level = vec![0usize; nl.net_count()];
     for g in order {
@@ -78,27 +78,8 @@ pub fn levelize(nl: &Netlist) -> Result<Vec<usize>, NetlistError> {
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] if the gate graph is cyclic.
-pub fn depth(nl: &Netlist) -> Result<usize, NetlistError> {
+pub(crate) fn depth(nl: &Netlist) -> Result<usize, NetlistError> {
     Ok(levelize(nl)?.into_iter().max().unwrap_or(0))
-}
-
-/// Returns all nets in a topological order (sources first), convenient for
-/// single-pass evaluation.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] if the gate graph is cyclic.
-pub fn net_order(nl: &Netlist) -> Result<Vec<NetId>, NetlistError> {
-    let order = gate_order(nl)?;
-    let mut out: Vec<NetId> = nl
-        .iter_nets()
-        .filter(|(_, n)| !matches!(n.driver(), Driver::Gate(_)))
-        .map(|(id, _)| id)
-        .collect();
-    for g in order {
-        out.push(nl.gates()[g].output());
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -162,18 +143,5 @@ mod tests {
         let lv = levelize(&nl).unwrap();
         assert_eq!(lv[q.index()], 0);
         assert_eq!(lv[d.index()], 1);
-    }
-
-    #[test]
-    fn net_order_sources_before_sinks() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a").unwrap();
-        let b = nl.add_gate(GateKind::Not, "b", &[a]).unwrap();
-        nl.mark_output(b).unwrap();
-        let order = net_order(&nl).unwrap();
-        assert_eq!(order.len(), nl.net_count());
-        let pa = order.iter().position(|&n| n == a).unwrap();
-        let pb = order.iter().position(|&n| n == b).unwrap();
-        assert!(pa < pb);
     }
 }

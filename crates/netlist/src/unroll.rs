@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use crate::{NetId, Netlist, NetlistError, KEY_INPUT_PREFIX};
+use crate::{NetId, Netlist, NetlistError};
 
 /// How the initial state is modeled when unrolling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,26 +253,6 @@ pub fn scan_view(nl: &Netlist) -> Result<ScanView, NetlistError> {
     })
 }
 
-/// True if `name` is a key input name (`keyinput…`), with or without a frame
-/// suffix.
-pub fn is_key_name(name: &str) -> bool {
-    name.starts_with(KEY_INPUT_PREFIX)
-}
-
-/// Convenience: true when a net in an unrolled netlist originated from a
-/// primary output of frame `t`.
-pub fn frame_of(name: &str) -> Option<usize> {
-    name.rsplit_once('@')?.1.parse().ok()
-}
-
-/// Strips the `@frame` suffix from an unrolled net name, if present.
-pub fn base_name(name: &str) -> &str {
-    match name.rsplit_once('@') {
-        Some((base, frame)) if frame.chars().all(|c| c.is_ascii_digit()) => base,
-        _ => name,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,15 +330,5 @@ mod tests {
         // inputs: en + q; outputs: y + d.
         assert_eq!(sv.netlist.input_count(), 2);
         assert_eq!(sv.netlist.output_count(), 2);
-    }
-
-    #[test]
-    fn name_helpers() {
-        assert_eq!(frame_of("y@3"), Some(3));
-        assert_eq!(frame_of("y"), None);
-        assert_eq!(base_name("sig@12"), "sig");
-        assert_eq!(base_name("sig@x"), "sig@x");
-        assert!(is_key_name("keyinput7"));
-        assert!(!is_key_name("a"));
     }
 }

@@ -80,7 +80,7 @@ impl SolverConfig {
 
     /// The `i`-th member of the standard diversified family — a pure
     /// function of `i` (see [`SolverConfig::portfolio`]).
-    pub fn diversified(i: usize) -> SolverConfig {
+    pub(crate) fn diversified(i: usize) -> SolverConfig {
         match i {
             0 => Self::default(),
             1 => Self {

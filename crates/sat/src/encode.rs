@@ -26,13 +26,13 @@
 //! # Example: a two-copy key miter
 //!
 //! Two copies of a locked circuit share their data input but carry private
-//! key bits. If the outputs are constrained to differ while the keys are
-//! constrained equal, the instance is UNSAT — same key, same behavior:
+//! key bits. If the outputs are constrained to differ while both keys are
+//! pinned to the same value, the instance is UNSAT — same key, same
+//! behavior:
 //!
 //! ```
 //! use cutelock_netlist::{bench, unroll::scan_view};
-//! use cutelock_sat::encode::{MiterBuilder, PortVals};
-//! use cutelock_sat::SatResult;
+//! use cutelock_sat::{MiterBuilder, PortVals, SatResult};
 //!
 //! let nl = bench::parse(
 //!     "toy",
@@ -48,7 +48,8 @@
 //! let f2 = m.frame(&k2, PortVals::Fresh, PortVals::Shared(&xs)).unwrap();
 //! let diff = m.enc.differ(&f1.outputs, &f2.outputs);
 //! m.enc.solver.add_clause(&[diff]); // outputs must differ somewhere
-//! m.enc.assert_equal(&k1, &k2); // ... but the keys are the same
+//! m.enc.pin(&k1, &[true]); // ... but both keys are 1
+//! m.enc.pin(&k2, &[true]);
 //! assert_eq!(m.enc.solver.solve(), SatResult::Unsat);
 //! ```
 
@@ -97,7 +98,7 @@ impl Binding {
     }
 
     /// The raw net→literal map (what [`tseitin::encode`] consumes).
-    pub fn as_map(&self) -> &HashMap<NetId, Lit> {
+    pub(crate) fn as_map(&self) -> &HashMap<NetId, Lit> {
         &self.map
     }
 }
@@ -216,7 +217,8 @@ impl CircuitEncoder {
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
-    pub fn assert_equal(&mut self, a: &[Lit], b: &[Lit]) {
+    #[cfg(test)]
+    pub(crate) fn assert_equal(&mut self, a: &[Lit], b: &[Lit]) {
         assert_eq!(a.len(), b.len(), "vector width mismatch");
         for (&x, &y) in a.iter().zip(b) {
             tseitin::assert_eq_lits(&mut self.solver, x, y);
@@ -280,7 +282,7 @@ pub struct Frame {
 impl Frame {
     /// The full observation vector of a scan query: primary outputs
     /// followed by the observable next-state bits.
-    pub fn observations(&self) -> Vec<Lit> {
+    pub(crate) fn observations(&self) -> Vec<Lit> {
         let mut obs = self.outputs.clone();
         obs.extend_from_slice(&self.obs_next);
         obs
@@ -320,7 +322,7 @@ impl MiterBuilder {
     }
 
     /// Like [`MiterBuilder::new`], reusing an existing encoder/solver.
-    pub fn with_encoder(
+    pub(crate) fn with_encoder(
         enc: CircuitEncoder,
         sv: impl Into<Rc<ScanView>>,
         obs_states: &[usize],
@@ -347,26 +349,6 @@ impl MiterBuilder {
             outputs,
             obs_states: obs_states.to_vec(),
         }
-    }
-
-    /// The scan view the miter copies are encoded from.
-    pub fn scan_view(&self) -> &ScanView {
-        &self.sv
-    }
-
-    /// Number of key bits.
-    pub fn key_width(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Number of data (non-key, non-state) inputs.
-    pub fn data_width(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Number of flip-flops (state bits).
-    pub fn state_width(&self) -> usize {
-        self.sv.state_inputs.len()
     }
 
     /// A fresh private key vector — one per miter copy.
@@ -508,9 +490,9 @@ mod tests {
         let nl = locked_toy();
         let sv = scan_view(&nl).unwrap();
         let m = MiterBuilder::new(sv, &[0]);
-        assert_eq!(m.key_width(), 1);
-        assert_eq!(m.data_width(), 1);
-        assert_eq!(m.state_width(), 1);
+        assert_eq!(m.keys.len(), 1);
+        assert_eq!(m.data.len(), 1);
+        assert_eq!(m.sv.state_inputs.len(), 1);
     }
 
     #[test]

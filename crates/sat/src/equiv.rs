@@ -28,41 +28,6 @@ pub enum EquivResult {
     Unknown,
 }
 
-/// Checks combinational equivalence of `a` and `b`.
-///
-/// Inputs are matched positionally (declaration order); both circuits must
-/// have equal input and output counts and no flip-flops.
-///
-/// # Errors
-///
-/// Returns a [`NetlistError`] when the interfaces don't line up or either
-/// circuit is sequential.
-pub fn comb_equiv(a: &Netlist, b: &Netlist) -> Result<EquivResult, NetlistError> {
-    if !a.is_combinational() || !b.is_combinational() {
-        return Err(NetlistError::CombinationalCycle(
-            "comb_equiv needs combinational circuits; use bounded_seq_equiv".into(),
-        ));
-    }
-    check_interfaces(a, b)?;
-    let mut enc = CircuitEncoder::new();
-    let cnf_a = enc.encode(a, &Binding::new())?;
-    let mut shared = Binding::new();
-    shared.bind_all(b.inputs(), &cnf_a.lits(a.inputs()));
-    let cnf_b = enc.encode(b, &shared)?;
-    let oa = cnf_a.lits(a.outputs());
-    let ob = cnf_b.lits(b.outputs());
-    let diff = enc.differ(&oa, &ob);
-    enc.solver.add_clause(&[diff]);
-    Ok(match enc.solver.solve() {
-        SatResult::Unsat => EquivResult::Equivalent,
-        SatResult::Unknown => EquivResult::Unknown,
-        SatResult::Sat => {
-            let cex = enc.values(&cnf_a.lits(a.inputs()));
-            EquivResult::Counterexample(vec![cex])
-        }
-    })
-}
-
 /// Checks sequential equivalence of `a` and `b` for **all** input sequences
 /// of up to `frames` cycles from reset (recorded flip-flop inits; unknown
 /// inits are 0).
@@ -77,7 +42,7 @@ pub fn comb_equiv(a: &Netlist, b: &Netlist) -> Result<EquivResult, NetlistError>
 /// # Panics
 ///
 /// Panics if `frames == 0`.
-pub fn bounded_seq_equiv(
+pub(crate) fn bounded_seq_equiv(
     a: &Netlist,
     b: &Netlist,
     frames: usize,
@@ -142,12 +107,12 @@ pub fn bounded_seq_equiv(
 ///
 /// * **Same state (state-preserving simplification, or combinational):**
 ///   the scan views of both circuits — pure combinational functions of
-///   `(inputs, state)` — are checked with [`comb_equiv`]. Because the
-///   simplifier preserves flip-flop count, order and init values in this
+///   `(inputs, state)` — are checked by one combinational miter. Because
+///   the simplifier preserves flip-flop count, order and init values in this
 ///   mode, scan-view equality is a *complete* proof of cycle-exact
 ///   sequential equivalence, not a bounded one.
 /// * **State dropped (cone-of-influence trimming removed flip-flops):**
-///   falls back to [`bounded_seq_equiv`] over `frames` cycles from reset,
+///   falls back to `bounded_seq_equiv` over `frames` cycles from reset,
 ///   each SAT call capped at `conflict_budget` conflicts.
 ///
 /// # Errors
@@ -240,14 +205,17 @@ mod tests {
             "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nnx = NOT(x)\nny = NOT(y)\nz = OR(nx, ny)\n",
         )
         .unwrap();
-        assert_eq!(comb_equiv(&a, &b).unwrap(), EquivResult::Equivalent);
+        assert_eq!(
+            simplify_self_check(&a, &b, 1, None).unwrap(),
+            EquivResult::Equivalent
+        );
     }
 
     #[test]
     fn different_functions_yield_counterexample() {
         let a = bench::parse("a", "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = AND(x, y)\n").unwrap();
         let b = bench::parse("b", "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = OR(x, y)\n").unwrap();
-        match comb_equiv(&a, &b).unwrap() {
+        match simplify_self_check(&a, &b, 1, None).unwrap() {
             EquivResult::Counterexample(cex) => {
                 // AND != OR exactly when inputs differ.
                 assert_eq!(cex.len(), 1);
@@ -306,7 +274,7 @@ mod tests {
     fn interface_mismatch_rejected() {
         let a = bench::parse("a", "INPUT(x)\nOUTPUT(z)\nz = NOT(x)\n").unwrap();
         let b = bench::parse("b", "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = AND(x, y)\n").unwrap();
-        assert!(comb_equiv(&a, &b).is_err());
+        assert!(simplify_self_check(&a, &b, 1, None).is_err());
     }
 
     #[test]
@@ -355,15 +323,5 @@ mod tests {
             EquivResult::Counterexample(_) => {}
             other => panic!("expected counterexample, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn rejects_sequential_inputs_to_comb_equiv() {
-        let seq = bench::parse(
-            "s",
-            "INPUT(en)\nOUTPUT(y)\nq = DFF(d)\nd = XOR(q, en)\ny = BUF(q)\n",
-        )
-        .unwrap();
-        assert!(comb_equiv(&seq, &seq).is_err());
     }
 }

@@ -12,7 +12,7 @@
 //!   [`Solver::pop_scope`]) for retractable clause groups — the mechanism
 //!   that lets every BMC/DIP attack loop reuse one live solver across
 //!   bounds instead of re-encoding from scratch;
-//! * [`encode`] — the unified miter/encoding engine: [`CircuitEncoder`]
+//! * `encode` — the unified miter/encoding engine: [`CircuitEncoder`]
 //!   owns netlist→CNF lowering and glue constraints, [`MiterBuilder`] wires
 //!   shared-input miter copies and appends BMC time frames incrementally —
 //!   the one layer every attack, certifier, and equivalence check builds
@@ -20,17 +20,16 @@
 //! * [`tseitin`] — Tseitin encoding of combinational
 //!   [`Netlist`](cutelock_netlist::Netlist)s plus gate-level helpers for
 //!   building miters directly in CNF (the primitive layer under
-//!   [`encode`]);
-//! * [`config`] — portfolio diversification: [`SolverConfig`] perturbs
+//!   `encode`);
+//! * `config` — portfolio diversification: [`SolverConfig`] perturbs
 //!   variable ordering, polarities, and restart cadence per portfolio
 //!   entrant, and [`Solver::set_stop`] gives racing callers a cooperative
 //!   cancellation flag polled inside the search loop;
-//! * [`share`] — deterministic clause sharing between portfolio entrants:
+//! * `share` — deterministic clause sharing between portfolio entrants:
 //!   [`ShareCap`]-gated learnt-clause exports ([`Solver::export_learnts`])
 //!   merged into one canonical batch ([`merge_exports`]) and re-imported
 //!   into every sibling ([`Solver::import_clauses`]) at each epoch
-//!   barrier;
-//! * [`dimacs`] — DIMACS CNF reader/writer for interoperability and tests.
+//!   barrier.
 //!
 //! The full pipeline walkthrough — including where every SAT instance in
 //! the workspace comes from — lives in `docs/ARCHITECTURE.md` at the
@@ -54,12 +53,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod dimacs;
-pub mod encode;
+pub(crate) mod config;
+pub(crate) mod encode;
 pub mod equiv;
 mod lit;
-pub mod share;
+pub(crate) mod share;
 mod solver;
 pub mod tseitin;
 
@@ -68,4 +66,3 @@ pub use encode::{Binding, CircuitEncoder, Frame, MiterBuilder, PortVals};
 pub use lit::{Lit, Var};
 pub use share::{merge_exports, ShareCap, SharedClause};
 pub use solver::{SatResult, Solver, SolverStats};
-pub use tseitin::CircuitCnf;

@@ -12,7 +12,7 @@ impl Var {
     }
 
     /// The dense index of this variable.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -42,7 +42,7 @@ impl Lit {
     }
 
     /// Builds a literal with an explicit polarity (`true` = positive).
-    pub fn new(var: Var, positive: bool) -> Self {
+    pub(crate) fn new(var: Var, positive: bool) -> Self {
         if positive {
             Self::positive(var)
         } else {
@@ -51,23 +51,24 @@ impl Lit {
     }
 
     /// The underlying variable.
-    pub fn var(self) -> Var {
+    pub(crate) fn var(self) -> Var {
         Var(self.0 >> 1)
     }
 
     /// True when the literal is positive (un-negated).
-    pub fn is_positive(self) -> bool {
+    pub(crate) fn is_positive(self) -> bool {
         self.0 & 1 == 0
     }
 
     /// The dense index of this literal (`2*var + negated`), used for watch
     /// lists.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
     /// Inverse of [`Lit::index`].
-    pub fn from_index(i: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_index(i: usize) -> Self {
         Self(i as u32)
     }
 }

@@ -90,7 +90,7 @@ struct Watcher {
 /// the attack loops keep one live solver across every BMC bound and DIP
 /// iteration, so learnt clauses accumulate instead of being rebuilt.
 /// Popped scopes feed the clause-database garbage collector
-/// ([`garbage_collect`](Solver::garbage_collect)): once enough retired
+/// (`garbage_collect`): once enough retired
 /// clauses pile up, the database is compacted and every watch list rebuilt,
 /// so long multi-scope runs do not drag dead clauses through propagation.
 #[derive(Debug, Clone)]
@@ -200,7 +200,7 @@ impl Solver {
     }
 
     /// Number of allocated variables.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.assigns.len()
     }
 
@@ -288,7 +288,8 @@ impl Solver {
     }
 
     /// The currently installed cancellation flag, if any.
-    pub fn stop_flag(&self) -> Option<&Arc<AtomicBool>> {
+    #[cfg(test)]
+    pub(crate) fn stop_flag(&self) -> Option<&Arc<AtomicBool>> {
         self.stop.as_ref()
     }
 
@@ -380,7 +381,7 @@ impl Solver {
     ///
     /// The unit clause `!act` retires every clause the scope guarded; once
     /// enough garbage has accumulated, the clause database is physically
-    /// compacted via [`garbage_collect`](Solver::garbage_collect) so
+    /// compacted via `garbage_collect` so
     /// retired clauses stop occupying watch lists and memory.
     ///
     /// # Panics
@@ -416,7 +417,7 @@ impl Solver {
     /// Runs automatically from [`pop_scope`](Solver::pop_scope) once enough
     /// garbage accumulates; safe to call at any time (the solver first
     /// returns to decision level 0).
-    pub fn garbage_collect(&mut self) {
+    pub(crate) fn garbage_collect(&mut self) {
         self.cancel_until(0);
         if !self.ok {
             return;
@@ -480,7 +481,8 @@ impl Solver {
     }
 
     /// Number of currently open scopes.
-    pub fn scope_depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn scope_depth(&self) -> usize {
         self.scopes.len()
     }
 
@@ -558,7 +560,7 @@ impl Solver {
     /// valves the search loop uses: a learnt-DB reduction when imports
     /// push the database past the reduction threshold (feeding the
     /// scope-GC garbage estimate), then a physical
-    /// [`garbage_collect`](Solver::garbage_collect) once that estimate
+    /// `garbage_collect` once that estimate
     /// says a sweep is worthwhile — so repeated exchanges cannot grow the
     /// database without bound.
     ///
@@ -771,11 +773,6 @@ impl Solver {
             self.cancel_until(0);
         }
         result
-    }
-
-    /// After [`SatResult::Sat`], extracts the full model as a bool per var.
-    pub fn model(&self) -> Vec<bool> {
-        (0..self.num_vars()).map(|i| self.assigns[i] == 1).collect()
     }
 
     // ------------------------------------------------------------------

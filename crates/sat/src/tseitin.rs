@@ -4,7 +4,7 @@
 //! copied into the solver once or twice (miter construction), equality and
 //! difference constraints are layered on top, and key variables are shared
 //! between copies. [`encode`] performs the per-copy encoding; the gate-level
-//! helpers ([`encode_xor`], [`encode_eq`], [`encode_or_reduce`], …) build the
+//! helpers (`encode_xor`, `encode_eq`, `encode_or_reduce`, …) build the
 //! glue logic.
 
 use std::collections::HashMap;
@@ -80,7 +80,7 @@ pub fn encode(
 }
 
 /// Encodes one gate, returning the output literal.
-pub fn encode_gate(solver: &mut Solver, kind: GateKind, ins: &[Lit]) -> Lit {
+pub(crate) fn encode_gate(solver: &mut Solver, kind: GateKind, ins: &[Lit]) -> Lit {
     match kind {
         GateKind::And => encode_and_reduce(solver, ins),
         GateKind::Or => encode_or_reduce(solver, ins),
@@ -105,7 +105,7 @@ pub fn encode_gate(solver: &mut Solver, kind: GateKind, ins: &[Lit]) -> Lit {
 }
 
 /// `y <-> AND(ins)`.
-pub fn encode_and_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
+pub(crate) fn encode_and_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
     debug_assert!(!ins.is_empty());
     if ins.len() == 1 {
         return ins[0];
@@ -121,7 +121,7 @@ pub fn encode_and_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
 }
 
 /// `y <-> OR(ins)`.
-pub fn encode_or_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
+pub(crate) fn encode_or_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
     debug_assert!(!ins.is_empty());
     if ins.len() == 1 {
         return ins[0];
@@ -137,7 +137,7 @@ pub fn encode_or_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
 }
 
 /// `y <-> a XOR b`.
-pub fn encode_xor(solver: &mut Solver, a: Lit, b: Lit) -> Lit {
+pub(crate) fn encode_xor(solver: &mut Solver, a: Lit, b: Lit) -> Lit {
     let y = Lit::positive(solver.new_var());
     solver.add_clause(&[!y, a, b]);
     solver.add_clause(&[!y, !a, !b]);
@@ -147,7 +147,7 @@ pub fn encode_xor(solver: &mut Solver, a: Lit, b: Lit) -> Lit {
 }
 
 /// `y <-> XOR(ins)` (odd parity) via a balanced chain.
-pub fn encode_xor_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
+pub(crate) fn encode_xor_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
     debug_assert!(!ins.is_empty());
     let mut acc = ins[0];
     for &x in &ins[1..] {
@@ -157,7 +157,7 @@ pub fn encode_xor_reduce(solver: &mut Solver, ins: &[Lit]) -> Lit {
 }
 
 /// `y <-> (s ? b : a)` with redundant propagation clauses.
-pub fn encode_mux(solver: &mut Solver, s: Lit, a: Lit, b: Lit) -> Lit {
+pub(crate) fn encode_mux(solver: &mut Solver, s: Lit, a: Lit, b: Lit) -> Lit {
     let y = Lit::positive(solver.new_var());
     solver.add_clause(&[s, !a, y]);
     solver.add_clause(&[s, a, !y]);
@@ -169,19 +169,16 @@ pub fn encode_mux(solver: &mut Solver, s: Lit, a: Lit, b: Lit) -> Lit {
     y
 }
 
-/// `y <-> (a == b)` (XNOR).
-pub fn encode_eq(solver: &mut Solver, a: Lit, b: Lit) -> Lit {
-    !encode_xor(solver, a, b)
-}
-
 /// Asserts `a == b` directly with two binary clauses (no new variable).
-pub fn assert_eq_lits(solver: &mut Solver, a: Lit, b: Lit) {
+#[cfg(test)]
+pub(crate) fn assert_eq_lits(solver: &mut Solver, a: Lit, b: Lit) {
     solver.add_clause(&[!a, b]);
     solver.add_clause(&[a, !b]);
 }
 
 /// Asserts that literal `l` equals constant `value`.
-pub fn assert_const(solver: &mut Solver, l: Lit, value: bool) {
+#[cfg(test)]
+pub(crate) fn assert_const(solver: &mut Solver, l: Lit, value: bool) {
     solver.add_clause(&[if value { l } else { !l }]);
 }
 
@@ -191,7 +188,7 @@ pub fn assert_const(solver: &mut Solver, l: Lit, value: bool) {
 /// # Panics
 ///
 /// Panics if the vectors have different lengths.
-pub fn encode_vectors_differ(solver: &mut Solver, a: &[Lit], b: &[Lit]) -> Lit {
+pub(crate) fn encode_vectors_differ(solver: &mut Solver, a: &[Lit], b: &[Lit]) -> Lit {
     assert_eq!(a.len(), b.len(), "vector width mismatch");
     let diffs: Vec<Lit> = a
         .iter()

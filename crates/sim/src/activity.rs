@@ -4,13 +4,9 @@
 //! estimate dynamic power. We drive the circuit with uniform random primary
 //! inputs for a configurable number of cycles using the 64-lane
 //! [`ParallelSim`] and count transitions.
-//! [`switching_activity_par`] additionally fans fixed-size replications out
-//! across a [`Pool`], scaling the estimate with the hardware while staying
-//! deterministic for any thread count.
 
 use cutelock_netlist::{Netlist, NetlistError};
 
-use crate::pool::Pool;
 use crate::ParallelSim;
 
 /// Per-net activity statistics from random simulation.
@@ -23,16 +19,6 @@ pub struct ActivityReport {
     pub one_probability: Vec<f64>,
     /// Number of simulated cycles (per lane).
     pub cycles: usize,
-}
-
-impl ActivityReport {
-    /// Mean toggle rate over all nets — a single-number activity factor.
-    pub fn mean_toggle_rate(&self) -> f64 {
-        if self.toggle_rate.is_empty() {
-            return 0.0;
-        }
-        self.toggle_rate.iter().sum::<f64>() / self.toggle_rate.len() as f64
-    }
 }
 
 /// Deterministic 64-bit generator (splitmix64), good enough for stimulus.
@@ -62,72 +48,8 @@ pub fn switching_activity(
     cycles: usize,
     seed: u64,
 ) -> Result<ActivityReport, NetlistError> {
-    let sim = ParallelSim::new(nl)?;
-    let (toggles, ones) = count_chunk(sim, nl.input_count(), cycles, seed);
-    Ok(report_from_counts(toggles, ones, cycles))
-}
-
-/// Number of cycles each replication of [`switching_activity_par`] runs.
-///
-/// Part of the estimator's definition, **not** a tuning knob: the chunk
-/// layout depends only on the requested cycle count, never on the pool's
-/// thread count, which is what keeps parallel estimates deterministic.
-pub const PAR_CHUNK_CYCLES: usize = 256;
-
-/// Multi-core variant of [`switching_activity`]: splits the requested
-/// cycle budget into independent replications of at most
-/// [`PAR_CHUNK_CYCLES`] cycles, runs each from reset with its own derived
-/// seed on `pool`, and merges the counts.
-///
-/// Because chunk boundaries and chunk seeds are functions of `cycles` and
-/// `seed` alone, the estimate is **bit-identical for every thread count**.
-/// It is *not* the same sample as the sequential estimator for
-/// `cycles > PAR_CHUNK_CYCLES` (each replication restarts from reset
-/// rather than carrying flip-flop state across the chunk boundary); both
-/// converge to the same rates, this one on all cores at once.
-///
-/// # Errors
-///
-/// Fails if `nl` has a combinational cycle.
-pub fn switching_activity_par(
-    nl: &Netlist,
-    cycles: usize,
-    seed: u64,
-    pool: &Pool,
-) -> Result<ActivityReport, NetlistError> {
-    let proto = ParallelSim::new(nl)?;
-    let chunks = cycles.div_ceil(PAR_CHUNK_CYCLES).max(1);
-    let counts = pool.map(chunks, |c| {
-        let chunk_cycles = (cycles - c * PAR_CHUNK_CYCLES).min(PAR_CHUNK_CYCLES);
-        // Chunk 0 reuses the caller's seed so that short runs
-        // (cycles <= PAR_CHUNK_CYCLES) reproduce the sequential estimator.
-        let chunk_seed = if c == 0 {
-            seed
-        } else {
-            SplitMix64(seed ^ c as u64).next()
-        };
-        count_chunk(proto.clone(), nl.input_count(), chunk_cycles, chunk_seed)
-    });
-    let nets = nl.net_count();
-    let mut toggles = vec![0u64; nets];
-    let mut ones = vec![0u64; nets];
-    for (t, o) in counts {
-        for n in 0..nets {
-            toggles[n] += t[n];
-            ones[n] += o[n];
-        }
-    }
-    Ok(report_from_counts(toggles, ones, cycles))
-}
-
-/// Simulates `cycles` cycles of random stimulus from reset, returning raw
-/// per-net (toggle, one) counts. The shared inner loop of both estimators.
-fn count_chunk(
-    mut sim: ParallelSim<'_>,
-    input_count: usize,
-    cycles: usize,
-    seed: u64,
-) -> (Vec<u64>, Vec<u64>) {
+    let mut sim = ParallelSim::new(nl)?;
+    let input_count = nl.input_count();
     let mut rng = SplitMix64(seed ^ 0x5bf0_3635);
     let nets = sim.all_values().len();
     let mut toggles = vec![0u64; nets];
@@ -151,16 +73,12 @@ fn count_chunk(
         prev.copy_from_slice(cur);
         sim.step();
     }
-    (toggles, ones)
-}
-
-fn report_from_counts(toggles: Vec<u64>, ones: Vec<u64>, cycles: usize) -> ActivityReport {
     let samples = (cycles.max(1) * 64) as f64;
-    ActivityReport {
+    Ok(ActivityReport {
         toggle_rate: toggles.iter().map(|&t| t as f64 / samples).collect(),
         one_probability: ones.iter().map(|&o| o as f64 / samples).collect(),
         cycles,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -202,49 +120,12 @@ mod tests {
     }
 
     #[test]
-    fn par_matches_sequential_for_short_runs() {
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(d)\nd = XOR(a, q)\ny = AND(d, b)\n",
-        )
-        .unwrap();
-        // One chunk: the parallel estimator is bit-identical to the
-        // sequential one, for any pool width.
-        let seq = switching_activity(&nl, PAR_CHUNK_CYCLES, 11).unwrap();
-        for threads in [1, 4] {
-            let par =
-                switching_activity_par(&nl, PAR_CHUNK_CYCLES, 11, &Pool::new(threads)).unwrap();
-            assert_eq!(par.toggle_rate, seq.toggle_rate, "{threads} threads");
-            assert_eq!(par.one_probability, seq.one_probability);
-        }
-    }
-
-    #[test]
-    fn par_is_thread_count_invariant() {
-        let nl = bench::parse(
-            "t",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(d)\nd = XOR(a, q)\ny = AND(d, b)\n",
-        )
-        .unwrap();
-        // Several chunks (1000 cycles -> 4 replications).
-        let one = switching_activity_par(&nl, 1000, 5, &Pool::sequential()).unwrap();
-        for threads in [2, 3, 8] {
-            let par = switching_activity_par(&nl, 1000, 5, &Pool::new(threads)).unwrap();
-            assert_eq!(par.toggle_rate, one.toggle_rate, "{threads} threads");
-            assert_eq!(par.one_probability, one.one_probability);
-        }
-        // And the estimate itself is sane.
-        let a = nl.find_net("a").unwrap();
-        assert!((0.45..0.55).contains(&one.toggle_rate[a.index()]));
-    }
-
-    #[test]
     fn and_gate_one_probability_quarterish() {
         let nl = bench::parse("t", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n").unwrap();
         let rep = switching_activity(&nl, 500, 3).unwrap();
         let y = nl.find_net("y").unwrap();
         let p = rep.one_probability[y.index()];
         assert!((0.2..0.3).contains(&p), "p = {p}");
-        assert!(rep.mean_toggle_rate() > 0.0);
+        assert!(rep.toggle_rate.iter().any(|&t| t > 0.0));
     }
 }

@@ -7,14 +7,10 @@
 //!   [`Netlist`](cutelock_netlist::Netlist) with three-valued semantics;
 //! * [`ParallelSim`] — 64-way bit-parallel two-valued simulator for fast
 //!   random simulation (switching activity, functional analysis attacks);
-//! * [`oracle`] — the sequential/combinational oracle traits that attacks
-//!   query, plus the netlist-backed implementations and their pooled batch
-//!   entry points;
+//! * `oracle` — the sequential oracle trait that attacks query, plus
+//!   its netlist-backed implementation;
 //! * [`pool`] — a dependency-free scoped work-stealing thread pool;
-//!   [`sweep`] fans multi-batch [`ParallelSim`] runs across it, so random
-//!   simulation scales with cores **and** lanes;
-//! * [`activity`] — switching-activity estimation feeding the power model,
-//!   single-core and pooled;
+//! * [`activity`] — switching-activity estimation feeding the power model;
 //! * [`trace`] — waveform capture used by the validation tables.
 //!
 //! # Example
@@ -26,16 +22,12 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let nl = bench::parse(
 //!     "cnt",
-//!     "INPUT(en)\nOUTPUT(y)\nq = DFF(d)\nd = XOR(q, en)\ny = BUF(q)\n",
+//!     "INPUT(en)\nOUTPUT(y)\n# @init q 0\nq = DFF(d)\nd = XOR(q, en)\ny = BUF(q)\n",
 //! )?;
 //! let mut sim = Simulator::new(&nl)?;
-//! sim.reset_to(Logic::Zero);
-//! sim.set_input_by_name("en", Logic::One)?;
-//! sim.eval();
-//! assert_eq!(sim.output_values(), vec![Logic::Zero]); // q starts at 0
-//! sim.step();
-//! sim.eval();
-//! assert_eq!(sim.output_values(), vec![Logic::One]); // q toggled
+//! sim.reset();
+//! assert_eq!(sim.cycle_with(&[Logic::One]), vec![Logic::Zero]); // q starts at 0
+//! assert_eq!(sim.cycle_with(&[Logic::One]), vec![Logic::One]); // q toggled
 //! # Ok(())
 //! # }
 //! ```
@@ -49,14 +41,14 @@
 
 pub mod activity;
 mod logic;
-pub mod oracle;
+pub(crate) mod oracle;
 mod parallel;
 pub mod pool;
 mod simulator;
 pub mod trace;
 
 pub use logic::Logic;
-pub use oracle::{CombOracle, NetlistCombOracle, NetlistOracle, SequentialOracle};
-pub use parallel::{sweep, ParallelSim};
+pub use oracle::{NetlistOracle, SequentialOracle};
+pub use parallel::ParallelSim;
 pub use pool::Pool;
 pub use simulator::Simulator;

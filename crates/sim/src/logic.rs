@@ -38,7 +38,7 @@ impl Logic {
     }
 
     /// True when the value is `0` or `1`.
-    pub fn is_known(self) -> bool {
+    pub(crate) fn is_known(self) -> bool {
         self != Self::X
     }
 
@@ -47,7 +47,7 @@ impl Logic {
     /// # Panics
     ///
     /// Panics in debug builds if the arity is wrong for `kind`.
-    pub fn eval_gate(kind: GateKind, inputs: &[Logic]) -> Logic {
+    pub(crate) fn eval_gate(kind: GateKind, inputs: &[Logic]) -> Logic {
         use Logic::*;
         match kind {
             GateKind::And => {

@@ -2,21 +2,9 @@
 //!
 //! An *oracle* models the working chip an attacker bought on the open
 //! market: it computes the original (unlocked) function but reveals nothing
-//! else. Attacks interact with it only through these traits.
+//! else. Attacks interact with it only through [`SequentialOracle`].
 
 use cutelock_netlist::{topo, GateKind, NetId, Netlist, NetlistError};
-
-use crate::pool::Pool;
-
-/// A combinational oracle: one input vector in, one output vector out.
-pub trait CombOracle {
-    /// Number of input bits expected by [`CombOracle::query`].
-    fn num_inputs(&self) -> usize;
-    /// Number of output bits produced by [`CombOracle::query`].
-    fn num_outputs(&self) -> usize;
-    /// Evaluates the original function on `inputs`.
-    fn query(&mut self, inputs: &[bool]) -> Vec<bool>;
-}
 
 /// A sequential oracle driven cycle by cycle from reset.
 pub trait SequentialOracle {
@@ -38,7 +26,7 @@ pub trait SequentialOracle {
     }
 }
 
-/// Two-valued evaluation order shared by the netlist-backed oracles.
+/// Two-valued evaluation order of a [`NetlistOracle`].
 #[derive(Debug, Clone)]
 struct Engine {
     order: Vec<usize>,
@@ -97,7 +85,6 @@ pub struct NetlistOracle {
     nl: Netlist,
     engine: Engine,
     state: Vec<bool>,
-    queries: u64,
 }
 
 impl NetlistOracle {
@@ -113,22 +100,7 @@ impl NetlistOracle {
             .iter()
             .map(|ff| ff.init().unwrap_or(false))
             .collect();
-        Ok(Self {
-            nl,
-            engine,
-            state,
-            queries: 0,
-        })
-    }
-
-    /// The simulated netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.nl
-    }
-
-    /// Number of [`SequentialOracle::step`] calls served since construction.
-    pub fn query_count(&self) -> u64 {
-        self.queries
+        Ok(Self { nl, engine, state })
     }
 
     /// Scan-chain query: load `state` into the flip-flops, apply `inputs`,
@@ -141,7 +113,6 @@ impl NetlistOracle {
     pub fn scan_query(&mut self, state: &[bool], inputs: &[bool]) -> (Vec<bool>, Vec<bool>) {
         assert_eq!(state.len(), self.nl.dff_count(), "state width mismatch");
         assert_eq!(inputs.len(), self.nl.input_count(), "input width mismatch");
-        self.queries += 1;
         for (&id, &b) in self.nl.inputs().iter().zip(inputs) {
             self.engine.values[id.index()] = b;
         }
@@ -163,22 +134,6 @@ impl NetlistOracle {
             .collect();
         (outs, next)
     }
-
-    /// Batch entry point: runs many **independent** input sequences, each
-    /// from reset, fanned out across `pool`. Element `i` of the result is
-    /// exactly what `self.run(&sequences[i])` would return, so the output
-    /// is bit-identical for every thread count.
-    ///
-    /// The query counter advances by the total number of steps served, as
-    /// if the sequences had been run one by one. Each stolen work unit is
-    /// one whole sequence, so the per-unit oracle clone amortizes over the
-    /// sequence's steps.
-    pub fn run_many(&mut self, sequences: &[Vec<Vec<bool>>], pool: &Pool) -> Vec<Vec<Vec<bool>>> {
-        let proto: &NetlistOracle = self;
-        let results = pool.map(sequences.len(), |i| proto.clone().run(&sequences[i]));
-        self.queries += sequences.iter().map(|s| s.len() as u64).sum::<u64>();
-        results
-    }
 }
 
 impl SequentialOracle for NetlistOracle {
@@ -198,7 +153,6 @@ impl SequentialOracle for NetlistOracle {
 
     fn step(&mut self, inputs: &[bool]) -> Vec<bool> {
         assert_eq!(inputs.len(), self.nl.input_count(), "input width mismatch");
-        self.queries += 1;
         for (&id, &b) in self.nl.inputs().iter().zip(inputs) {
             self.engine.values[id.index()] = b;
         }
@@ -219,91 +173,6 @@ impl SequentialOracle for NetlistOracle {
     }
 }
 
-/// A [`CombOracle`] backed by a combinational [`Netlist`].
-#[derive(Debug, Clone)]
-pub struct NetlistCombOracle {
-    nl: Netlist,
-    engine: Engine,
-    queries: u64,
-}
-
-impl NetlistCombOracle {
-    /// Builds a combinational oracle for `nl`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `nl` is sequential or cyclic.
-    pub fn new(nl: Netlist) -> Result<Self, NetlistError> {
-        if !nl.is_combinational() {
-            return Err(NetlistError::CombinationalCycle(
-                "netlist has flip-flops; use NetlistOracle".to_string(),
-            ));
-        }
-        let engine = Engine::new(&nl)?;
-        Ok(Self {
-            nl,
-            engine,
-            queries: 0,
-        })
-    }
-
-    /// The simulated netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.nl
-    }
-
-    /// Number of queries served since construction.
-    pub fn query_count(&self) -> u64 {
-        self.queries
-    }
-
-    /// Batch entry point: evaluates many input vectors, fanned out across
-    /// `pool`. Element `i` of the result is exactly what
-    /// `self.query(&batch[i])` would return, in batch order, so the output
-    /// is bit-identical for every thread count. The query counter advances
-    /// by `batch.len()`.
-    ///
-    /// Vectors are dispatched in chunks of 32 so each stolen work unit
-    /// clones the oracle once, not once per vector.
-    pub fn query_batch(&mut self, batch: &[Vec<bool>], pool: &Pool) -> Vec<Vec<bool>> {
-        const CHUNK: usize = 32;
-        let proto: &NetlistCombOracle = self;
-        let results = pool.map(batch.len().div_ceil(CHUNK), |c| {
-            let mut orc = proto.clone();
-            batch[c * CHUNK..((c + 1) * CHUNK).min(batch.len())]
-                .iter()
-                .map(|v| orc.query(v))
-                .collect::<Vec<_>>()
-        });
-        self.queries += batch.len() as u64;
-        results.into_iter().flatten().collect()
-    }
-}
-
-impl CombOracle for NetlistCombOracle {
-    fn num_inputs(&self) -> usize {
-        self.nl.input_count()
-    }
-
-    fn num_outputs(&self) -> usize {
-        self.nl.output_count()
-    }
-
-    fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.nl.input_count(), "input width mismatch");
-        self.queries += 1;
-        for (&id, &b) in self.nl.inputs().iter().zip(inputs) {
-            self.engine.values[id.index()] = b;
-        }
-        self.engine.eval(&self.nl);
-        self.nl
-            .outputs()
-            .iter()
-            .map(|&o| self.engine.values[o.index()])
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,7 +190,6 @@ mod tests {
         let outs = orc.run(&seq);
         let bits: Vec<bool> = outs.iter().map(|o| o[0]).collect();
         assert_eq!(bits, vec![false, true, false, true]);
-        assert_eq!(orc.query_count(), 4);
     }
 
     #[test]
@@ -349,55 +217,5 @@ mod tests {
         let (outs, next) = orc.scan_query(&[true], &[true]);
         assert_eq!(outs, vec![true]); // y = q = 1
         assert_eq!(next, vec![false]); // d = 1 ^ 1
-    }
-
-    #[test]
-    fn run_many_matches_run_and_counts_queries() {
-        let nl = bench::parse(
-            "cnt",
-            "INPUT(en)\nOUTPUT(y)\n# @init q 0\nq = DFF(d)\nd = XOR(q, en)\ny = BUF(q)\n",
-        )
-        .unwrap();
-        let sequences: Vec<Vec<Vec<bool>>> = (0..6)
-            .map(|i| (0..4).map(|c| vec![(i + c) % 3 == 0]).collect())
-            .collect();
-        let orc = NetlistOracle::new(nl).unwrap();
-        let expected: Vec<_> = sequences.iter().map(|s| orc.clone().run(s)).collect();
-        for threads in [1, 4] {
-            let mut batch_orc = orc.clone();
-            let got = batch_orc.run_many(&sequences, &Pool::new(threads));
-            assert_eq!(got, expected, "{threads} threads");
-            assert_eq!(batch_orc.query_count(), 24);
-        }
-    }
-
-    #[test]
-    fn query_batch_matches_query() {
-        let nl = bench::parse("x", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n").unwrap();
-        let batch: Vec<Vec<bool>> = (0..8).map(|i| vec![i & 1 != 0, i & 2 != 0]).collect();
-        let mut orc = NetlistCombOracle::new(nl).unwrap();
-        let expected: Vec<_> = batch.iter().map(|v| orc.clone().query(v)).collect();
-        let got = orc.query_batch(&batch, &Pool::new(3));
-        assert_eq!(got, expected);
-        assert_eq!(orc.query_count(), 8);
-    }
-
-    #[test]
-    fn comb_oracle_rejects_sequential() {
-        let nl = bench::parse(
-            "cnt",
-            "INPUT(en)\nOUTPUT(y)\nq = DFF(d)\nd = XOR(q, en)\ny = BUF(q)\n",
-        )
-        .unwrap();
-        assert!(NetlistCombOracle::new(nl).is_err());
-    }
-
-    #[test]
-    fn comb_oracle_queries() {
-        let nl = bench::parse("x", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n").unwrap();
-        let mut orc = NetlistCombOracle::new(nl).unwrap();
-        assert_eq!(orc.query(&[true, false]), vec![true]);
-        assert_eq!(orc.query(&[true, true]), vec![false]);
-        assert_eq!(orc.query_count(), 2);
     }
 }

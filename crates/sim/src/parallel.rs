@@ -1,7 +1,5 @@
 use cutelock_netlist::{topo, GateKind, NetId, Netlist, NetlistError};
 
-use crate::pool::Pool;
-
 /// A 64-way bit-parallel two-valued simulator.
 ///
 /// Each net carries a 64-bit word; bit `i` of every word belongs to an
@@ -39,11 +37,6 @@ impl<'a> ParallelSim<'a> {
         })
     }
 
-    /// The netlist this simulator runs.
-    pub fn netlist(&self) -> &'a Netlist {
-        self.nl
-    }
-
     /// Resets all flip-flop lanes to their init values (0 when unspecified).
     pub fn reset(&mut self) {
         for (i, ff) in self.nl.dffs().iter().enumerate() {
@@ -74,24 +67,6 @@ impl<'a> ParallelSim<'a> {
         for (&id, &w) in self.nl.inputs().iter().zip(words) {
             self.values[id.index()] = w;
         }
-    }
-
-    /// Overwrites the state word of flip-flop `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn set_state(&mut self, idx: usize, word: u64) {
-        self.state[idx] = word;
-    }
-
-    /// State word of flip-flop `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn state(&self, idx: usize) -> u64 {
-        self.state[idx]
     }
 
     /// Propagates all 64 lanes through the combinational logic.
@@ -145,58 +120,9 @@ impl<'a> ParallelSim<'a> {
     }
 
     /// Read access to all net words (indexed by [`NetId::index`]).
-    pub fn all_values(&self) -> &[u64] {
+    pub(crate) fn all_values(&self) -> &[u64] {
         &self.values
     }
-
-    /// Runs one independent stimulus batch from reset: for every cycle,
-    /// applies the 64-lane input words, evaluates, records the primary
-    /// output words, and clocks. Returns the output words per cycle.
-    ///
-    /// This is the unit of work of [`sweep`]: a batch carries its own reset,
-    /// so batches can run in any order — or concurrently — and produce the
-    /// same result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cycle's word count differs from the input count.
-    pub fn run_batch(&mut self, stimulus: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        self.reset();
-        stimulus
-            .iter()
-            .map(|words| {
-                self.set_all_inputs(words);
-                self.eval();
-                let outs = self.output_values();
-                self.step();
-                outs
-            })
-            .collect()
-    }
-}
-
-/// Fans a multi-batch 64-lane sweep of `nl` out across `pool`.
-///
-/// Each element of `batches` is one independent stimulus sequence (input
-/// words per cycle); each runs on its own [`ParallelSim`] clone via
-/// [`ParallelSim::run_batch`]. With `b` batches the sweep simulates
-/// `b × 64` independent lanes, and the work-stealing pool keeps every core
-/// busy even when batch lengths differ.
-///
-/// Results are returned in batch order, so the output is **bit-identical
-/// for every thread count** (a single-threaded pool reproduces a plain
-/// loop over [`ParallelSim::run_batch`] exactly).
-///
-/// # Errors
-///
-/// Fails if the combinational part of `nl` is cyclic.
-pub fn sweep(
-    nl: &Netlist,
-    pool: &Pool,
-    batches: &[Vec<Vec<u64>>],
-) -> Result<Vec<Vec<Vec<u64>>>, NetlistError> {
-    let proto = ParallelSim::new(nl)?;
-    Ok(pool.map(batches.len(), |b| proto.clone().run_batch(&batches[b])))
 }
 
 #[cfg(test)]
@@ -245,45 +171,6 @@ mod tests {
             assert_eq!(psim.output_values()[0] & 2, 0);
             psim.step();
         }
-    }
-
-    #[test]
-    fn sweep_is_thread_count_invariant() {
-        let src = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nq = DFF(d)\nd = XOR(a, q)\ny = AND(d, b)\n";
-        let nl = bench::parse("t", src).unwrap();
-        // 9 batches of differing lengths, deterministic stimulus.
-        let batches: Vec<Vec<Vec<u64>>> = (0..9u64)
-            .map(|b| {
-                (0..(b + 2))
-                    .map(|c| vec![b.wrapping_mul(0x9e37) ^ c, !(b ^ c)])
-                    .collect()
-            })
-            .collect();
-        let seq = sweep(&nl, &Pool::sequential(), &batches).unwrap();
-        for threads in [2, 4, 7] {
-            assert_eq!(
-                sweep(&nl, &Pool::new(threads), &batches).unwrap(),
-                seq,
-                "{threads} threads"
-            );
-        }
-        // The sequential sweep is exactly a plain loop over run_batch.
-        let mut sim = ParallelSim::new(&nl).unwrap();
-        let plain: Vec<_> = batches.iter().map(|b| sim.run_batch(b)).collect();
-        assert_eq!(seq, plain);
-    }
-
-    #[test]
-    fn run_batch_resets_state() {
-        let src = "INPUT(en)\nOUTPUT(y)\n# @init q 0\nq = DFF(d)\nd = XOR(q, en)\ny = BUF(q)\n";
-        let nl = bench::parse("cnt", src).unwrap();
-        let mut sim = ParallelSim::new(&nl).unwrap();
-        let stim = vec![vec![!0u64]; 3];
-        // q starts 0, toggles every cycle: outputs 0, !0, 0.
-        let first = sim.run_batch(&stim);
-        assert_eq!(first, vec![vec![0], vec![!0u64], vec![0]]);
-        // A second identical batch must not inherit the first one's state.
-        assert_eq!(sim.run_batch(&stim), first);
     }
 
     #[test]

@@ -23,18 +23,17 @@
 //! let squares = pool.map(8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! // Same inputs, different worker count: identical output.
-//! assert_eq!(squares, Pool::sequential().map(8, |i| i * i));
+//! assert_eq!(squares, Pool::new(1).map(8, |i| i * i));
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fixed-width scoped thread pool.
 ///
-/// The pool owns no threads between calls: each [`Pool::map`] /
-/// [`Pool::for_each`] spawns its workers inside a [`std::thread::scope`],
-/// which lets jobs borrow from the caller's stack (netlists, stimulus
-/// buffers) without `Arc` or `'static` bounds, and joins them before
-/// returning. For the coarse chunks this workspace dispatches (whole
+/// The pool owns no threads between calls: each [`Pool::map`] spawns its
+/// workers inside a [`std::thread::scope`], which lets jobs borrow from the
+/// caller's stack (netlists, stimulus buffers) without `Arc` or `'static`
+/// bounds, and joins them before returning. For the coarse chunks this workspace dispatches (whole
 /// simulation batches, whole circuits) the spawn cost is noise.
 #[derive(Debug, Clone)]
 pub struct Pool {
@@ -47,12 +46,6 @@ impl Pool {
         Self {
             threads: threads.max(1),
         }
-    }
-
-    /// A single-threaded pool: every job runs on the calling thread, in
-    /// index order. Useful as a baseline and in tests.
-    pub fn sequential() -> Self {
-        Self::new(1)
     }
 
     /// A pool sized to the machine ([`std::thread::available_parallelism`],
@@ -123,18 +116,6 @@ impl Pool {
             .collect()
     }
 
-    /// Runs `job(0..n)` across the pool for its side effects.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by a job.
-    pub fn for_each<F>(&self, n: usize, job: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.map(n, &job);
-    }
-
     /// Two-level dispatch: [`map`](Pool::map) with a **chunk hint**. Job
     /// `i` declares `units[i]` inner work units (portfolio entrants,
     /// simulation lanes) and receives `job(i, width)` where `width` is the
@@ -192,7 +173,7 @@ mod tests {
     fn results_identical_across_thread_counts() {
         // The determinism contract of every sweep built on the pool.
         let job = |i: usize| (i as u64).wrapping_mul(0x9e37) ^ i as u64;
-        let reference = Pool::sequential().map(100, job);
+        let reference = Pool::new(1).map(100, job);
         for threads in [2, 4, 7] {
             assert_eq!(Pool::new(threads).map(100, job), reference);
         }
@@ -202,7 +183,7 @@ mod tests {
     fn every_job_runs_exactly_once() {
         let pool = Pool::new(4);
         let hits = AtomicUsize::new(0);
-        pool.for_each(1000, |_| {
+        pool.map(1000, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 1000);
@@ -225,7 +206,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "job 2 failed")]
     fn worker_panics_propagate() {
-        Pool::new(2).for_each(8, |i| {
+        Pool::new(2).map(8, |i| {
             if i == 2 {
                 panic!("job 2 failed");
             }
@@ -241,7 +222,7 @@ mod tests {
     #[test]
     fn map_units_preserves_index_order_and_widths_are_deterministic() {
         let units = [4usize, 1, 4, 2, 4];
-        let reference = Pool::sequential().map_units(&units, |i, w| (i, w));
+        let reference = Pool::new(1).map_units(&units, |i, w| (i, w));
         // Widths are a pure function of (units, threads): re-running on the
         // same pool must reproduce them, and index order always holds.
         for threads in [1, 2, 4, 8] {

@@ -1,24 +1,19 @@
-use cutelock_netlist::{topo, Driver, NetId, Netlist, NetlistError};
+use cutelock_netlist::{topo, NetId, Netlist, NetlistError};
 
 use crate::Logic;
 
 /// A levelized, cycle-accurate three-valued simulator.
 ///
 /// The simulator borrows the netlist it was compiled from, pre-computing a
-/// topological gate order once. The usage pattern per clock cycle is:
-///
-/// 1. [`set_input`](Simulator::set_input) / [`set_input_by_name`](Simulator::set_input_by_name)
-///    for every primary input;
-/// 2. [`eval`](Simulator::eval) to propagate values combinationally;
-/// 3. read outputs ([`value`](Simulator::value), [`output_values`](Simulator::output_values));
-/// 4. [`step`](Simulator::step) to clock the flip-flops.
+/// topological gate order once. Each [`cycle_with`](Simulator::cycle_with)
+/// call applies one input vector, propagates it combinationally, reads the
+/// primary outputs and clocks the flip-flops.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
     nl: &'a Netlist,
     order: Vec<usize>,
     values: Vec<Logic>,
     state: Vec<Logic>,
-    cycle: u64,
 }
 
 impl<'a> Simulator<'a> {
@@ -42,45 +37,22 @@ impl<'a> Simulator<'a> {
             order,
             values: vec![Logic::X; nl.net_count()],
             state,
-            cycle: 0,
         })
     }
 
-    /// The netlist this simulator runs.
-    pub fn netlist(&self) -> &'a Netlist {
-        self.nl
-    }
-
-    /// Number of completed clock cycles since the last reset.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Resets flip-flops to their recorded init values (`X` if none) and
-    /// clears the cycle counter.
+    /// Resets flip-flops to their recorded init values (`X` if none).
     pub fn reset(&mut self) {
         for (i, ff) in self.nl.dffs().iter().enumerate() {
             self.state[i] = ff.init().map_or(Logic::X, Logic::from_bool);
         }
-        self.cycle = 0;
         self.values.fill(Logic::X);
     }
 
-    /// Resets every flip-flop to `value`, ignoring recorded inits, and clears
-    /// the cycle counter.
-    pub fn reset_to(&mut self, value: Logic) {
+    /// Resets every flip-flop to `value`, ignoring recorded inits.
+    #[cfg(test)]
+    pub(crate) fn reset_to(&mut self, value: Logic) {
         self.state.fill(value);
-        self.cycle = 0;
         self.values.fill(Logic::X);
-    }
-
-    /// Overwrites the state of flip-flop `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn set_state(&mut self, idx: usize, value: Logic) {
-        self.state[idx] = value;
     }
 
     /// Current state of flip-flop `idx`.
@@ -88,7 +60,8 @@ impl<'a> Simulator<'a> {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn state(&self, idx: usize) -> Logic {
+    #[cfg(test)]
+    pub(crate) fn state(&self, idx: usize) -> Logic {
         self.state[idx]
     }
 
@@ -97,8 +70,9 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// Returns [`NetlistError::NotAnInput`] if `id` is not a primary input.
-    pub fn set_input(&mut self, id: NetId, value: Logic) -> Result<(), NetlistError> {
-        if self.nl.net(id).driver() != Driver::Input {
+    #[cfg(test)]
+    pub(crate) fn set_input(&mut self, id: NetId, value: Logic) -> Result<(), NetlistError> {
+        if self.nl.net(id).driver() != cutelock_netlist::Driver::Input {
             return Err(NetlistError::NotAnInput(self.nl.net_name(id).to_string()));
         }
         self.values[id.index()] = value;
@@ -110,7 +84,12 @@ impl<'a> Simulator<'a> {
     /// # Errors
     ///
     /// Returns [`NetlistError::UnknownNet`] or [`NetlistError::NotAnInput`].
-    pub fn set_input_by_name(&mut self, name: &str, value: Logic) -> Result<(), NetlistError> {
+    #[cfg(test)]
+    pub(crate) fn set_input_by_name(
+        &mut self,
+        name: &str,
+        value: Logic,
+    ) -> Result<(), NetlistError> {
         let id = self
             .nl
             .find_net(name)
@@ -123,7 +102,7 @@ impl<'a> Simulator<'a> {
     /// # Panics
     ///
     /// Panics if `values.len()` differs from the input count.
-    pub fn set_all_inputs(&mut self, values: &[Logic]) {
+    pub(crate) fn set_all_inputs(&mut self, values: &[Logic]) {
         assert_eq!(values.len(), self.nl.input_count(), "input width mismatch");
         for (&id, &v) in self.nl.inputs().iter().zip(values) {
             self.values[id.index()] = v;
@@ -132,7 +111,7 @@ impl<'a> Simulator<'a> {
 
     /// Propagates values through the combinational logic for the current
     /// cycle. Flip-flop outputs present their current state.
-    pub fn eval(&mut self) {
+    pub(crate) fn eval(&mut self) {
         for (i, ff) in self.nl.dffs().iter().enumerate() {
             self.values[ff.q().index()] = self.state[i];
         }
@@ -149,12 +128,11 @@ impl<'a> Simulator<'a> {
     }
 
     /// Clocks every flip-flop (`q <= d`) using the values computed by the
-    /// last [`eval`](Simulator::eval), and bumps the cycle counter.
-    pub fn step(&mut self) {
+    /// last [`eval`](Simulator::eval).
+    pub(crate) fn step(&mut self) {
         for (i, ff) in self.nl.dffs().iter().enumerate() {
             self.state[i] = self.values[ff.d().index()];
         }
-        self.cycle += 1;
     }
 
     /// Value of net `id` as of the last [`eval`](Simulator::eval).
@@ -162,12 +140,13 @@ impl<'a> Simulator<'a> {
     /// # Panics
     ///
     /// Panics for a foreign id.
-    pub fn value(&self, id: NetId) -> Logic {
+    pub(crate) fn value(&self, id: NetId) -> Logic {
         self.values[id.index()]
     }
 
     /// Value of a net by name.
-    pub fn value_by_name(&self, name: &str) -> Option<Logic> {
+    #[cfg(test)]
+    pub(crate) fn value_by_name(&self, name: &str) -> Option<Logic> {
         self.nl.find_net(name).map(|id| self.value(id))
     }
 
@@ -220,7 +199,6 @@ mod tests {
         // States 00,01,10,11,00 -> y = q1&q0: 0,0,0,1,0.
         use Logic::*;
         assert_eq!(seen, vec![Zero, Zero, Zero, One, Zero]);
-        assert_eq!(sim.cycle(), 5);
     }
 
     #[test]

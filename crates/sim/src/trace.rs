@@ -26,21 +26,6 @@ impl Waveform {
         }
     }
 
-    /// Column labels.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Number of recorded rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Records a row at `time` with one rendered cell per column.
     ///
     /// # Panics
@@ -50,11 +35,6 @@ impl Waveform {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(cells.len(), self.columns.len(), "cell count mismatch");
         self.rows.push((time, cells));
-    }
-
-    /// Iterates over `(time, cells)` rows.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[String])> {
-        self.rows.iter().map(|(t, c)| (*t, c.as_slice()))
     }
 }
 
@@ -135,11 +115,6 @@ fn nibble_char(bits: &[Logic]) -> char {
     char::from_digit(u32::from(v), 16).expect("nibble")
 }
 
-/// Renders a bus as a binary string, MSB first (`x` for unknowns).
-pub fn bus_bin(bits: &[Logic]) -> String {
-    bits.iter().map(|b| b.to_string()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,11 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn bin_rendering() {
-        assert_eq!(bus_bin(&[One, Zero, X]), "10x");
-    }
-
-    #[test]
     fn waveform_renders_table() {
         let mut wf = Waveform::new(["x[7:0]", "y"]);
         wf.push(0, ["0", "0"]);
@@ -188,10 +158,8 @@ mod tests {
         let s = wf.to_string();
         assert!(s.contains("Time"));
         assert!(s.contains("2aaaa"));
-        assert_eq!(wf.len(), 2);
-        assert!(!wf.is_empty());
-        let rows: Vec<_> = wf.iter().collect();
-        assert_eq!(rows[1].0, 60);
+        assert_eq!(wf.rows.len(), 2);
+        assert_eq!(wf.rows[1].0, 60);
     }
 
     #[test]

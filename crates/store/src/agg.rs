@@ -50,7 +50,7 @@ pub fn median_f64(sorted: &[f64]) -> Option<f64> {
 }
 
 /// [`percentile_u64`] over floats.
-pub fn percentile_f64(sorted: &[f64], p: f64) -> Option<f64> {
+pub(crate) fn percentile_f64(sorted: &[f64], p: f64) -> Option<f64> {
     let idx = percentile_index(sorted.len(), p)?;
     Some(sorted[idx])
 }

@@ -9,7 +9,7 @@ use crate::{ColumnType, StoreError, Value};
 
 /// A typed column of cells.
 #[derive(Debug, Clone)]
-pub enum Column {
+pub(crate) enum Column {
     /// Unsigned integers.
     U64(Vec<u64>),
     /// Floats.
@@ -22,7 +22,7 @@ pub enum Column {
 
 impl Column {
     /// An empty column of the given type.
-    pub fn new(ty: ColumnType) -> Self {
+    pub(crate) fn new(ty: ColumnType) -> Self {
         match ty {
             ColumnType::U64 => Column::U64(Vec::new()),
             ColumnType::F64 => Column::F64(Vec::new()),
@@ -32,7 +32,7 @@ impl Column {
     }
 
     /// This column's type.
-    pub fn column_type(&self) -> ColumnType {
+    pub(crate) fn column_type(&self) -> ColumnType {
         match self {
             Column::U64(_) => ColumnType::U64,
             Column::F64(_) => ColumnType::F64,
@@ -42,7 +42,7 @@ impl Column {
     }
 
     /// Number of cells.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::U64(v) => v.len(),
             Column::F64(v) => v.len(),
@@ -51,14 +51,9 @@ impl Column {
         }
     }
 
-    /// True when the column has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Appends a cell, interning strings through `dict`. Errors on a type
     /// mismatch rather than coercing.
-    pub fn push(&mut self, value: &Value, dict: &mut Dictionary) -> Result<(), StoreError> {
+    pub(crate) fn push(&mut self, value: &Value, dict: &mut Dictionary) -> Result<(), StoreError> {
         match (self, value) {
             (Column::U64(v), Value::U64(x)) => v.push(*x),
             (Column::F64(v), Value::F64(x)) => v.push(*x),
@@ -81,7 +76,7 @@ impl Column {
     ///
     /// On an out-of-range row or a code absent from `dict` (both indicate
     /// internal corruption, not caller error).
-    pub fn value(&self, row: usize, dict: &Dictionary) -> Value {
+    pub(crate) fn value(&self, row: usize, dict: &Dictionary) -> Value {
         match self {
             Column::U64(v) => Value::U64(v[row]),
             Column::F64(v) => Value::F64(v[row]),
@@ -110,7 +105,7 @@ mod tests {
         ];
         for (ty, val) in cases {
             let mut c = Column::new(ty);
-            assert!(c.is_empty());
+            assert_eq!(c.len(), 0);
             c.push(&val, &mut dict).unwrap();
             assert_eq!(c.len(), 1);
             assert_eq!(c.value(0, &dict), val);

@@ -1,4 +1,5 @@
-//! First-seen-order string interning for [`ColumnType::Str`] columns.
+//! First-seen-order string interning for
+//! [`ColumnType::Str`](crate::ColumnType::Str) columns.
 //!
 //! Codes are assigned sequentially in the order strings are first interned,
 //! so the same sequence of pushed rows always produces the same codes — a
@@ -8,9 +9,6 @@
 //! frame) instead of rewriting the whole dictionary.
 
 use std::collections::HashMap;
-
-#[allow(unused_imports)] // doc links
-use crate::ColumnType;
 
 /// An interning dictionary: `String -> u32` code in first-seen order.
 #[derive(Debug, Default, Clone)]
@@ -45,33 +43,23 @@ impl Dictionary {
     }
 
     /// The string behind `code`.
-    pub fn resolve(&self, code: u32) -> Option<&str> {
+    pub(crate) fn resolve(&self, code: u32) -> Option<&str> {
         self.strings.get(code as usize).map(String::as_str)
     }
 
-    /// Number of interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
     /// All interned strings, in code order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
         self.strings.iter().map(String::as_str)
     }
 
     /// Strings interned since the last [`Dictionary::mark_flushed`] — the
     /// content of the next on-disk dictionary-delta frame.
-    pub fn pending(&self) -> &[String] {
+    pub(crate) fn pending(&self) -> &[String] {
         &self.strings[self.flushed..]
     }
 
     /// Marks every current entry as flushed to disk.
-    pub fn mark_flushed(&mut self) {
+    pub(crate) fn mark_flushed(&mut self) {
         self.flushed = self.strings.len();
     }
 }
@@ -90,7 +78,7 @@ mod tests {
         assert_eq!(d.resolve(2), None);
         assert_eq!(d.code("b01"), Some(1));
         assert_eq!(d.code("nope"), None);
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.strings.len(), 2);
     }
 
     #[test]

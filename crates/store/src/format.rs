@@ -20,20 +20,28 @@
 //! Opening an existing file validates the schema and replays it to recover
 //! the dictionary, then appends — the byte stream of "one run, then another"
 //! is identical to "two runs appended to the same file".
+//!
+//! A crash mid-append leaves a *torn tail*: the file ends inside a frame.
+//! Reading stops after the last whole chunk frame (a dictionary delta only
+//! counts together with the chunk it precedes, since the writer never emits
+//! one alone), and reopening for append cuts the tail off first, so every
+//! row of an earlier, finished session survives. Bytes that are present but
+//! malformed — a bad magic, a truncated header, an unknown frame tag, an
+//! oversized chunk — are [`StoreError::Corrupt`], never silently dropped.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::Path;
 
 use crate::table::{Schema, Table, CHUNK_ROWS};
 use crate::{ColumnType, Dictionary, StoreError, Value};
 
 /// File magic: identifies a cutelock store, version 1.
-pub const MAGIC: [u8; 8] = *b"CLKSTOR1";
+pub(crate) const MAGIC: [u8; 8] = *b"CLKSTOR1";
 /// Frame tag for a dictionary delta.
-pub const FRAME_DICT: u8 = 1;
+pub(crate) const FRAME_DICT: u8 = 1;
 /// Frame tag for a chunk of rows.
-pub const FRAME_CHUNK: u8 = 2;
+pub(crate) const FRAME_CHUNK: u8 = 2;
 
 /// A streaming, append-only writer.
 ///
@@ -48,15 +56,17 @@ pub struct Writer {
 
 impl Writer {
     /// Opens `path` for appending, creating it (and writing the header) if
-    /// absent. An existing file must carry exactly this schema.
+    /// absent. An existing file must carry exactly this schema; a torn tail
+    /// is cut off before anything is appended.
     pub fn open(path: impl AsRef<Path>, schema: Schema) -> Result<Writer, StoreError> {
         let path = path.as_ref();
         let exists = path.exists();
         let mut dict = Dictionary::new();
+        let mut whole = None;
         if exists {
             // Replay the file: validates magic + schema and recovers every
             // dictionary code so appended rows keep interning consistently.
-            let existing = read_table(path)?;
+            let (existing, end) = replay(path)?;
             if existing.schema() != &schema {
                 return Err(StoreError::Schema(format!(
                     "store {} has a different schema than the one being opened",
@@ -67,8 +77,14 @@ impl Writer {
                 dict.intern(s);
             }
             dict.mark_flushed();
+            whole = Some(end);
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
+        if let Some(end) = whole {
+            if file.metadata()?.len() > end {
+                file.set_len(end)?;
+            }
+        }
         let mut out = BufWriter::new(file);
         if !exists {
             out.write_all(&MAGIC)?;
@@ -85,11 +101,6 @@ impl Writer {
             dict,
             pending: Vec::new(),
         })
-    }
-
-    /// The schema this writer enforces.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
     }
 
     /// Appends one row, flushing a chunk frame at every
@@ -171,13 +182,33 @@ impl Writer {
 }
 
 /// Reads a whole store file into an in-memory [`Table`] with a single
-/// sequential pass (no seeking, no mmap).
+/// sequential pass (no seeking, no mmap). A torn tail is left out.
 pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StoreError> {
-    let file = File::open(path.as_ref())?;
-    let mut r = BufReader::new(file);
+    replay(path.as_ref()).map(|(table, _)| table)
+}
+
+/// [`read_table`], plus how many trailing bytes it left out: the torn
+/// tail of an append that never finished (0 for an intact file).
+pub fn read_table_torn(path: impl AsRef<Path>) -> Result<(Table, u64), StoreError> {
+    let path = path.as_ref();
+    let (table, end) = replay(path)?;
+    Ok((table, std::fs::metadata(path)?.len().saturating_sub(end)))
+}
+
+/// Replays a store file, returning its table and the byte offset where its
+/// last whole chunk frame ends.
+fn replay(path: &Path) -> Result<(Table, u64), StoreError> {
+    let mut r = Counted {
+        inner: BufReader::new(File::open(path)?),
+        pos: 0,
+    };
+    let header = |e: Short| match e {
+        Short::Eof => StoreError::Corrupt("truncated header".into()),
+        Short::Err(e) => e,
+    };
 
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
+    fill(&mut r, &mut magic)
         .map_err(|_| StoreError::Corrupt("file shorter than the magic".into()))?;
     if magic != MAGIC {
         return Err(StoreError::Corrupt(
@@ -185,13 +216,12 @@ pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StoreError> {
         ));
     }
 
-    let ncols = read_u32(&mut r)? as usize;
-    let mut columns = Vec::with_capacity(ncols);
+    let ncols = read_u32(&mut r).map_err(header)?;
+    let mut columns = Vec::new();
     for _ in 0..ncols {
-        let name = read_string(&mut r)?;
+        let name = read_string(&mut r).map_err(header)?;
         let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)
-            .map_err(|_| StoreError::Corrupt("truncated column type tag".into()))?;
+        fill(&mut r, &mut tag).map_err(header)?;
         let ty = ColumnType::from_tag(tag[0])
             .ok_or_else(|| StoreError::Corrupt(format!("unknown column type tag {}", tag[0])))?;
         columns.push((name, ty));
@@ -203,92 +233,144 @@ pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StoreError> {
     // canonicalizing chunk sizes regardless of how the file was flushed.
     let mut table = Table::new(schema.clone());
     let mut dict = Dictionary::new();
+    let mut whole = r.pos;
     loop {
         let mut tag = [0u8; 1];
         if r.read(&mut tag)? == 0 {
             break; // clean EOF between frames
         }
-        match tag[0] {
-            FRAME_DICT => {
-                let count = read_u32(&mut r)?;
-                for _ in 0..count {
-                    let s = read_string(&mut r)?;
-                    dict.intern(&s);
-                }
-            }
-            FRAME_CHUNK => {
-                let nrows = read_u32(&mut r)? as usize;
-                if nrows > CHUNK_ROWS {
-                    return Err(StoreError::Corrupt(format!(
-                        "chunk frame claims {nrows} rows (max {CHUNK_ROWS})"
-                    )));
-                }
-                // Cells arrive column-major; gather them row-major so they
-                // can be re-pushed through Table::push.
-                let mut rows: Vec<Vec<Value>> = vec![Vec::with_capacity(schema.len()); nrows];
-                for (_, ty) in schema.columns() {
-                    for row in rows.iter_mut() {
-                        let val = match ty {
-                            ColumnType::U64 => Value::U64(read_u64(&mut r)?),
-                            ColumnType::F64 => Value::F64(f64::from_bits(read_u64(&mut r)?)),
-                            ColumnType::Bool => {
-                                let mut b = [0u8; 1];
-                                r.read_exact(&mut b).map_err(|_| {
-                                    StoreError::Corrupt("truncated bool cell".into())
-                                })?;
-                                Value::Bool(b[0] != 0)
-                            }
-                            ColumnType::Str => {
-                                let code = read_u32(&mut r)?;
-                                let s = dict.resolve(code).ok_or_else(|| {
-                                    StoreError::Corrupt(format!(
-                                        "chunk references dictionary code {code} before its delta frame"
-                                    ))
-                                })?;
-                                Value::str(s)
-                            }
-                        };
-                        row.push(val);
-                    }
-                }
+        let rows = match tag[0] {
+            FRAME_DICT => read_dict_frame(&mut r, &mut dict).map(|()| None),
+            FRAME_CHUNK => read_chunk_frame(&mut r, &schema, &dict).map(Some),
+            t => return Err(StoreError::Corrupt(format!("unknown frame tag {t}"))),
+        };
+        match rows {
+            // A dictionary delta is whole only with the chunk after it.
+            Ok(None) => {}
+            Ok(Some(rows)) => {
                 for row in &rows {
                     table
                         .push(row)
                         .map_err(|e| StoreError::Corrupt(e.to_string()))?;
                 }
+                whole = r.pos;
             }
-            t => {
-                return Err(StoreError::Corrupt(format!("unknown frame tag {t}")));
-            }
+            Err(Short::Eof) => break, // torn tail
+            Err(Short::Err(e)) => return Err(e),
         }
     }
-    Ok(table)
+    Ok((table, whole))
+}
+
+/// Reads a dictionary-delta frame body into `dict`.
+fn read_dict_frame(r: &mut impl Read, dict: &mut Dictionary) -> Result<(), Short> {
+    let count = read_u32(r)?;
+    for _ in 0..count {
+        let s = read_string(r)?;
+        dict.intern(&s);
+    }
+    Ok(())
+}
+
+/// Reads a chunk frame body, returning its rows once all of them are whole.
+fn read_chunk_frame(
+    r: &mut impl Read,
+    schema: &Schema,
+    dict: &Dictionary,
+) -> Result<Vec<Vec<Value>>, Short> {
+    let nrows = read_u32(r)? as usize;
+    if nrows > CHUNK_ROWS {
+        return Err(Short::Err(StoreError::Corrupt(format!(
+            "chunk frame claims {nrows} rows (max {CHUNK_ROWS})"
+        ))));
+    }
+    // Cells arrive column-major; gather them row-major so they can be
+    // re-pushed through Table::push.
+    let mut rows: Vec<Vec<Value>> = vec![Vec::with_capacity(schema.len()); nrows];
+    for (_, ty) in schema.columns() {
+        for row in rows.iter_mut() {
+            let val = match ty {
+                ColumnType::U64 => Value::U64(read_u64(r)?),
+                ColumnType::F64 => Value::F64(f64::from_bits(read_u64(r)?)),
+                ColumnType::Bool => {
+                    let mut b = [0u8; 1];
+                    fill(r, &mut b)?;
+                    Value::Bool(b[0] != 0)
+                }
+                ColumnType::Str => {
+                    let code = read_u32(r)?;
+                    let s = dict.resolve(code).ok_or_else(|| {
+                        Short::Err(StoreError::Corrupt(format!(
+                            "chunk references dictionary code {code} before its delta frame"
+                        )))
+                    })?;
+                    Value::str(s)
+                }
+            };
+            row.push(val);
+        }
+    }
+    Ok(rows)
+}
+
+/// Why a read stopped short.
+enum Short {
+    /// The file ended mid-record: a torn write.
+    Eof,
+    /// The bytes are malformed, or the read failed.
+    Err(StoreError),
+}
+
+/// Counts the bytes read through it, so the reader knows where each frame
+/// ends.
+struct Counted<R> {
+    inner: R,
+    pos: u64,
+}
+
+impl<R: Read> Read for Counted<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
 }
 
 fn write_u32(out: &mut impl Write, v: u32) -> std::io::Result<()> {
     out.write_all(&v.to_le_bytes())
 }
 
-fn read_u32(r: &mut impl Read) -> Result<u32, StoreError> {
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Short> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => Short::Eof,
+        _ => Short::Err(e.into()),
+    })
+}
+
+fn read_u32(r: &mut impl Read) -> Result<u32, Short> {
     let mut b = [0u8; 4];
-    r.read_exact(&mut b)
-        .map_err(|_| StoreError::Corrupt("truncated u32".into()))?;
+    fill(r, &mut b)?;
     Ok(u32::from_le_bytes(b))
 }
 
-fn read_u64(r: &mut impl Read) -> Result<u64, StoreError> {
+fn read_u64(r: &mut impl Read) -> Result<u64, Short> {
     let mut b = [0u8; 8];
-    r.read_exact(&mut b)
-        .map_err(|_| StoreError::Corrupt("truncated u64".into()))?;
+    fill(r, &mut b)?;
     Ok(u64::from_le_bytes(b))
 }
 
-fn read_string(r: &mut impl Read) -> Result<String, StoreError> {
+fn read_string(r: &mut impl Read) -> Result<String, Short> {
     let len = read_u32(r)? as usize;
-    let mut b = vec![0u8; len];
-    r.read_exact(&mut b)
-        .map_err(|_| StoreError::Corrupt("truncated string".into()))?;
-    String::from_utf8(b).map_err(|_| StoreError::Corrupt("non-utf8 string".into()))
+    // Read through `take` rather than preallocating `len` bytes: a length
+    // field is untrusted input.
+    let mut b = Vec::new();
+    r.take(len as u64)
+        .read_to_end(&mut b)
+        .map_err(|e| Short::Err(e.into()))?;
+    if b.len() < len {
+        return Err(Short::Eof);
+    }
+    String::from_utf8(b).map_err(|_| Short::Err(StoreError::Corrupt("non-utf8 string".into())))
 }
 
 #[cfg(test)]
@@ -404,6 +486,46 @@ mod tests {
             StoreError::Corrupt(_)
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn torn_tail_keeps_finished_sessions_and_appends_after_them() {
+        let path = tmp("torn-source.clk");
+        std::fs::remove_file(&path).ok();
+        let mut w = Writer::open(&path, schema()).unwrap();
+        for i in 0..3u64 {
+            w.push(&row("s27", i)).unwrap();
+        }
+        w.finish().unwrap();
+        let first_end = std::fs::metadata(&path).unwrap().len();
+        // The second session interns a new string, so it writes a
+        // dictionary delta before its chunk.
+        let mut w = Writer::open(&path, schema()).unwrap();
+        for i in 3..6u64 {
+            w.push(&row("b01", i)).unwrap();
+        }
+        w.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+
+        let cut_path = tmp("torn-cut.clk");
+        for cut in first_end..bytes.len() as u64 {
+            std::fs::write(&cut_path, &bytes[..cut as usize]).unwrap();
+            let (t, ignored) = read_table_torn(&cut_path).unwrap();
+            assert_eq!(t.rows(), 3, "cut at {cut}");
+            for i in 0..3 {
+                assert_eq!(t.row(i), row("s27", i as u64), "cut at {cut}");
+            }
+            assert_eq!(ignored, cut - first_end, "cut at {cut}");
+
+            let mut w = Writer::open(&cut_path, schema()).unwrap();
+            w.push(&row("c17", 99)).unwrap();
+            w.finish().unwrap();
+            let t = read_table(&cut_path).unwrap();
+            assert_eq!(t.rows(), 4, "cut at {cut}");
+            assert_eq!(t.row(3), row("c17", 99), "cut at {cut}");
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&cut_path).ok();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   ([`ColumnType::U64`]/[`F64`](ColumnType::F64)/[`Bool`](ColumnType::Bool)/
 //!   [`Str`](ColumnType::Str)) stored in fixed-size chunks of
 //!   [`CHUNK_ROWS`](table::CHUNK_ROWS) rows;
-//! * **dictionary interning** ([`dict`]) — circuit/scheme/strategy names are
+//! * **dictionary interning** (`dict`) — circuit/scheme/strategy names are
 //!   stored once and referenced by `u32` codes assigned in first-seen order,
 //!   so the same run sequence always produces the same codes;
 //! * **an append-only on-disk format** ([`mod@format`]) — a streaming
@@ -60,16 +60,14 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod column;
-pub mod dict;
+pub(crate) mod column;
+pub(crate) mod dict;
 pub mod format;
 pub mod query;
 pub mod table;
 pub mod trajectory;
 
-pub use column::Column;
 pub use dict::Dictionary;
-pub use query::GroupSummary;
 pub use table::{Schema, Table};
 
 use std::cmp::Ordering;
@@ -90,7 +88,7 @@ pub enum ColumnType {
 
 impl ColumnType {
     /// The on-disk tag byte for this type (see [`mod@format`]).
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             ColumnType::U64 => 0,
             ColumnType::F64 => 1,
@@ -100,7 +98,7 @@ impl ColumnType {
     }
 
     /// The inverse of [`ColumnType::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
+    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(ColumnType::U64),
             1 => Some(ColumnType::F64),
@@ -111,7 +109,7 @@ impl ColumnType {
     }
 
     /// The lowercase name used in error messages and `report` output.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ColumnType::U64 => "u64",
             ColumnType::F64 => "f64",
@@ -158,7 +156,7 @@ impl Value {
 
     /// A total order over values (floats via `total_cmp`, types by tag) —
     /// what gives group-by output its deterministic ordering.
-    pub fn total_cmp(&self, other: &Value) -> Ordering {
+    pub(crate) fn total_cmp(&self, other: &Value) -> Ordering {
         match (self, other) {
             (Value::U64(a), Value::U64(b)) => a.cmp(b),
             (Value::F64(a), Value::F64(b)) => a.total_cmp(b),
@@ -169,7 +167,7 @@ impl Value {
     }
 
     /// This value as an aggregation metric, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::U64(v) => Some(*v as f64),
             Value::F64(v) => Some(*v),

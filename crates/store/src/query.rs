@@ -1,7 +1,7 @@
 //! Filters, group-by, and summaries over an in-memory [`Table`].
 //!
 //! Everything here is deterministic by construction: groups are keyed by
-//! their [`Value`] sequences and emitted sorted under [`Value::total_cmp`],
+//! their [`Value`] sequences and emitted sorted under `Value::total_cmp`,
 //! so the same table always yields the same report — regardless of row
 //! order within groups, the permutation property the store's property
 //! tests pin.
@@ -30,7 +30,10 @@ pub struct GroupSummary {
 
 /// The row indices of `table` matching every `(column, value)` equality
 /// filter. An empty filter list matches every row.
-pub fn filter_rows(table: &Table, filters: &[(&str, Value)]) -> Result<Vec<usize>, StoreError> {
+pub(crate) fn filter_rows(
+    table: &Table,
+    filters: &[(&str, Value)],
+) -> Result<Vec<usize>, StoreError> {
     let mut cols = Vec::with_capacity(filters.len());
     for (name, want) in filters {
         let idx = table
@@ -56,7 +59,7 @@ pub fn filter_rows(table: &Table, filters: &[(&str, Value)]) -> Result<Vec<usize
 /// summarizes `metric` (a numeric column) in each group.
 ///
 /// Groups come back sorted by their key sequence under
-/// [`Value::total_cmp`]; `u64` metrics are aggregated in integer domain
+/// `Value::total_cmp`; `u64` metrics are aggregated in integer domain
 /// (exact medians) and only cast to `f64` at the edge.
 pub fn group_by(
     table: &Table,

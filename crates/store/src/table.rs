@@ -1,6 +1,6 @@
 //! Schemas, fixed-size chunks, and the in-memory [`Table`].
 //!
-//! A table is a schema plus a list of [`Chunk`]s; every chunk except the
+//! A table is a schema plus a list of `Chunk`s; every chunk except the
 //! last holds exactly [`CHUNK_ROWS`] rows, so a global row index maps to
 //! `(row / CHUNK_ROWS, row % CHUNK_ROWS)` with no per-chunk offsets. All
 //! `Str` columns share the table's one [`Dictionary`]. Appending is the
@@ -29,7 +29,7 @@ impl Schema {
     }
 
     /// A schema from owned pairs (the format reader's constructor).
-    pub fn from_columns(columns: Vec<(String, ColumnType)>) -> Self {
+    pub(crate) fn from_columns(columns: Vec<(String, ColumnType)>) -> Self {
         Schema { columns }
     }
 
@@ -65,13 +65,13 @@ impl Schema {
 /// One fixed-capacity block of rows: every column holds the same number of
 /// cells, at most [`CHUNK_ROWS`].
 #[derive(Debug, Clone)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     columns: Vec<Column>,
 }
 
 impl Chunk {
     /// An empty chunk matching `schema`.
-    pub fn new(schema: &Schema) -> Self {
+    pub(crate) fn new(schema: &Schema) -> Self {
         Chunk {
             columns: schema
                 .columns()
@@ -82,17 +82,17 @@ impl Chunk {
     }
 
     /// Rows currently held.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.columns.first().map_or(0, Column::len)
     }
 
     /// True at [`CHUNK_ROWS`] rows.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.rows() >= CHUNK_ROWS
     }
 
     /// The columns, in schema order.
-    pub fn columns(&self) -> &[Column] {
+    pub(crate) fn columns(&self) -> &[Column] {
         &self.columns
     }
 
@@ -131,11 +131,6 @@ impl Table {
     /// The shared string dictionary.
     pub fn dict(&self) -> &Dictionary {
         &self.dict
-    }
-
-    /// The chunks, oldest first.
-    pub fn chunks(&self) -> &[Chunk] {
-        &self.chunks
     }
 
     /// Total rows across all chunks.
@@ -204,9 +199,9 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(t.rows(), total);
-        assert_eq!(t.chunks().len(), 2);
-        assert_eq!(t.chunks()[0].rows(), CHUNK_ROWS);
-        assert_eq!(t.chunks()[1].rows(), 3);
+        assert_eq!(t.chunks.len(), 2);
+        assert_eq!(t.chunks[0].rows(), CHUNK_ROWS);
+        assert_eq!(t.chunks[1].rows(), 3);
         // Reads across the boundary resolve through the shared dictionary.
         assert_eq!(t.value(CHUNK_ROWS, 1), Value::U64(CHUNK_ROWS as u64));
         assert_eq!(

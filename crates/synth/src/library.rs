@@ -54,7 +54,7 @@ impl Default for CellLibrary {
 
 impl CellLibrary {
     /// The default 45nm-class library.
-    pub fn nangate45_like() -> Self {
+    pub(crate) fn nangate45_like() -> Self {
         let c = |area_um2: f64, leakage_nw: f64, energy_fj: f64| CellParams {
             area_um2,
             leakage_nw,
@@ -78,7 +78,7 @@ impl CellLibrary {
 
     /// Parameters of the 2-input cell implementing `kind` (constants map to
     /// tie cells, inverter/buffer to their 1-input cells).
-    pub fn cell(&self, kind: GateKind) -> CellParams {
+    pub(crate) fn cell(&self, kind: GateKind) -> CellParams {
         match kind {
             GateKind::And => self.and2,
             GateKind::Or => self.or2,

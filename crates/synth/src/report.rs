@@ -18,7 +18,7 @@ pub struct TechMapped {
 
 impl TechMapped {
     /// Total mapped cell count (gates + flip-flops) — Fig. 4(c)'s metric.
-    pub fn cell_count(&self) -> usize {
+    pub(crate) fn cell_count(&self) -> usize {
         self.cells.values().sum::<usize>() + self.dffs
     }
 }

@@ -78,9 +78,7 @@ pub mod prelude {
     pub use cutelock_fsm::detector::sequence_detector;
     pub use cutelock_fsm::{StateId, Stg};
     pub use cutelock_netlist::{bench, GateKind, Netlist, NetlistStats};
-    pub use cutelock_sim::activity::{switching_activity, switching_activity_par};
-    pub use cutelock_sim::{
-        sweep, Logic, NetlistOracle, ParallelSim, Pool, SequentialOracle, Simulator,
-    };
+    pub use cutelock_sim::activity::switching_activity;
+    pub use cutelock_sim::{Logic, NetlistOracle, ParallelSim, Pool, SequentialOracle, Simulator};
     pub use cutelock_synth::{analyze, CellLibrary, OverheadComparison};
 }

@@ -125,31 +125,6 @@ fn verilog_export_of_locked_circuit() {
 }
 
 #[test]
-fn pooled_sweep_matches_sequential_on_benchmark() {
-    // The tentpole determinism contract, end to end on a real circuit: a
-    // pooled multi-batch sweep is bit-identical to the 1-thread path.
-    let circuit = itc99("b03").expect("exists");
-    let nl = &circuit.netlist;
-    let batches: Vec<Vec<Vec<u64>>> = (0..12u64)
-        .map(|b| {
-            (0..20u64)
-                .map(|c| {
-                    (0..nl.input_count() as u64)
-                        .map(|i| (b ^ (c << 7) ^ (i << 30)).wrapping_mul(0x2545_f491_4f6c_dd1d))
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    let seq = sweep(nl, &Pool::sequential(), &batches).expect("compiles");
-    let par = sweep(nl, &Pool::new(4), &batches).expect("compiles");
-    assert_eq!(seq, par);
-    let act_seq = switching_activity_par(nl, 600, 9, &Pool::sequential()).expect("works");
-    let act_par = switching_activity_par(nl, 600, 9, &Pool::new(3)).expect("works");
-    assert_eq!(act_seq.toggle_rate, act_par.toggle_rate);
-}
-
-#[test]
 fn overhead_flow_on_locked_benchmark() {
     let circuit = itc99("b08").expect("exists");
     let locked = CuteLockStr::new(CuteLockStrConfig {
