@@ -183,24 +183,20 @@ impl fmt::Display for AttackReport {
     }
 }
 
-/// Verifies a candidate key against the original circuit by batched
-/// 64-lane simulation under random stimulus: the locked circuit driven
-/// with the candidate applied **constantly** must match the original on
-/// every lane of every cycle.
+/// Verifies a candidate key against the original circuit by 64-lane
+/// random simulation: the locked circuit driven with the candidate applied
+/// **constantly** must match the original on every lane of every cycle.
 ///
-/// Built on [`LockedCircuit::wide_corruption_rate`], so one call checks
-/// `cycles × 64` independent stimulus sequences — 64× the coverage of the
-/// old scalar loop at the same cost model, which is what every SAT-attack
-/// resilience loop leans on.
+/// Built on [`LockedCircuit::wide_key_matches`], so one call checks
+/// `cycles × 64` independent stimulus sequences and stops at the first
+/// diverging cycle: the many wrong candidates the DIP loops produce are
+/// cheap to reject.
 pub(crate) fn verify_candidate_key(
     locked: &LockedCircuit,
     key: &KeyValue,
     cycles: usize,
     seed: u64,
 ) -> bool {
-    // wide_key_matches bails at the first diverging cycle, so the many
-    // wrong candidates DIP loops produce stay as cheap to reject as they
-    // were with the scalar loop.
     locked
         .wide_key_matches(key, cycles, seed ^ 0x4b56_4552) // "KVER"
         .unwrap_or(false)

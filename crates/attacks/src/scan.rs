@@ -17,13 +17,10 @@ use cutelock_sim::NetlistOracle;
 use crate::dip::{Miter, Run};
 
 /// For each flip-flop of the *original* circuit (the oracle's scan-chain
-/// order), its index in the locked circuit's flip-flop list.
-///
-/// # Panics
-///
-/// Panics if locking dropped a functional flip-flop (lock transforms
-/// preserve them by contract).
-pub(crate) fn shared_ffs(locked: &LockedCircuit) -> Vec<usize> {
+/// order), its index in the locked circuit's flip-flop list, or `None` when
+/// some original flip-flop has no namesake in the locked netlist (lock
+/// transforms preserve them; an external netlist pair may not).
+pub(crate) fn shared_ffs(locked: &LockedCircuit) -> Option<Vec<usize>> {
     let locked_q: Vec<&str> = locked
         .netlist
         .dffs()
@@ -36,10 +33,7 @@ pub(crate) fn shared_ffs(locked: &LockedCircuit) -> Vec<usize> {
         .iter()
         .map(|ff| {
             let name = locked.original.net_name(ff.q());
-            locked_q
-                .iter()
-                .position(|&n| n == name)
-                .expect("locking preserves functional flip-flops")
+            locked_q.iter().position(|&n| n == name)
         })
         .collect()
 }
@@ -69,7 +63,7 @@ impl ScanModel {
         }
         let sv = scan_view(&locked.netlist).ok()?;
         let oracle = NetlistOracle::new(locked.original.clone()).ok()?;
-        let shared = shared_ffs(locked);
+        let shared = shared_ffs(locked)?;
         let mut m = MiterBuilder::new(sv, &shared);
         run.prepare(&mut m.enc.solver);
         let k1 = m.fresh_keys();

@@ -130,6 +130,39 @@ fn read_netlist(path: &str) -> Result<Netlist, String> {
     bench::parse(path.to_string(), &src).map_err(|e| format!("{path}: {e}"))
 }
 
+/// The [`LockedCircuit`] that `attack` and `verify` build from a locked
+/// netlist and its original read from files. Every simulator and encoder
+/// downstream pairs the two port for port, so a pair whose data-input or
+/// output counts differ is an error here instead of a panic there.
+fn external_pair(
+    netlist: Netlist,
+    original: Netlist,
+    schedule: KeySchedule,
+) -> Result<LockedCircuit, String> {
+    let data = netlist.data_inputs().len();
+    if data != original.input_count() {
+        return Err(format!(
+            "the locked netlist has {data} data inputs but the original has {}",
+            original.input_count()
+        ));
+    }
+    if netlist.output_count() != original.output_count() {
+        return Err(format!(
+            "the locked netlist has {} outputs but the original has {}",
+            netlist.output_count(),
+            original.output_count()
+        ));
+    }
+    Ok(LockedCircuit {
+        netlist,
+        original,
+        schedule,
+        scheme: "external",
+        counter_ffs: Vec::new(),
+        locked_ffs: Vec::new(),
+    })
+}
+
 fn write_out(path: Option<&str>, content: &str) -> Result<(), String> {
     match path {
         Some(p) => fs::write(p, content).map_err(|e| format!("{p}: {e}")),
@@ -299,14 +332,8 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
         }
         // The attacker does not know the schedule; the placeholder below is
         // only carried for bookkeeping and never read by the attacks.
-        LockedCircuit {
-            netlist: locked_nl,
-            original: oracle,
-            schedule: KeySchedule::constant(KeyValue::from_u64(0, ki.min(64)), 1),
-            scheme: "external",
-            counter_ffs: Vec::new(),
-            locked_ffs: Vec::new(),
-        }
+        let placeholder = KeySchedule::constant(KeyValue::from_bits(vec![false; ki]), 1);
+        external_pair(locked_nl, oracle, placeholder)?
     };
     let timeout: u64 = args.num("timeout", if quick { 10 } else { 60 })?;
     let mut budget = if quick {
@@ -657,14 +684,7 @@ fn cmd_verify(argv: &[String]) -> Result<(), String> {
             schedule.key_bits()
         ));
     }
-    let mut locked = LockedCircuit {
-        netlist: locked_nl,
-        original,
-        schedule,
-        scheme: "external",
-        counter_ffs: Vec::new(),
-        locked_ffs: Vec::new(),
-    };
+    let mut locked = external_pair(locked_nl, original, schedule)?;
     // State-preserving simplification shrinks the certification miter
     // without touching the interface the schedule drives; --no-simplify
     // certifies the netlists exactly as read.

@@ -289,3 +289,69 @@ fn attack_on_missing_file_reports_path() {
         "error must name the path: {err}"
     );
 }
+
+#[test]
+fn mismatched_external_pairs_are_errors() {
+    let tmp = TmpDir::new("mismatch");
+    let orig = tmp.path("s27.bench");
+    let locked = tmp.path("s27_xor.bench");
+    let keys = tmp.path("s27_xor.keys");
+    run(&[
+        "bench", "--suite", "iscas89", "--name", "s27", "--out", &orig,
+    ])
+    .expect("bench");
+    run(&[
+        "lock",
+        "--scheme",
+        "xor",
+        "--key-bits",
+        "4",
+        "--in",
+        &orig,
+        "--out",
+        &locked,
+        "--keys-out",
+        &keys,
+    ])
+    .expect("lock");
+    let s27 = fs::read_to_string(&orig).expect("original written");
+
+    // Oracles whose ports do not pair with the locked netlist's.
+    let wider = tmp.path("wider.bench");
+    fs::write(&wider, format!("{s27}INPUT(G99)\n")).expect("write oracle");
+    let more_outputs = tmp.path("more_outputs.bench");
+    fs::write(&more_outputs, format!("{s27}OUTPUT(G10)\n")).expect("write oracle");
+    for (oracle, port) in [(&wider, "inputs"), (&more_outputs, "outputs")] {
+        for mode in ["sat", "int"] {
+            let err = run(&[
+                "attack", "--quick", "--mode", mode, "--locked", &locked, "--oracle", oracle,
+            ])
+            .expect_err("a port-count mismatch must be an error");
+            assert!(err.contains(port), "{mode}: {err}");
+        }
+        let err = run(&[
+            "verify",
+            "--locked",
+            &locked,
+            "--original",
+            oracle,
+            "--keys",
+            &keys,
+        ])
+        .expect_err("a port-count mismatch must be an error");
+        assert!(err.contains(port), "verify: {err}");
+    }
+
+    // An oracle flip-flop with no namesake in the locked netlist leaves the
+    // scan attacks nothing to pair it with: they end in FAIL.
+    let renamed = tmp.path("renamed.bench");
+    let text = s27.replace("G5 ", "G5x ").replace("G5,", "G5x,");
+    fs::write(&renamed, text).expect("write oracle");
+    for mode in ["sat", "appsat", "double-dip"] {
+        let err = run(&[
+            "attack", "--quick", "--mode", mode, "--locked", &locked, "--oracle", &renamed,
+        ])
+        .expect_err("an unpaired flip-flop must fail the scan attacks");
+        assert!(err.contains("FAIL"), "{mode}: {err}");
+    }
+}

@@ -176,3 +176,47 @@ fn report_queries_and_gates_the_store() {
     .expect_err("doctored baseline must gate");
     assert!(err.contains("regressed"), "got: {err}");
 }
+
+#[test]
+fn external_attack_records_its_full_key_width() {
+    // The schedule of an external lock is unknown to the CLI; the record
+    // must still carry the key port's real width, past 64 bits too.
+    let tmp = TmpDir::new("wide-external");
+    let orig = tmp.path("s298.bench");
+    let locked = tmp.path("s298_xor.bench");
+    let store = tmp.path("runs.clk");
+    run(&[
+        "bench", "--suite", "iscas89", "--name", "s298", "--out", &orig,
+    ])
+    .expect("bench");
+    run(&[
+        "lock",
+        "--scheme",
+        "xor",
+        "--key-bits",
+        "70",
+        "--in",
+        &orig,
+        "--out",
+        &locked,
+    ])
+    .expect("lock");
+    // A zero timeout ends the attack at once; the record is written anyway.
+    let _ = run(&[
+        "attack",
+        "--quick",
+        "--timeout",
+        "0",
+        "--mode",
+        "sat",
+        "--locked",
+        &locked,
+        "--oracle",
+        &orig,
+        "--store",
+        &store,
+    ]);
+    let t = read_table(&store).expect("store parses");
+    let col = t.schema().index_of("key_bits").expect("key_bits column");
+    assert_eq!(t.value(0, col), Value::U64(70));
+}

@@ -306,148 +306,6 @@ impl DkLock {
 }
 
 // ---------------------------------------------------------------------
-// HARPOON-style obfuscation-mode FSM
-// ---------------------------------------------------------------------
-
-/// HARPOON-style sequential locking: the chip powers up in an *obfuscation
-/// mode* and only reaches the functional mode after the correct key value
-/// has been held at the key port for `unlock_cycles` consecutive cycles
-/// (abstracting HARPOON's input-sequence traversal of added states).
-/// Outputs are scrambled while in obfuscation mode.
-///
-/// The classic single-key weakness applies: once the key is extracted, the
-/// whole protection collapses — unrolling attacks recover it.
-#[derive(Debug, Clone)]
-pub struct HarpoonLock {
-    /// Key bits compared against the secret each cycle.
-    pub key_bits: usize,
-    /// Cycles the correct key must be held before the chip unlocks (1..=7).
-    pub unlock_cycles: usize,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl HarpoonLock {
-    /// Creates the transform.
-    pub fn new(key_bits: usize, unlock_cycles: usize, seed: u64) -> Self {
-        Self {
-            key_bits,
-            unlock_cycles,
-            seed,
-        }
-    }
-
-    /// Locks `original` with an obfuscation-mode counter FSM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LockError::Config`] for zero widths or out-of-range
-    /// `unlock_cycles`.
-    pub fn lock(&self, original: &Netlist) -> Result<LockedCircuit, LockError> {
-        if self.key_bits == 0 {
-            return Err(LockError::Config("key_bits must be ≥ 1".into()));
-        }
-        if !(1..=7).contains(&self.unlock_cycles) {
-            return Err(LockError::Config("unlock_cycles must be in 1..=7".into()));
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x4841_5250); // "HARP"
-        let mut nl = original.clone();
-        nl.set_name(format!("{}_harpoon", original.name()));
-
-        // Key comparator against a random secret.
-        let secret: Vec<bool> = (0..self.key_bits).map(|_| rng.gen()).collect();
-        let mut terms = Vec::with_capacity(self.key_bits);
-        for (j, &bit) in secret.iter().enumerate() {
-            let key = nl.add_key_input(j)?;
-            let t = if bit {
-                nl.add_gate(GateKind::Buf, format!("hp_t{j}"), &[key])?
-            } else {
-                nl.add_gate(GateKind::Not, format!("hp_t{j}"), &[key])?
-            };
-            terms.push(t);
-        }
-        let matched = if terms.len() == 1 {
-            terms[0]
-        } else {
-            nl.add_gate(GateKind::And, "hp_match", &terms)?
-        };
-
-        // Saturating 3-bit progress counter: +1 while matched (until the
-        // threshold), reset to 0 on mismatch; unlocked = (progress >=
-        // unlock_cycles), latched by saturation.
-        let bits = 3usize;
-        let mut q = Vec::with_capacity(bits);
-        for j in 0..bits {
-            q.push(nl.add_net(format!("hp_q{j}"))?);
-        }
-        let mut q_n = Vec::with_capacity(bits);
-        for (j, &qj) in q.iter().enumerate() {
-            q_n.push(nl.add_gate(GateKind::Not, format!("hp_qn{j}"), &[qj])?);
-        }
-        // done = progress >= unlock_cycles (compare against threshold by
-        // decode-OR over the saturating range).
-        let thr = self.unlock_cycles as u64;
-        let mut done_terms = Vec::new();
-        for v in thr..(1 << bits) {
-            let lits: Vec<NetId> = (0..bits)
-                .map(|j| if v >> j & 1 == 1 { q[j] } else { q_n[j] })
-                .collect();
-            let name = nl.fresh_name("hp_ge");
-            done_terms.push(if lits.len() == 1 {
-                lits[0]
-            } else {
-                nl.add_gate(GateKind::And, name, &lits)?
-            });
-        }
-        let done = if done_terms.len() == 1 {
-            done_terms[0]
-        } else {
-            nl.add_gate(GateKind::Or, "hp_done", &done_terms)?
-        };
-        // advance = matched OR done (stay saturated once unlocked).
-        let advance = nl.add_gate(GateKind::Or, "hp_adv", &[matched, done])?;
-        // next = done ? q : (advance ? q+1 : 0)
-        let mut carry: Option<NetId> = None;
-        for j in 0..bits {
-            let sum = match carry {
-                None => q_n[j],
-                Some(c) => nl.add_gate(GateKind::Xor, format!("hp_s{j}"), &[q[j], c])?,
-            };
-            carry = Some(match carry {
-                None => q[j],
-                Some(c) => nl.add_gate(GateKind::And, format!("hp_c{j}"), &[q[j], c])?,
-            });
-            let inc_or_zero = nl.add_gate(GateKind::And, format!("hp_iz{j}"), &[sum, advance])?;
-            let d = nl.add_gate(
-                GateKind::Mux,
-                format!("hp_d{j}"),
-                &[done, inc_or_zero, q[j]],
-            )?;
-            let ff = nl.add_dff(format!("hp_ff{j}"), d, q[j])?;
-            nl.set_dff_init(ff, Some(false));
-        }
-        // Scramble outputs while locked.
-        let locked_mode = nl.add_gate(GateKind::Not, "hp_locked", &[done])?;
-        let outputs: Vec<NetId> = nl.outputs().to_vec();
-        for (oi, &y) in outputs.iter().enumerate() {
-            let tap = nl.add_net(format!("hp_o{oi}"))?;
-            nl.replace_uses(y, tap)?;
-            nl.drive_with_gate(GateKind::Xor, tap, &[y, locked_mode])?;
-        }
-        nl.validate()?;
-
-        Ok(LockedCircuit {
-            netlist: nl,
-            original: original.clone(),
-            schedule: KeySchedule::constant(KeyValue::from_bits(secret), 1),
-            scheme: "harpoon",
-            counter_ffs: Vec::new(),
-            locked_ffs: Vec::new(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
 // SLED-style dynamic keys (extension)
 // ---------------------------------------------------------------------
 
@@ -566,7 +424,7 @@ mod tests {
         assert!(lc.verify_equivalence(300, 1).unwrap());
         assert_eq!(lc.netlist.key_inputs().len(), 8);
         let wrong = lc.schedule.key_at_time(0).flipped(2);
-        assert!(lc.corruption_rate(&wrong, 300, 2).unwrap() > 0.0);
+        assert!(lc.wide_corruption_rate(&wrong, 300, 2).unwrap() > 0.0);
     }
 
     #[test]
@@ -586,7 +444,7 @@ mod tests {
         // many cycles and accept any nonzero corruption — TTLock is a
         // low-corruptibility scheme by design.
         let wrong = lc.schedule.key_at_time(0).flipped(1);
-        let r = lc.corruption_rate(&wrong, 2000, 4).unwrap();
+        let r = lc.wide_corruption_rate(&wrong, 2000, 4).unwrap();
         assert!(r < 0.5, "TTLock corruption should be sparse, got {r}");
     }
 
@@ -596,51 +454,7 @@ mod tests {
         let lc = DkLock::new(10, 10, 2).lock(&b10).unwrap();
         assert!(lc.verify_equivalence(300, 6).unwrap());
         let wrong = lc.schedule.key_at_time(0).flipped(0); // break activation
-        assert!(lc.corruption_rate(&wrong, 200, 7).unwrap() > 0.5);
-    }
-
-    #[test]
-    fn harpoon_unlocks_after_warmup() {
-        use cutelock_sim::{NetlistOracle, SequentialOracle};
-        let b06 = itc99("b06").unwrap().netlist;
-        let lc = HarpoonLock::new(8, 3, 4).lock(&b06).unwrap();
-        let mut locked = crate::LockedOracle::with_correct_keys(&lc).unwrap();
-        let mut orig = NetlistOracle::new(lc.original.clone()).unwrap();
-        locked.reset();
-        orig.reset();
-        let n = lc.original.input_count();
-        let mut mismatch_in_warmup = 0;
-        for cycle in 0..60u64 {
-            let inputs: Vec<bool> = (0..n).map(|i| (cycle >> (i as u64 % 7)) & 1 == 1).collect();
-            let a = locked.step(&inputs);
-            let b = orig.step(&inputs);
-            if cycle < 3 {
-                // Obfuscation mode: outputs scrambled.
-                if a != b {
-                    mismatch_in_warmup += 1;
-                }
-            } else {
-                assert_eq!(a, b, "must match after unlock (cycle {cycle})");
-            }
-        }
-        assert!(mismatch_in_warmup > 0, "warmup must be visibly scrambled");
-    }
-
-    #[test]
-    fn harpoon_wrong_key_never_unlocks() {
-        let b06 = itc99("b06").unwrap().netlist;
-        let lc = HarpoonLock::new(8, 2, 5).lock(&b06).unwrap();
-        let wrong = lc.schedule.key_at_time(0).flipped(3);
-        let r = lc.corruption_rate(&wrong, 300, 6).unwrap();
-        assert!(r > 0.4, "obfuscation mode must persist, corruption {r}");
-    }
-
-    #[test]
-    fn harpoon_config_errors() {
-        let b06 = itc99("b06").unwrap().netlist;
-        assert!(HarpoonLock::new(0, 2, 0).lock(&b06).is_err());
-        assert!(HarpoonLock::new(4, 0, 0).lock(&b06).is_err());
-        assert!(HarpoonLock::new(4, 9, 0).lock(&b06).is_err());
+        assert!(lc.wide_corruption_rate(&wrong, 200, 7).unwrap() > 0.5);
     }
 
     #[test]
@@ -649,7 +463,7 @@ mod tests {
         assert!(lc.verify_equivalence(300, 8).unwrap());
         assert!(lc.schedule.num_keys() > 1);
         let wrong = lc.schedule.key_at_time(0).flipped(3);
-        assert!(lc.corruption_rate(&wrong, 300, 9).unwrap() > 0.0);
+        assert!(lc.wide_corruption_rate(&wrong, 300, 9).unwrap() > 0.0);
     }
 
     #[test]

@@ -281,7 +281,7 @@ mod tests {
         let lc = lock_detector(WrongfulPolicy::RandomTable, 6);
         let correct0 = lc.schedule.key_at_time(0).clone();
         let wrong = correct0.flipped(0);
-        let r = lc.corruption_rate(&wrong, 500, 9).unwrap();
+        let r = lc.wide_corruption_rate(&wrong, 500, 9).unwrap();
         assert!(r > 0.05, "corruption {r}");
     }
 
@@ -315,12 +315,12 @@ mod tests {
         .lock(&sequence_detector("1001"))
         .unwrap();
         assert_eq!(
-            lc.corruption_rate(&KeyValue::from_u64(0b1010, 4), 300, 3)
+            lc.wide_corruption_rate(&KeyValue::from_u64(0b1010, 4), 300, 3)
                 .unwrap(),
             0.0
         );
         assert!(
-            lc.corruption_rate(&KeyValue::from_u64(0b1011, 4), 300, 3)
+            lc.wide_corruption_rate(&KeyValue::from_u64(0b1011, 4), 300, 3)
                 .unwrap()
                 > 0.0
         );

@@ -17,12 +17,13 @@
 //! [`baselines`]: random XOR locking (RLL/EPIC), TTLock and DK-Lock, plus a
 //! SLED-style dynamic-key scheme as an extension.
 //!
-//! Evaluation loops that hammer the simulator (key verification, attack
-//! resilience sweeps) go through the batched entry points:
-//! [`LockedCircuit::wide_corruption_rate`] samples 64 stimulus lanes per
-//! cycle, and the workspace's scoped work-stealing thread [`Pool`]
-//! (re-exported here from [`cutelock_sim::pool`]) fans independent sweeps
-//! out across cores.
+//! Every random-simulation check runs on one 64-lane miter, the locked
+//! circuit beside the original with 64 stimulus lanes per cycle:
+//! [`LockedCircuit::verify_equivalence`] feeds it the correct schedule,
+//! and [`LockedCircuit::wide_corruption_rate`] and
+//! [`LockedCircuit::wide_key_matches`] a constant key. The workspace's
+//! scoped work-stealing thread [`Pool`] is re-exported here from
+//! [`cutelock_sim::pool`].
 //!
 //! # Example
 //!

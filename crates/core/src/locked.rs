@@ -95,71 +95,31 @@ impl LockedCircuit {
         self.netlist.data_inputs()
     }
 
-    /// Simulates the locked circuit with the **correct** key schedule and
-    /// the original side by side under random stimulus; true when all
-    /// outputs agree on every cycle (the validation of paper Tables I–II).
+    /// Random-simulation validation of paper Tables I–II: the 64-lane
+    /// miter (see [`LockedCircuit::wide_corruption_rate`]) with the
+    /// **correct** schedule on the key port, the key of cycle `t` on every
+    /// lane at cycle `t`. True when no output differs on any lane of any of
+    /// the `cycles` cycles from reset; stops at the first diverging cycle.
     ///
     /// # Errors
     ///
     /// Propagates simulator construction failures.
+    ///
+    /// # Panics
+    ///
+    /// Same width-mismatch panic as [`LockedCircuit::wide_corruption_rate`].
     pub fn verify_equivalence(&self, cycles: usize, seed: u64) -> Result<bool, NetlistError> {
-        let mut locked = LockedOracle::with_correct_keys(self)?;
-        let mut orig = NetlistOracle::new(self.original.clone())?;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5645_5249); // "VERI"
-        let n = self.original.input_count();
-        locked.reset();
-        orig.reset();
-        for _ in 0..cycles {
-            let inputs: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-            if locked.step(&inputs) != orig.step(&inputs) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let feed = KeyFeed::Schedule(self.schedule.clone());
+        Ok(self.wide_miter(&feed, cycles, seed, true)? == 0.0)
     }
 
-    /// Fraction of cycles on which the locked circuit's outputs diverge from
-    /// the original when driven with `wrong` applied at every cycle instead
-    /// of the schedule. Non-zero corruption is what makes a lock effective.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction failures.
-    pub fn corruption_rate(
-        &self,
-        wrong: &KeyValue,
-        cycles: usize,
-        seed: u64,
-    ) -> Result<f64, NetlistError> {
-        let mut locked = LockedOracle::with_constant_key(self, wrong.clone())?;
-        let mut orig = NetlistOracle::new(self.original.clone())?;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x434f_5252); // "CORR"
-        let n = self.original.input_count();
-        locked.reset();
-        orig.reset();
-        let mut bad = 0usize;
-        for _ in 0..cycles.max(1) {
-            let inputs: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
-            if locked.step(&inputs) != orig.step(&inputs) {
-                bad += 1;
-            }
-        }
-        Ok(bad as f64 / cycles.max(1) as f64)
-    }
-
-    /// 64-lane batched variant of [`LockedCircuit::corruption_rate`]: the
-    /// locked netlist (with `key` held constant on the key port) and the
-    /// original run side by side on [`ParallelSim`], 64 independent random
-    /// stimulus lanes at a time, and the returned rate is the fraction of
-    /// *(lane, cycle)* samples on which any output differs.
-    ///
-    /// One call samples `cycles × 64` sequences' worth of behavior — this
-    /// is the batched entry point the attack-resilience loops use to verify
-    /// candidate keys. A rate of exactly `0.0` means no divergence was
-    /// observed on any lane of any cycle; for an exact-equivalence check
-    /// that is strictly stronger than the scalar loop at the same `cycles`.
-    /// Deterministic for a given `seed` (no threading is involved; lanes
-    /// are bit positions).
+    /// How often `key`, held constant on the key port, corrupts the
+    /// outputs. The locked netlist and the original run side by side on
+    /// [`ParallelSim`] for `cycles` cycles from reset, each of the 64 lanes
+    /// an independent random stimulus sequence, and the returned rate is
+    /// the fraction of *(lane, cycle)* samples on which any output differs.
+    /// Non-zero corruption is what makes a lock effective; `0.0` means no
+    /// sample diverged. Deterministic for a given `seed`.
     ///
     /// # Errors
     ///
@@ -168,22 +128,20 @@ impl LockedCircuit {
     /// # Panics
     ///
     /// Panics if the locked netlist's data-input count differs from the
-    /// original's input count (the same loud failure the scalar oracles
-    /// raise on a width mismatch).
+    /// original's input count.
     pub fn wide_corruption_rate(
         &self,
         key: &KeyValue,
         cycles: usize,
         seed: u64,
     ) -> Result<f64, NetlistError> {
-        self.wide_miter(key, cycles, seed, false)
+        self.wide_miter(&KeyFeed::Constant(key.clone()), cycles, seed, false)
     }
 
-    /// Early-exit 64-lane equivalence check: true when the locked circuit
-    /// with `key` held constant matches the original on every lane of every
-    /// cycle ([`LockedCircuit::wide_corruption_rate`]` == 0.0`), bailing
-    /// out at the first diverging cycle — the cheap path for rejecting the
-    /// many wrong candidates attack loops produce.
+    /// True when `key` held constant matches the original on every sample:
+    /// the same verdict as [`LockedCircuit::wide_corruption_rate`]` == 0.0`,
+    /// but the run stops at the first diverging cycle, so rejecting a wrong
+    /// key is cheap.
     ///
     /// # Errors
     ///
@@ -198,35 +156,37 @@ impl LockedCircuit {
         cycles: usize,
         seed: u64,
     ) -> Result<bool, NetlistError> {
-        Ok(self.wide_miter(key, cycles, seed, true)? == 0.0)
+        Ok(self.wide_miter(&KeyFeed::Constant(key.clone()), cycles, seed, true)? == 0.0)
     }
 
-    /// Shared 64-lane miter loop. With `early_exit`, returns on the first
-    /// diverging cycle (any nonzero rate means "not equivalent").
+    /// The one 64-lane miter behind every random-simulation check. With
+    /// `early_exit`, returns on the first diverging cycle (any nonzero rate
+    /// means "not equivalent").
     fn wide_miter(
         &self,
-        key: &KeyValue,
+        feed: &KeyFeed,
         cycles: usize,
         seed: u64,
         early_exit: bool,
     ) -> Result<f64, NetlistError> {
         let mut locked = ParallelSim::new(&self.netlist)?;
         let mut orig = ParallelSim::new(&self.original)?;
+        let keys = self.key_input_ids();
         let data = self.data_input_ids();
-        let orig_inputs = self.original.inputs().to_vec();
+        let orig_inputs = self.original.inputs();
         assert_eq!(
             data.len(),
             orig_inputs.len(),
             "locked data inputs must mirror the original's inputs"
         );
-        // Key lanes are constant: a set bit fills all 64 lanes.
-        for (kid, &bit) in self.key_input_ids().into_iter().zip(key.bits()) {
-            locked.set_input(kid, if bit { !0 } else { 0 })?;
-        }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5749_4445); // "WIDE"
         let mut bad = 0u64;
-        for _ in 0..cycles.max(1) {
-            for (&did, &oid) in data.iter().zip(&orig_inputs) {
+        for cycle in 0..cycles.max(1) {
+            // Key lanes are constant within a cycle: a set bit fills all 64.
+            for (&kid, &bit) in keys.iter().zip(feed.key_at(cycle as u64).bits()) {
+                locked.set_input(kid, if bit { !0 } else { 0 })?;
+            }
+            for (&did, &oid) in data.iter().zip(orig_inputs) {
                 let word = rng.next_u64();
                 locked.set_input(did, word)?;
                 orig.set_input(oid, word)?;
@@ -248,7 +208,7 @@ impl LockedCircuit {
     }
 }
 
-/// How a [`LockedOracle`] feeds the key port.
+/// What drives the key port of a [`LockedOracle`] or of the 64-lane miter.
 #[derive(Debug, Clone)]
 enum KeyFeed {
     /// The correct schedule, synchronized with the cycle counter.
@@ -256,6 +216,16 @@ enum KeyFeed {
     /// A constant key value every cycle (what a constant-key attacker, or a
     /// single-key reduction, would apply).
     Constant(KeyValue),
+}
+
+impl KeyFeed {
+    /// The key applied at `cycle` (counted from reset).
+    fn key_at(&self, cycle: u64) -> &KeyValue {
+        match self {
+            Self::Schedule(s) => s.key_at_cycle(cycle),
+            Self::Constant(k) => k,
+        }
+    }
 }
 
 /// Simulates a locked netlist while driving the key port automatically —
@@ -329,10 +299,7 @@ impl SequentialOracle for LockedOracle {
     }
 
     fn step(&mut self, inputs: &[bool]) -> Vec<bool> {
-        let key: Vec<bool> = match &self.feed {
-            KeyFeed::Schedule(s) => s.key_at_cycle(self.cycle).bits().to_vec(),
-            KeyFeed::Constant(k) => k.bits().to_vec(),
-        };
+        let key = self.feed.key_at(self.cycle).bits();
         let full: Vec<bool> = self
             .input_map
             .iter()
@@ -379,10 +346,36 @@ mod tests {
         }
     }
 
+    /// locked = original with the key XORed into the output: key 0 is
+    /// transparent, key 1 corrupts every sample.
+    fn xor_locked() -> LockedCircuit {
+        let original = bench::parse("o", "INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n").unwrap();
+        let locked_nl = bench::parse(
+            "l",
+            "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ny = XOR(a, keyinput0)\n",
+        )
+        .unwrap();
+        LockedCircuit {
+            netlist: locked_nl,
+            original,
+            schedule: KeySchedule::constant(KeyValue::from_u64(0, 1), 1),
+            scheme: "test-xor",
+            counter_ffs: Vec::new(),
+            locked_ffs: Vec::new(),
+        }
+    }
+
     #[test]
     fn correct_schedule_matches_original() {
         let lc = tiny_locked();
         assert!(lc.verify_equivalence(100, 3).unwrap());
+    }
+
+    #[test]
+    fn reversed_schedule_fails_equivalence() {
+        let mut lc = tiny_locked();
+        lc.schedule = KeySchedule::new(vec![KeyValue::from_u64(0, 1), KeyValue::from_u64(1, 1)]);
+        assert!(!lc.verify_equivalence(100, 3).unwrap());
     }
 
     #[test]
@@ -401,34 +394,15 @@ mod tests {
     fn constant_key_corrupts() {
         let lc = tiny_locked();
         // Any constant key is wrong half the time at the state level.
-        let r0 = lc
-            .corruption_rate(&KeyValue::from_u64(0, 1), 200, 5)
-            .unwrap();
-        let r1 = lc
-            .corruption_rate(&KeyValue::from_u64(1, 1), 200, 5)
-            .unwrap();
-        assert!(r0 > 0.2, "corruption {r0}");
-        assert!(r1 > 0.2, "corruption {r1}");
+        for key in [KeyValue::from_u64(0, 1), KeyValue::from_u64(1, 1)] {
+            let r = lc.wide_corruption_rate(&key, 200, 5).unwrap();
+            assert!(r > 0.2, "corruption {r}");
+        }
     }
 
     #[test]
     fn wide_corruption_matches_exact_keys() {
-        // locked = original with the key XORed into the output: key 0 is
-        // transparent, key 1 corrupts every sample.
-        let original = bench::parse("o", "INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n").unwrap();
-        let locked_nl = bench::parse(
-            "l",
-            "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ny = XOR(a, keyinput0)\n",
-        )
-        .unwrap();
-        let lc = LockedCircuit {
-            netlist: locked_nl,
-            original,
-            schedule: KeySchedule::constant(KeyValue::from_u64(0, 1), 1),
-            scheme: "test-xor",
-            counter_ffs: Vec::new(),
-            locked_ffs: Vec::new(),
-        };
+        let lc = xor_locked();
         let good = lc
             .wide_corruption_rate(&KeyValue::from_u64(0, 1), 50, 7)
             .unwrap();
@@ -442,12 +416,34 @@ mod tests {
     #[test]
     fn wide_corruption_agrees_with_scalar_on_multi_key_lock() {
         let lc = tiny_locked();
-        // Any constant key is wrong on the schedule's off cycles; the wide
-        // estimator must see it too, and be deterministic per seed.
+        // A constant key flips the state on the schedule's off cycles
+        // whatever the data input, so every lane of the wide miter and a
+        // scalar oracle pair see the same corrupted cycles.
+        let seq: Vec<Vec<bool>> = (0..200).map(|t| vec![t % 3 == 0]).collect();
         for key in [KeyValue::from_u64(0, 1), KeyValue::from_u64(1, 1)] {
+            let mut locked = LockedOracle::with_constant_key(&lc, key.clone()).unwrap();
+            let mut orig = NetlistOracle::new(lc.original.clone()).unwrap();
+            let orig_out = orig.run(&seq);
+            let diverged = locked
+                .run(&seq)
+                .iter()
+                .zip(&orig_out)
+                .filter(|(l, o)| l != o)
+                .count();
             let wide = lc.wide_corruption_rate(&key, 200, 5).unwrap();
-            assert!(wide > 0.2, "wide corruption {wide}");
+            assert_eq!(wide, diverged as f64 / 200.0);
             assert_eq!(wide, lc.wide_corruption_rate(&key, 200, 5).unwrap());
+        }
+    }
+
+    #[test]
+    fn key_match_is_zero_corruption() {
+        for lc in [tiny_locked(), xor_locked()] {
+            for key in [KeyValue::from_u64(0, 1), KeyValue::from_u64(1, 1)] {
+                let rate = lc.wide_corruption_rate(&key, 200, 5).unwrap();
+                let matches = lc.wide_key_matches(&key, 200, 5).unwrap();
+                assert_eq!(matches, rate == 0.0, "{} key {key}", lc.scheme);
+            }
         }
     }
 

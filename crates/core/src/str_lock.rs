@@ -138,7 +138,9 @@ impl CuteLockStr {
     }
 
     /// Samples wrong constant keys and checks that each corrupts the
-    /// outputs within a bounded random simulation. Exhaustive for `ki ≤ 8`.
+    /// outputs within a bounded random simulation: 512 cycles of the
+    /// 64-lane miter, stopping at the first diverging cycle. Exhaustive for
+    /// `ki ≤ 8`.
     fn no_transparent_wrong_key(locked: &LockedCircuit) -> bool {
         let ki = locked.schedule.key_bits();
         let cycles = 512usize;
@@ -163,9 +165,8 @@ impl CuteLockStr {
             let always_right = locked.schedule.keys().iter().all(|sk| sk == key);
             always_right
                 || locked
-                    .corruption_rate(key, cycles, 0x7a5e)
-                    .map(|r| r > 0.0)
-                    .unwrap_or(false)
+                    .wide_key_matches(key, cycles, 0x7a5e)
+                    .is_ok_and(|matches| !matches)
         })
     }
 
@@ -514,7 +515,7 @@ mod tests {
         let lc = lock_s27(MuxTreeStyle::FullTree);
         // Applying key 0 constantly (correct only at t=3).
         let r = lc
-            .corruption_rate(&KeyValue::from_u64(0, 2), 400, 5)
+            .wide_corruption_rate(&KeyValue::from_u64(0, 2), 400, 5)
             .unwrap();
         assert!(r > 0.05, "corruption rate {r} too low");
     }
@@ -536,11 +537,11 @@ mod tests {
         .lock(&s27())
         .unwrap();
         let r = lc
-            .corruption_rate(&KeyValue::from_u64(2, 2), 300, 4)
+            .wide_corruption_rate(&KeyValue::from_u64(2, 2), 300, 4)
             .unwrap();
         assert_eq!(r, 0.0, "correct constant key must never corrupt");
         let rw = lc
-            .corruption_rate(&KeyValue::from_u64(1, 2), 300, 4)
+            .wide_corruption_rate(&KeyValue::from_u64(1, 2), 300, 4)
             .unwrap();
         assert!(rw > 0.0, "wrong constant key must corrupt");
     }

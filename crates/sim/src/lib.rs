@@ -1,14 +1,20 @@
 //! Cycle-accurate logic simulation for the Cute-Lock suite.
 //!
-//! Provides the oracle substrate used throughout the workspace:
+//! Provides the oracle substrate used throughout the workspace. One
+//! two-valued gate kernel, 64 lanes wide, sits behind both two-valued
+//! front ends:
+//!
+//! * [`ParallelSim`] — 64 independent stimulus lanes per pass, for random
+//!   simulation (switching activity, the locked-vs-original miter);
+//! * [`NetlistOracle`] — the working-chip oracle that attacks query: the
+//!   same kernel, read from lane 0, behind the [`SequentialOracle`] trait.
+//!
+//! Beside them:
 //!
 //! * [`Logic`] — three-valued (`0`/`1`/`X`) signal values;
 //! * [`Simulator`] — event-free, levelized cycle simulator over a
-//!   [`Netlist`](cutelock_netlist::Netlist) with three-valued semantics;
-//! * [`ParallelSim`] — 64-way bit-parallel two-valued simulator for fast
-//!   random simulation (switching activity, functional analysis attacks);
-//! * `oracle` — the sequential oracle trait that attacks query, plus
-//!   its netlist-backed implementation;
+//!   [`Netlist`](cutelock_netlist::Netlist) with three-valued semantics:
+//!   the X-aware reference the kernel is tested against;
 //! * [`pool`] — a dependency-free scoped work-stealing thread pool;
 //! * [`activity`] — switching-activity estimation feeding the power model;
 //! * [`trace`] — waveform capture used by the validation tables.

@@ -4,7 +4,9 @@
 //! market: it computes the original (unlocked) function but reveals nothing
 //! else. Attacks interact with it only through [`SequentialOracle`].
 
-use cutelock_netlist::{topo, GateKind, NetId, Netlist, NetlistError};
+use cutelock_netlist::{topo, NetId, Netlist, NetlistError};
+
+use crate::parallel::eval_words;
 
 /// A sequential oracle driven cycle by cycle from reset.
 pub trait SequentialOracle {
@@ -26,64 +28,18 @@ pub trait SequentialOracle {
     }
 }
 
-/// Two-valued evaluation order of a [`NetlistOracle`].
-#[derive(Debug, Clone)]
-struct Engine {
-    order: Vec<usize>,
-    values: Vec<bool>,
-}
-
-impl Engine {
-    fn new(nl: &Netlist) -> Result<Self, NetlistError> {
-        Ok(Self {
-            order: topo::gate_order(nl)?,
-            values: vec![false; nl.net_count()],
-        })
-    }
-
-    fn eval(&mut self, nl: &Netlist) {
-        for &g in &self.order {
-            let gate = &nl.gates()[g];
-            let v = |n: NetId, vals: &[bool]| vals[n.index()];
-            let out = match gate.kind() {
-                GateKind::And => gate.inputs().iter().all(|&n| v(n, &self.values)),
-                GateKind::Or => gate.inputs().iter().any(|&n| v(n, &self.values)),
-                GateKind::Nand => !gate.inputs().iter().all(|&n| v(n, &self.values)),
-                GateKind::Nor => !gate.inputs().iter().any(|&n| v(n, &self.values)),
-                GateKind::Xor => gate
-                    .inputs()
-                    .iter()
-                    .fold(false, |a, &n| a ^ v(n, &self.values)),
-                GateKind::Xnor => !gate
-                    .inputs()
-                    .iter()
-                    .fold(false, |a, &n| a ^ v(n, &self.values)),
-                GateKind::Not => !v(gate.inputs()[0], &self.values),
-                GateKind::Buf => v(gate.inputs()[0], &self.values),
-                GateKind::Mux => {
-                    if v(gate.inputs()[0], &self.values) {
-                        v(gate.inputs()[2], &self.values)
-                    } else {
-                        v(gate.inputs()[1], &self.values)
-                    }
-                }
-                GateKind::Const0 => false,
-                GateKind::Const1 => true,
-            };
-            self.values[gate.output().index()] = out;
-        }
-    }
-}
-
 /// A [`SequentialOracle`] backed by an (unlocked) [`Netlist`].
 ///
+/// Gates are evaluated by the same 64-lane kernel as
+/// [`ParallelSim`](crate::ParallelSim), with the answer read from lane 0.
 /// Flip-flops reset to their recorded init values, with `false` substituted
 /// for unspecified inits. Inputs are the netlist's primary inputs in
 /// declaration order.
 #[derive(Debug, Clone)]
 pub struct NetlistOracle {
     nl: Netlist,
-    engine: Engine,
+    order: Vec<usize>,
+    values: Vec<u64>,
     state: Vec<bool>,
 }
 
@@ -94,13 +50,14 @@ impl NetlistOracle {
     ///
     /// Fails if `nl` has a combinational cycle.
     pub fn new(nl: Netlist) -> Result<Self, NetlistError> {
-        let engine = Engine::new(&nl)?;
-        let state = nl
-            .dffs()
-            .iter()
-            .map(|ff| ff.init().unwrap_or(false))
-            .collect();
-        Ok(Self { nl, engine, state })
+        let mut oracle = Self {
+            order: topo::gate_order(&nl)?,
+            values: vec![0; nl.net_count()],
+            state: Vec::new(),
+            nl,
+        };
+        oracle.reset();
+        Ok(oracle)
     }
 
     /// Scan-chain query: load `state` into the flip-flops, apply `inputs`,
@@ -114,24 +71,15 @@ impl NetlistOracle {
         assert_eq!(state.len(), self.nl.dff_count(), "state width mismatch");
         assert_eq!(inputs.len(), self.nl.input_count(), "input width mismatch");
         for (&id, &b) in self.nl.inputs().iter().zip(inputs) {
-            self.engine.values[id.index()] = b;
+            self.values[id.index()] = u64::from(b);
         }
         for (ff, &b) in self.nl.dffs().iter().zip(state) {
-            self.engine.values[ff.q().index()] = b;
+            self.values[ff.q().index()] = u64::from(b);
         }
-        self.engine.eval(&self.nl);
-        let outs = self
-            .nl
-            .outputs()
-            .iter()
-            .map(|&o| self.engine.values[o.index()])
-            .collect();
-        let next = self
-            .nl
-            .dffs()
-            .iter()
-            .map(|ff| self.engine.values[ff.d().index()])
-            .collect();
+        eval_words(&self.nl, &self.order, &mut self.values);
+        let lane0 = |id: NetId| self.values[id.index()] & 1 == 1;
+        let outs = self.nl.outputs().iter().map(|&o| lane0(o)).collect();
+        let next = self.nl.dffs().iter().map(|ff| lane0(ff.d())).collect();
         (outs, next)
     }
 }
@@ -146,29 +94,18 @@ impl SequentialOracle for NetlistOracle {
     }
 
     fn reset(&mut self) {
-        for (i, ff) in self.nl.dffs().iter().enumerate() {
-            self.state[i] = ff.init().unwrap_or(false);
-        }
+        self.state = self
+            .nl
+            .dffs()
+            .iter()
+            .map(|ff| ff.init().unwrap_or(false))
+            .collect();
     }
 
     fn step(&mut self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.nl.input_count(), "input width mismatch");
-        for (&id, &b) in self.nl.inputs().iter().zip(inputs) {
-            self.engine.values[id.index()] = b;
-        }
-        for (ff, &b) in self.nl.dffs().iter().zip(&self.state) {
-            self.engine.values[ff.q().index()] = b;
-        }
-        self.engine.eval(&self.nl);
-        let outs: Vec<bool> = self
-            .nl
-            .outputs()
-            .iter()
-            .map(|&o| self.engine.values[o.index()])
-            .collect();
-        for (i, ff) in self.nl.dffs().iter().enumerate() {
-            self.state[i] = self.engine.values[ff.d().index()];
-        }
+        let state = std::mem::take(&mut self.state);
+        let (outs, next) = self.scan_query(&state, inputs);
+        self.state = next;
         outs
     }
 }

@@ -3,9 +3,11 @@ use cutelock_netlist::{topo, GateKind, NetId, Netlist, NetlistError};
 /// A 64-way bit-parallel two-valued simulator.
 ///
 /// Each net carries a 64-bit word; bit `i` of every word belongs to an
-/// independent simulation "lane". This makes random-pattern workloads
-/// (switching-activity estimation, functional analysis attacks) roughly 64×
-/// faster than the three-valued [`Simulator`](crate::Simulator).
+/// independent simulation "lane". Random-pattern workloads (switching
+/// activity, the locked-vs-original miter behind every equivalence and
+/// corruption check) sample 64 stimulus sequences per pass. Its gate
+/// evaluator is the workspace's only two-valued one:
+/// [`NetlistOracle`](crate::NetlistOracle) runs it too and reads lane 0.
 ///
 /// Flip-flops with unspecified init start at 0 in every lane.
 #[derive(Debug, Clone)]
@@ -74,28 +76,7 @@ impl<'a> ParallelSim<'a> {
         for (i, ff) in self.nl.dffs().iter().enumerate() {
             self.values[ff.q().index()] = self.state[i];
         }
-        for &g in &self.order {
-            let gate = &self.nl.gates()[g];
-            let ins = gate.inputs();
-            let v = |n: NetId| self.values[n.index()];
-            let word = match gate.kind() {
-                GateKind::And => ins.iter().fold(!0u64, |acc, &n| acc & v(n)),
-                GateKind::Or => ins.iter().fold(0u64, |acc, &n| acc | v(n)),
-                GateKind::Nand => !ins.iter().fold(!0u64, |acc, &n| acc & v(n)),
-                GateKind::Nor => !ins.iter().fold(0u64, |acc, &n| acc | v(n)),
-                GateKind::Xor => ins.iter().fold(0u64, |acc, &n| acc ^ v(n)),
-                GateKind::Xnor => !ins.iter().fold(0u64, |acc, &n| acc ^ v(n)),
-                GateKind::Not => !v(ins[0]),
-                GateKind::Buf => v(ins[0]),
-                GateKind::Mux => {
-                    let s = v(ins[0]);
-                    (!s & v(ins[1])) | (s & v(ins[2]))
-                }
-                GateKind::Const0 => 0,
-                GateKind::Const1 => !0,
-            };
-            self.values[gate.output().index()] = word;
-        }
+        eval_words(self.nl, &self.order, &mut self.values);
     }
 
     /// Clocks every flip-flop from the last [`eval`](ParallelSim::eval).
@@ -122,6 +103,34 @@ impl<'a> ParallelSim<'a> {
     /// Read access to all net words (indexed by [`NetId::index`]).
     pub(crate) fn all_values(&self) -> &[u64] {
         &self.values
+    }
+}
+
+/// Evaluates every gate of `nl` in topological `order` on 64-lane words.
+/// `values` is indexed by [`NetId::index`] and must already hold the
+/// primary-input and flip-flop-output words.
+pub(crate) fn eval_words(nl: &Netlist, order: &[usize], values: &mut [u64]) {
+    for &g in order {
+        let gate = &nl.gates()[g];
+        let ins = gate.inputs();
+        let v = |n: NetId| values[n.index()];
+        let word = match gate.kind() {
+            GateKind::And => ins.iter().fold(!0u64, |acc, &n| acc & v(n)),
+            GateKind::Or => ins.iter().fold(0u64, |acc, &n| acc | v(n)),
+            GateKind::Nand => !ins.iter().fold(!0u64, |acc, &n| acc & v(n)),
+            GateKind::Nor => !ins.iter().fold(0u64, |acc, &n| acc | v(n)),
+            GateKind::Xor => ins.iter().fold(0u64, |acc, &n| acc ^ v(n)),
+            GateKind::Xnor => !ins.iter().fold(0u64, |acc, &n| acc ^ v(n)),
+            GateKind::Not => !v(ins[0]),
+            GateKind::Buf => v(ins[0]),
+            GateKind::Mux => {
+                let s = v(ins[0]);
+                (!s & v(ins[1])) | (s & v(ins[2]))
+            }
+            GateKind::Const0 => 0,
+            GateKind::Const1 => !0,
+        };
+        values[gate.output().index()] = word;
     }
 }
 

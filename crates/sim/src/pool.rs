@@ -1,17 +1,17 @@
-//! A dependency-free scoped thread pool for fanning simulation sweeps
-//! across cores.
+//! A dependency-free scoped thread pool for fanning independent jobs (table
+//! rows, portfolio entrants) across cores.
 //!
 //! The build environment has no network access, so rayon is out of reach;
 //! this module hand-rolls the subset the workspace needs on
 //! [`std::thread::scope`]. Work is distributed by *chunk stealing*: every
 //! job index lives in one shared queue (an atomic cursor over `0..n`) and
-//! idle workers steal the next unclaimed index, so an uneven sweep — one
+//! idle workers steal the next unclaimed index, so an uneven job list — one
 //! circuit much larger than the rest, one chunk hitting a slow path —
 //! never serializes behind a fixed pre-partition.
 //!
 //! Determinism: [`Pool::map`] returns results **in index order** no matter
 //! which worker computed them or in what order they finished. As long as
-//! each job is a pure function of its index, the result of a sweep is
+//! each job is a pure function of its index, the result of a map is
 //! bit-identical for every thread count, including 1.
 //!
 //! # Example
@@ -32,9 +32,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// The pool owns no threads between calls: each [`Pool::map`] spawns its
 /// workers inside a [`std::thread::scope`], which lets jobs borrow from the
-/// caller's stack (netlists, stimulus buffers) without `Arc` or `'static`
-/// bounds, and joins them before returning. For the coarse chunks this workspace dispatches (whole
-/// simulation batches, whole circuits) the spawn cost is noise.
+/// caller's stack (netlists, solvers) without `Arc` or `'static` bounds,
+/// and joins them before returning. For the coarse jobs this workspace
+/// dispatches (whole circuits, portfolio entrants) the spawn cost is noise.
 #[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn results_identical_across_thread_counts() {
-        // The determinism contract of every sweep built on the pool.
+        // The determinism contract of every map over the pool.
         let job = |i: usize| (i as u64).wrapping_mul(0x9e37) ^ i as u64;
         let reference = Pool::new(1).map(100, job);
         for threads in [2, 4, 7] {

@@ -34,11 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Validate: with the correct key sequence the locked circuit is
     //    cycle-for-cycle equivalent to the original ...
     assert!(locked.verify_equivalence(1000, 42)?);
-    println!("equivalence under correct keys: OK (1000 random cycles)");
+    println!("equivalence under correct keys: OK (1000 cycles × 64 random lanes)");
 
     // ... and any constant key corrupts it.
     let wrong = KeyValue::from_u64(2, 2);
-    let rate = locked.corruption_rate(&wrong, 1000, 43)?;
+    let rate = locked.wide_corruption_rate(&wrong, 1000, 43)?;
     println!(
         "output corruption under constant wrong key: {:.1}%",
         rate * 100.0

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Quantify how wrong keys corrupt detection over a long random run.
-    let rate = locked.corruption_rate(&locked.schedule.key_at_time(0).flipped(0), 2000, 7)?;
+    let rate = locked.wide_corruption_rate(&locked.schedule.key_at_time(0).flipped(0), 2000, 7)?;
     println!(
         "\ncorruption rate under a constant wrong key: {:.1}%",
         rate * 100.0

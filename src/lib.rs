@@ -71,7 +71,7 @@ pub mod prelude {
         Portfolio,
     };
     pub use cutelock_circuits::{iscas89, itc99, synthezza, BenchmarkCircuit};
-    pub use cutelock_core::baselines::{DkLock, HarpoonLock, SledLock, TtLock, XorLock};
+    pub use cutelock_core::baselines::{DkLock, SledLock, TtLock, XorLock};
     pub use cutelock_core::beh::{CuteLockBeh, CuteLockBehConfig, WrongfulPolicy};
     pub use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig, MuxTreeStyle};
     pub use cutelock_core::{KeySchedule, KeyValue, LockError, LockedCircuit, LockedOracle};

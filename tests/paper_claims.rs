@@ -38,7 +38,12 @@ fn claim_table1_beh_validation() {
     .expect("locks");
     assert!(locked.verify_equivalence(400, 11).expect("simulates"));
     let wrong = locked.schedule.key_at_time(0).flipped(0);
-    assert!(locked.corruption_rate(&wrong, 400, 12).expect("simulates") > 0.0);
+    assert!(
+        locked
+            .wide_corruption_rate(&wrong, 400, 12)
+            .expect("simulates")
+            > 0.0
+    );
 }
 
 /// Table II: Cute-Lock-Str on s27 with keys 1,3,2,0 preserves G17 under the

@@ -130,13 +130,15 @@ proptest! {
         }
     }
 
-    /// The scalar and 64-lane simulators agree lane-for-lane.
+    /// The three-valued reference, the 64-lane simulator and the oracle
+    /// (the same kernel, read from lane 0) agree cycle for cycle.
     #[test]
     fn scalar_and_parallel_simulators_agree(seed in 0u64..10_000) {
         let c = circuit_from_seed(seed);
         let nl = &c.netlist;
         let mut scalar = Simulator::new(nl).expect("compiles");
         let mut par = ParallelSim::new(nl).expect("compiles");
+        let mut oracle = NetlistOracle::new(nl.clone()).expect("compiles");
         scalar.reset();
         par.reset();
         let mut rng = seed | 1;
@@ -160,7 +162,9 @@ proptest! {
                 .map(|&w| Logic::from_bool(w & 1 == 1))
                 .collect();
             par.step();
-            prop_assert_eq!(s_out, p_out);
+            let o_out: Vec<Logic> = oracle.step(&bits).into_iter().map(Logic::from_bool).collect();
+            prop_assert_eq!(&s_out, &p_out);
+            prop_assert_eq!(&s_out, &o_out);
         }
     }
 
