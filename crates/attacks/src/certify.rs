@@ -4,23 +4,23 @@
 //! samples; this module *proves*, by SAT, that the locked circuit driven
 //! with the correct key schedule is equivalent to the original for **all**
 //! input sequences up to a bounded number of cycles from reset, or finds
-//! a sequence that tells them apart. The unrolled two-circuit instance is
-//! lowered through [`CircuitEncoder::encode_unrolled`], the same engine the
-//! attacks use, and backs the `cutelock verify` CLI subcommand.
+//! a sequence that tells them apart. The proof is the workspace's one
+//! equivalence miter ([`scheduled_equiv`]): both circuits encoded as
+//! `MiterBuilder` frames, the locked side's key port pinned per frame to
+//! the schedule in `key_inputs()` order. It backs the `cutelock verify`
+//! CLI subcommand and the daemon's `verify` jobs.
 
 use cutelock_core::LockedCircuit;
-use cutelock_netlist::unroll::{unroll, InitState, KeySharing};
 use cutelock_netlist::NetlistError;
-use cutelock_sat::equiv::EquivResult;
-use cutelock_sat::{Binding, CircuitEncoder, Lit, SatResult};
+use cutelock_sat::equiv::{scheduled_equiv, EquivResult};
 
 /// Proves bounded equivalence of `locked` (keys driven by the correct
 /// schedule) against its original, for all input sequences of `frames`
-/// cycles from reset.
+/// cycles from reset. A counterexample lists each cycle's data inputs.
 ///
 /// # Errors
 ///
-/// Propagates unrolling/encoding failures.
+/// Propagates encoding failures and interface mismatches.
 ///
 /// # Panics
 ///
@@ -30,57 +30,15 @@ pub fn prove_locked_equivalence(
     frames: usize,
     conflict_budget: Option<u64>,
 ) -> Result<EquivResult, NetlistError> {
-    assert!(frames > 0);
-    let mut enc = CircuitEncoder::new();
-    enc.solver.set_conflict_budget(conflict_budget);
-    let (ul, cnf_l) = enc.encode_unrolled(
+    let schedule: Vec<Vec<bool>> = (0..frames as u64)
+        .map(|t| locked.schedule.key_at_cycle(t).bits().to_vec())
+        .collect();
+    scheduled_equiv(
         &locked.netlist,
-        frames,
-        InitState::FromInit,
-        KeySharing::PerFrame,
-        &Binding::new(),
-    )?;
-    // Pin the locked key port to the scheduled key, frame by frame.
-    for (t, keys) in ul.frame_keys.iter().enumerate() {
-        let kv = locked.schedule.key_at_cycle(t as u64);
-        enc.pin(&cnf_l.lits(keys), kv.bits());
-    }
-    // Share the data inputs positionally.
-    let uo = unroll(
         &locked.original,
-        frames,
-        InitState::FromInit,
-        KeySharing::Shared,
-    )?;
-    let mut shared = Binding::new();
-    for t in 0..frames {
-        shared.bind_all(&uo.frame_inputs[t], &cnf_l.lits(&ul.frame_inputs[t]));
-    }
-    let cnf_o = enc.encode(&uo.netlist, &shared)?;
-    let lo: Vec<Lit> = ul
-        .frame_outputs
-        .iter()
-        .flatten()
-        .map(|&o| cnf_l.lit(o))
-        .collect();
-    let oo: Vec<Lit> = uo
-        .frame_outputs
-        .iter()
-        .flatten()
-        .map(|&o| cnf_o.lit(o))
-        .collect();
-    let diff = enc.differ(&lo, &oo);
-    enc.solver.add_clause(&[diff]);
-    Ok(match enc.solver.solve() {
-        // Equivalent for all sequences = certification success.
-        SatResult::Unsat => EquivResult::Equivalent,
-        SatResult::Unknown => EquivResult::Unknown,
-        SatResult::Sat => EquivResult::Counterexample(
-            (0..frames)
-                .map(|t| enc.values(&cnf_l.lits(&ul.frame_inputs[t])))
-                .collect(),
-        ),
-    })
+        &schedule,
+        conflict_budget,
+    )
 }
 
 #[cfg(test)]
@@ -160,5 +118,68 @@ mod tests {
                 EquivResult::Counterexample(_)
             ));
         }
+    }
+
+    #[test]
+    fn schedule_binds_in_numeric_key_order() {
+        let locked = CuteLockStr::new(CuteLockStrConfig {
+            keys: 4,
+            key_bits: 12,
+            locked_ffs: 1,
+            seed: 7,
+            schedule: None,
+            ..Default::default()
+        })
+        .lock(&s27())
+        .unwrap();
+        // Re-declare the key ports lexicographically: keyinput10 and
+        // keyinput11 now come before keyinput2.
+        let text = cutelock_netlist::bench::write(&locked.netlist);
+        let is_key = |l: &&str| l.starts_with("INPUT(keyinput");
+        let mut sorted: Vec<&str> = text.lines().filter(is_key).collect();
+        sorted.sort_unstable();
+        let mut sorted = sorted.into_iter();
+        let text: String = text
+            .lines()
+            .map(|l| {
+                if is_key(&l) {
+                    sorted.next().unwrap()
+                } else {
+                    l
+                }
+            })
+            .flat_map(|l| [l, "\n"])
+            .collect();
+        let mut relocked = locked.clone();
+        relocked.netlist = cutelock_netlist::bench::parse("s27_lex", &text).unwrap();
+        let declared: Vec<_> = relocked
+            .netlist
+            .inputs()
+            .iter()
+            .copied()
+            .filter(|&i| relocked.netlist.net_name(i).starts_with("keyinput"))
+            .collect();
+        assert_ne!(declared, relocked.netlist.key_inputs(), "ports re-declared");
+        assert_eq!(
+            prove_locked_equivalence(&relocked, 8, None).unwrap(),
+            EquivResult::Equivalent
+        );
+        // Complementing the t0 key still corrupts.
+        let k = locked.schedule.num_keys();
+        relocked.schedule = KeySchedule::new(
+            (0..k)
+                .map(|t| {
+                    let key = locked.schedule.key_at_time(t);
+                    match t {
+                        0 => KeyValue::from_bits(key.bits().iter().map(|b| !b).collect()),
+                        _ => key.clone(),
+                    }
+                })
+                .collect(),
+        );
+        assert!(matches!(
+            prove_locked_equivalence(&relocked, 8, None).unwrap(),
+            EquivResult::Counterexample(_)
+        ));
     }
 }

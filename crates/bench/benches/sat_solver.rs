@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cutelock_circuits::itc99;
-use cutelock_netlist::unroll::{scan_view, InitState, KeySharing};
-use cutelock_sat::{Binding, CircuitEncoder, Lit, Solver, Var};
+use cutelock_netlist::unroll::scan_view;
+use cutelock_sat::{Binding, CircuitEncoder, Lit, MiterBuilder, PortVals, Solver, Var};
 
 /// Pigeonhole PHP(n+1, n): compact, reliably hard UNSAT instances.
 fn pigeonhole(holes: usize) -> Solver {
@@ -61,19 +61,21 @@ fn bench_unroll_and_solve(c: &mut Criterion) {
     let circuit = itc99("b03").expect("exists");
     c.bench_function("unroll_b03_x8_and_sat", |b| {
         b.iter(|| {
-            let mut enc = CircuitEncoder::new();
-            let (u, cnf) = enc
-                .encode_unrolled(
-                    &circuit.netlist,
-                    8,
-                    InitState::Zero,
-                    KeySharing::Shared,
-                    &Binding::new(),
-                )
-                .expect("unrolls and encodes");
+            // Eight frames threaded from the all-zero state.
+            let mut m = MiterBuilder::new(scan_view(&circuit.netlist).expect("scan view"), &[]);
+            let keys = m.fresh_keys();
+            let mut state = m.enc.lits_const(&vec![false; circuit.netlist.dff_count()]);
+            let mut outputs = Vec::new();
+            for _ in 0..8 {
+                let f = m
+                    .frame(&keys, PortVals::Shared(&state), PortVals::Fresh)
+                    .expect("encodes");
+                state = f.next_state;
+                outputs = f.outputs;
+            }
             // Satisfy with one output pinned — exercises propagation.
-            enc.pin_lit(cnf.lit(u.frame_outputs[7][0]), true);
-            enc.solver.solve()
+            m.enc.pin_lit(outputs[0], true);
+            m.enc.solver.solve()
         })
     });
 }

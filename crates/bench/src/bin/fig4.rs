@@ -67,7 +67,7 @@ fn str_lock(
 }
 
 fn main() {
-    let opt = Options::parse(std::env::args(), USAGE);
+    let opt = Options::parse(std::env::args(), USAGE, &["quick", "only", "baselines"]);
     let lib = CellLibrary::default();
     println!("Fig. 4: overhead of Cute-Lock-Str vs DK-Lock (percent over original)");
     println!(

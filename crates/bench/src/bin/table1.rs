@@ -22,7 +22,7 @@ fn hex_of(bits: &[bool]) -> String {
 }
 
 fn main() {
-    let opt = Options::parse(std::env::args(), USAGE);
+    let opt = Options::parse(std::env::args(), USAGE, &["quick"]);
     let stg = synthezza("bcomp").expect("bcomp profile exists");
     let lock = CuteLockBeh::new(CuteLockBehConfig {
         keys: 6,

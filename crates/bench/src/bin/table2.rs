@@ -15,7 +15,7 @@ use cutelock_sim::{NetlistOracle, SequentialOracle};
 const USAGE: &str = "table2 [--quick]  — Cute-Lock-Str validation trace on s27 (paper Table II)";
 
 fn main() {
-    let opt = Options::parse(std::env::args(), USAGE);
+    let opt = Options::parse(std::env::args(), USAGE, &["quick"]);
     let original = s27();
     // The paper's keys: 1, 3, 2, 0.
     let schedule = KeySchedule::new(vec![

@@ -27,6 +27,20 @@ use cutelock_circuits::synthezza;
 use cutelock_core::beh::{CuteLockBeh, CuteLockBehConfig, WrongfulPolicy};
 use cutelock_core::{KeySchedule, KeyValue};
 
+/// The flags this bin reads.
+const FLAGS: &[&str] = &[
+    "quick",
+    "single-key",
+    "only",
+    "timeout",
+    "threads",
+    "no-times",
+    "portfolio",
+    "share",
+    "no-simplify",
+    "store",
+];
+
 const USAGE: &str = "table3 [--quick] [--single-key] [--only NAME] [--timeout SECS] \
                      [--threads N] [--no-times] [--portfolio K] [--share] [--no-simplify] \
                      [--store FILE]\n\
@@ -50,7 +64,7 @@ const COLUMNS: [AttackStrategy; 3] = [
 ];
 
 fn main() {
-    let opt = Options::parse(std::env::args(), USAGE);
+    let opt = Options::parse(std::env::args(), USAGE, FLAGS);
     println!(
         "Table III: Cute-Lock-Beh security against logic attacks{}",
         if opt.single_key {

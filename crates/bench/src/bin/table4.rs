@@ -24,6 +24,20 @@ use cutelock_circuits::{iscas89, itc99};
 use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 use cutelock_core::{KeySchedule, KeyValue};
 
+/// The flags this bin reads.
+const FLAGS: &[&str] = &[
+    "quick",
+    "single-key",
+    "only",
+    "timeout",
+    "threads",
+    "no-times",
+    "portfolio",
+    "share",
+    "no-simplify",
+    "store",
+];
+
 const USAGE: &str = "table4 [--quick] [--single-key] [--only NAME] [--timeout SECS] \
                      [--threads N] [--no-times] [--portfolio K] [--share] [--no-simplify] \
                      [--store FILE]\n\
@@ -48,7 +62,7 @@ const COLUMNS: [AttackStrategy; 4] = [
 ];
 
 fn main() {
-    let opt = Options::parse(std::env::args(), USAGE);
+    let opt = Options::parse(std::env::args(), USAGE, FLAGS);
     println!(
         "Table IV: Cute-Lock-Str security against logic attacks{}",
         if opt.single_key {

@@ -31,6 +31,20 @@ use cutelock_circuits::itc99;
 use cutelock_core::baselines::TtLock;
 use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
 
+/// The flags this bin reads.
+const FLAGS: &[&str] = &[
+    "quick",
+    "only",
+    "timeout",
+    "baselines",
+    "threads",
+    "no-times",
+    "portfolio",
+    "share",
+    "no-simplify",
+    "store",
+];
+
 const USAGE: &str = "table5 [--quick] [--only NAME] [--baselines] [--timeout SECS] \
                      [--threads N] [--no-times] [--portfolio K] [--share] [--no-simplify] \
                      [--store FILE]\n\
@@ -51,7 +65,7 @@ struct Row {
 }
 
 fn main() {
-    let opt = Options::parse(std::env::args(), USAGE);
+    let opt = Options::parse(std::env::args(), USAGE, FLAGS);
     // FALL's budget and query-level portfolio come from the same
     // `AttackSpec` door the CLI and job daemon use; only the report type
     // differs (the table prints FALL's candidate/key counts, which the

@@ -11,10 +11,11 @@
 //! | `table5` | Table V        | DANA NMI + FALL on ITC'99 |
 //! | `fig4`   | Fig. 4         | Overhead vs. DK-Lock on ITC'99 |
 //!
-//! Every binary accepts `--quick` (subset of circuits, smaller budgets) and
-//! prints machine-grep-friendly rows. The attack-suite bins (`table3`,
-//! `table4`, `table5`) schedule (circuit × entrant-slice) units onto
-//! **one** [`cutelock_sim::pool::Pool`] via [`Pool::map_units`]: each
+//! Every binary accepts `--quick` (subset of circuits, smaller budgets),
+//! rejects any flag it does not read, and prints machine-grep-friendly
+//! rows. The attack-suite bins (`table3`, `table4`, `table5`) schedule
+//! (circuit × entrant-slice) units onto **one**
+//! [`cutelock_sim::pool::Pool`] via [`Pool::map_units`]: each
 //! circuit job declares its `--portfolio K` entrants as inner units and is
 //! handed a race width sized so the plan never oversubscribes
 //! `--threads`. Finished rows merge **in table order**, so the printed
@@ -32,7 +33,8 @@
 //!
 //! let argv = ["table4", "--quick", "--only", "b10", "--threads", "2", "--no-times"]
 //!     .map(String::from);
-//! let opt = Options::parse(argv.into_iter(), "usage");
+//! let reads = ["quick", "only", "threads", "no-times"];
+//! let opt = Options::parse(argv.into_iter(), "usage", &reads);
 //! assert!(opt.quick && opt.selected("b10") && !opt.selected("b12"));
 //! // --quick caps the attack budget so a smoke run stays bounded.
 //! assert!(opt.budget().timeout.as_secs() <= 10);
@@ -121,68 +123,51 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parses `std::env::args`-style flags. Unknown flags abort with a
-    /// usage message.
-    pub fn parse(args: impl Iterator<Item = String>, usage: &str) -> Self {
+    /// Parses `std::env::args`-style flags. `reads` names the flags the
+    /// calling bin reads, without their `--`: any other flag, or a
+    /// missing or malformed value, aborts with exit code 2 and the usage
+    /// message. `--help` prints the usage.
+    pub fn parse(args: impl Iterator<Item = String>, usage: &str, reads: &[&str]) -> Self {
+        let args: Vec<String> = args.skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Self::from_flags(&args, reads).unwrap_or_else(|e| {
+            eprintln!("{e}\n{usage}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Options::parse`] without the process exits, over the arguments
+    /// after the program name.
+    fn from_flags(args: &[String], reads: &[&str]) -> Result<Self, String> {
         let mut opt = Self::default();
-        let mut args = args.skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--").filter(|n| reads.contains(n)) else {
+                return Err(format!("unknown flag {arg}"));
+            };
+            let mut value = || args.next().ok_or_else(|| format!("--{name} needs a value"));
+            match name {
+                "quick" => {
                     opt.quick = true;
                     opt.timeout_secs = opt.timeout_secs.min(10);
                 }
-                "--single-key" => opt.single_key = true,
-                "--baselines" => opt.baselines = true,
-                "--only" => {
-                    opt.only = args.next();
-                    if opt.only.is_none() {
-                        eprintln!("--only needs a circuit name\n{usage}");
-                        std::process::exit(2);
-                    }
-                }
-                "--timeout" => {
-                    opt.timeout_secs =
-                        args.next().and_then(|t| t.parse().ok()).unwrap_or_else(|| {
-                            eprintln!("--timeout needs seconds\n{usage}");
-                            std::process::exit(2);
-                        });
-                }
-                "--threads" => {
-                    let n: usize = args.next().and_then(|t| t.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--threads needs a worker count\n{usage}");
-                        std::process::exit(2);
-                    });
-                    opt.threads = Some(n.max(1));
-                }
-                "--no-times" => opt.no_times = true,
-                "--portfolio" => {
-                    let k: usize = args.next().and_then(|t| t.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--portfolio needs an entrant count\n{usage}");
-                        std::process::exit(2);
-                    });
-                    opt.portfolio_k = k.max(1);
-                }
-                "--share" => opt.share = true,
-                "--no-simplify" => opt.simplify = false,
-                "--store" => {
-                    opt.store = args.next();
-                    if opt.store.is_none() {
-                        eprintln!("--store needs a file path\n{usage}");
-                        std::process::exit(2);
-                    }
-                }
-                "--help" | "-h" => {
-                    println!("{usage}");
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown flag `{other}`\n{usage}");
-                    std::process::exit(2);
-                }
+                "single-key" => opt.single_key = true,
+                "baselines" => opt.baselines = true,
+                "only" => opt.only = Some(value()?.clone()),
+                "timeout" => opt.timeout_secs = number(name, value()?)?,
+                "threads" => opt.threads = Some(number::<usize>(name, value()?)?.max(1)),
+                "no-times" => opt.no_times = true,
+                "portfolio" => opt.portfolio_k = number::<usize>(name, value()?)?.max(1),
+                "share" => opt.share = true,
+                "no-simplify" => opt.simplify = false,
+                "store" => opt.store = Some(value()?.clone()),
+                other => return Err(format!("unknown flag --{other}")),
             }
         }
-        opt
+        Ok(opt)
     }
 
     /// The attack budget implied by the options.
@@ -280,6 +265,13 @@ impl Options {
     }
 }
 
+/// Parses the value of flag `--name`.
+fn number<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("--{name}: `{value}` is not a number"))
+}
+
 /// Prints a horizontal rule sized to `width`.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -290,9 +282,49 @@ mod tests {
     use super::*;
     use cutelock_sat::ShareCap;
 
+    const ALL: &[&str] = &[
+        "quick",
+        "single-key",
+        "only",
+        "timeout",
+        "baselines",
+        "threads",
+        "no-times",
+        "portfolio",
+        "share",
+        "no-simplify",
+        "store",
+    ];
+
+    fn try_parse(args: &[&str], reads: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Options::from_flags(&args, reads)
+    }
+
     fn parse(args: &[&str]) -> Options {
-        let argv = std::iter::once("bin".to_string()).chain(args.iter().map(|s| s.to_string()));
-        Options::parse(argv, "usage")
+        try_parse(args, ALL).unwrap()
+    }
+
+    #[test]
+    fn bins_reject_flags_they_do_not_read() {
+        assert!(try_parse(&["--quick"], &["quick"]).unwrap().quick);
+        assert_eq!(
+            try_parse(&["--quick", "--store", "t1.clk"], &["quick"]).unwrap_err(),
+            "unknown flag --store"
+        );
+        assert_eq!(
+            try_parse(&["--single-key"], &["quick", "only", "baselines"]).unwrap_err(),
+            "unknown flag --single-key"
+        );
+        assert_eq!(try_parse(&["b10"], ALL).unwrap_err(), "unknown flag b10");
+        assert_eq!(
+            try_parse(&["--only"], ALL).unwrap_err(),
+            "--only needs a value"
+        );
+        assert_eq!(
+            try_parse(&["--threads", "two"], ALL).unwrap_err(),
+            "--threads: `two` is not a number"
+        );
     }
 
     #[test]

@@ -158,28 +158,8 @@ fn verify_accepts_correct_schedule_and_rejects_wrong_one() {
     ])
     .expect("correct schedule must verify");
 
-    // Corrupt one key bit: verification must fail with a counterexample.
-    let text = fs::read_to_string(&keys).expect("keys written");
-    let corrupted: String = text
-        .lines()
-        .map(|l| {
-            if let Some(rest) = l.strip_prefix("t0 ") {
-                let flipped: String = rest
-                    .chars()
-                    .map(|c| match c {
-                        '0' => '1',
-                        '1' => '0',
-                        other => other,
-                    })
-                    .collect();
-                format!("t0 {flipped}\n")
-            } else {
-                format!("{l}\n")
-            }
-        })
-        .collect();
-    let bad_keys = tmp.path("s27_bad.keys");
-    fs::write(&bad_keys, corrupted).expect("write corrupted keys");
+    // Corrupt the t0 key: verification must fail with a counterexample.
+    let bad_keys = complement_t0(&tmp, &keys);
     let err = run(&[
         "verify",
         "--locked",
@@ -206,6 +186,96 @@ fn verify_accepts_correct_schedule_and_rejects_wrong_one() {
     ])
     .expect_err("width mismatch must fail");
     assert!(err.contains("keyinput"), "got: {err}");
+}
+
+/// Writes a copy of the key file at `keys` with the t0 key complemented
+/// and returns its path.
+fn complement_t0(tmp: &TmpDir, keys: &str) -> String {
+    let text = fs::read_to_string(keys).expect("keys written");
+    let corrupted: String = text
+        .lines()
+        .map(|l| match l.strip_prefix("t0 ") {
+            Some(bits) => {
+                let flipped: String = bits
+                    .chars()
+                    .map(|c| if c == '0' { '1' } else { '0' })
+                    .collect();
+                format!("t0 {flipped}\n")
+            }
+            None => format!("{l}\n"),
+        })
+        .collect();
+    let path = tmp.path("bad.keys");
+    fs::write(&path, corrupted).expect("write corrupted keys");
+    path
+}
+
+#[test]
+fn verify_binds_keys_in_numeric_order() {
+    let tmp = TmpDir::new("keyorder");
+    let orig = tmp.path("s27.bench");
+    let locked = tmp.path("k12.bench");
+    let keys = tmp.path("k12.keys");
+    run(&[
+        "bench", "--suite", "iscas89", "--name", "s27", "--out", &orig,
+    ])
+    .expect("bench");
+    run(&[
+        "lock",
+        "--scheme",
+        "str",
+        "--in",
+        &orig,
+        "--out",
+        &locked,
+        "--keys-out",
+        &keys,
+        "--keys",
+        "4",
+        "--key-bits",
+        "12",
+        "--ffs",
+        "1",
+        "--seed",
+        "7",
+    ])
+    .expect("lock");
+    // Re-declare the key ports lexicographically: keyinput10 and
+    // keyinput11 now come before keyinput2. The schedule still binds in
+    // numeric keyinputN order.
+    let text = fs::read_to_string(&locked).expect("locked written");
+    let is_key = |l: &&str| l.starts_with("INPUT(keyinput");
+    let mut sorted: Vec<&str> = text.lines().filter(is_key).collect();
+    sorted.sort_unstable();
+    let mut sorted = sorted.into_iter();
+    let lex: String = text
+        .lines()
+        .map(|l| {
+            if is_key(&l) {
+                sorted.next().unwrap()
+            } else {
+                l
+            }
+        })
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    assert_ne!(lex, text, "ports re-declared");
+    let lex_locked = tmp.path("k12_lex.bench");
+    fs::write(&lex_locked, lex).expect("write re-declared lock");
+    let verify = |keys: &str| {
+        run(&[
+            "verify",
+            "--locked",
+            &lex_locked,
+            "--original",
+            &orig,
+            "--keys",
+            keys,
+        ])
+    };
+    verify(&keys).expect("own schedule must verify");
+    let err = verify(&complement_t0(&tmp, &keys)).expect_err("complemented t0 must fail");
+    assert!(err.contains("diverge"), "got: {err}");
 }
 
 #[test]

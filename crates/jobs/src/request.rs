@@ -28,6 +28,8 @@
 //!   runs for minutes yet cancels within milliseconds through the solver's
 //!   stop slot — which is what the serve E2E test exercises. Cached.
 //!
+//! `--portfolio`, `--frames` and `--php` are refused outside `1..=64`.
+//!
 //! The attacker-side rule from `docs/DETERMINISM.md` shapes the cache key:
 //! worker-thread counts (`--threads`) never change a result, so they stay
 //! *out* of the key; anything that can change a verdict (strategy, budget,
@@ -109,6 +111,17 @@ impl<'a> Flags<'a> {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{name}: `{v}` is not a valid number")),
+        }
+    }
+
+    /// A numeric flag that must lie in `1..=64`. Each unit costs the
+    /// daemon a solver clone (`--portfolio`), an encoded time frame
+    /// (`--frames`) or a pigeonhole (`--php`), so one line cannot ask for
+    /// unbounded work.
+    fn bounded(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.num(name, default)? {
+            n @ 1..=64 => Ok(n),
+            _ => Err(format!("--{name} must be between 1 and 64")),
         }
     }
 
@@ -202,7 +215,7 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
     let locked = lock_builtin(flags)?;
     let timeout: u64 = flags.num("timeout", 60)?;
     let timeout = Duration::from_secs(timeout).min(limits.max_timeout);
-    let k: usize = flags.num("portfolio", 1)?;
+    let k = flags.bounded("portfolio", 1)?;
     let threads: usize = flags.num("threads", 1)?;
     // Every wire flag takes a value, so the switch is spelled `on`/`off`.
     let share = match flags.opt("share") {
@@ -285,10 +298,7 @@ const VERIFY_FLAGS: &[&str] = &[
 fn parse_verify(flags: &Flags) -> Result<SubmitRequest, String> {
     flags.reject_unknown(VERIFY_FLAGS)?;
     let locked = lock_builtin(flags)?;
-    let frames: usize = flags.num("frames", 4)?;
-    if frames == 0 {
-        return Err("--frames must be at least 1".into());
-    }
+    let frames = flags.bounded("frames", 4)?;
     let conflicts: u64 = flags.num("conflicts", 2_000_000)?;
     let mut fp = Fingerprint::new();
     fp.update_u64(locked.fingerprint());
@@ -349,14 +359,8 @@ const SOLVE_FLAGS: &[&str] = &["php", "conflicts"];
 
 fn parse_solve(flags: &Flags) -> Result<SubmitRequest, String> {
     flags.reject_unknown(SOLVE_FLAGS)?;
-    let n: usize = flags
-        .opt("php")
-        .ok_or("solve needs --php N")?
-        .parse()
-        .map_err(|_| "--php: not a valid number".to_string())?;
-    if n == 0 || n > 64 {
-        return Err("--php must be between 1 and 64".into());
-    }
+    flags.opt("php").ok_or("solve needs --php N")?;
+    let n = flags.bounded("php", 0)?;
     let conflicts: u64 = flags.num("conflicts", u64::MAX)?;
     let mut fp = Fingerprint::new();
     fp.update_str("solve-php");
@@ -557,7 +561,29 @@ mod tests {
             .unwrap_err()
             .contains("--bogus"));
         assert!(submit("solve --php 0").is_err());
+        assert!(submit("solve").unwrap_err().contains("--php"));
         assert!(submit("mystery --x 1").unwrap_err().contains("mystery"));
+    }
+
+    #[test]
+    fn portfolio_and_frames_are_bounded() {
+        // Parsed only, never run: a line asking for 65 clones or frames
+        // is refused before it is queued.
+        for line in [
+            "attack --mode sat --portfolio 0",
+            "attack --mode sat --portfolio 65",
+            "verify --frames 0",
+            "verify --frames 65",
+            "solve --php 65",
+        ] {
+            let flag = line.split_whitespace().rev().nth(1).unwrap();
+            let Err(err) = submit(line) else {
+                panic!("accepted: {line}");
+            };
+            assert_eq!(err, format!("{flag} must be between 1 and 64"), "{line}");
+        }
+        assert!(submit("attack --mode sat --portfolio 64").is_ok());
+        assert!(submit("verify --frames 64").is_ok());
     }
 
     #[test]

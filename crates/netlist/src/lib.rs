@@ -12,8 +12,9 @@
 //! * [`cone`] — fan-in/fan-out cone extraction.
 //! * [`mod@simplify`] — structural hashing, constant propagation and
 //!   cone-of-influence trimming in front of every CNF encoding.
-//! * [`unroll`] — time-frame expansion (for bounded model checking) and the
-//!   scan-chain "combinational view" used by oracle-guided SAT attacks.
+//! * [`unroll`] — the scan-chain "combinational view" every SAT instance is
+//!   built from; attacks and equivalence proofs unroll a sequential
+//!   circuit by encoding one view per time frame.
 //!
 //! # Example
 //!

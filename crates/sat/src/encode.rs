@@ -1,22 +1,23 @@
 //! The unified miter/encoding engine beneath every oracle-guided attack.
 //!
 //! Every attack in the suite — SAT, AppSAT, Double-DIP, BMC (`bbo`/`int`),
-//! KC2, RANE, FALL's confirmation step, the designer-side certifier, and
-//! the equivalence checkers — reasons about the same object: copies of a
-//! circuit lowered to CNF with some ports shared, some ports private, a
-//! "these vectors differ" constraint on top, and (for the sequential modes)
-//! time frames appended incrementally. This module owns that layer so the
-//! attack loops read as DIP-loop logic only:
+//! KC2, RANE, FALL's confirmation step — and the equivalence miter behind
+//! the designer-side certifier and the simplify self-check reason about
+//! the same object: copies of a circuit lowered to CNF with some ports
+//! shared, some ports private, a "these vectors differ" constraint on top,
+//! and (for the sequential modes) time frames appended incrementally. This
+//! module owns that layer so the attack loops read as DIP-loop logic only:
 //!
 //! * [`CircuitEncoder`] — owns the [`Solver`] plus netlist→CNF lowering:
 //!   instance encoding under a [`Binding`], fresh/constant literal supply,
-//!   pinning, vector-differ glue, and a wrapper over
-//!   [`unroll`] for bounded-model modes;
+//!   pinning, and vector-differ glue;
 //! * [`MiterBuilder`] — a miter factory over a full-scan [`ScanView`]:
 //!   named port groups (key / data / state, derived from net names),
 //!   shared-input wiring between copies, per-copy key vectors, incremental
 //!   [`frame`](MiterBuilder::frame) appending with state threading, and
-//!   oracle-output pinning.
+//!   oracle-output pinning. Every bounded time frame in the workspace is
+//!   one `frame` call; the equivalence miter encodes a second circuit's
+//!   view into the same encoder.
 //!
 //! Retractable constraints come from the solver's activation-literal scopes
 //! ([`Solver::push_scope`] / [`Solver::pop_scope`]); since the encoder owns
@@ -56,7 +57,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use cutelock_netlist::unroll::{unroll, InitState, KeySharing, ScanView, Unrolled};
+use cutelock_netlist::unroll::ScanView;
 use cutelock_netlist::{NetId, Netlist, NetlistError};
 
 use crate::tseitin::{self, CircuitCnf};
@@ -161,32 +162,6 @@ impl CircuitEncoder {
     /// Fails if `nl` is sequential or cyclic.
     pub fn encode(&mut self, nl: &Netlist, binding: &Binding) -> Result<CircuitCnf, NetlistError> {
         tseitin::encode(nl, &mut self.solver, binding.as_map())
-    }
-
-    /// Unrolls the sequential `nl` over `frames` cycles and encodes the
-    /// expansion — the bounded-model entry point used by the certifier and
-    /// the sequential equivalence check. The binding is applied to nets of
-    /// the *unrolled* netlist (use the returned [`Unrolled`] maps to name
-    /// frame ports).
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrolling and encoding failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames == 0`.
-    pub fn encode_unrolled(
-        &mut self,
-        nl: &Netlist,
-        frames: usize,
-        init: InitState,
-        keys: KeySharing,
-        binding: &Binding,
-    ) -> Result<(Unrolled, CircuitCnf), NetlistError> {
-        let u = unroll(nl, frames, init, keys)?;
-        let cnf = self.encode(&u.netlist, binding)?;
-        Ok((u, cnf))
     }
 
     // ------------------------------------------------------------------
@@ -596,27 +571,5 @@ mod tests {
         assert_eq!(m.enc.solver.solve(), SatResult::Sat);
         assert_eq!(m.enc.values(&f0.outputs), vec![true]);
         assert_eq!(m.enc.values(&f1.outputs), vec![false]);
-    }
-
-    #[test]
-    fn encode_unrolled_matches_frame_threading() {
-        let nl = locked_toy();
-        let mut enc = CircuitEncoder::new();
-        let (u, cnf) = enc
-            .encode_unrolled(&nl, 2, InitState::Zero, KeySharing::Shared, &Binding::new())
-            .unwrap();
-        // Pin key 0, inputs 1, 1: outputs must be 1 then 0 (see above).
-        enc.pin_lit(cnf.lit(u.shared_keys[0]), false);
-        enc.pin_lit(cnf.lit(u.frame_inputs[0][0]), true);
-        enc.pin_lit(cnf.lit(u.frame_inputs[1][0]), true);
-        assert_eq!(enc.solver.solve(), SatResult::Sat);
-        assert_eq!(
-            enc.solver.lit_value(cnf.lit(u.frame_outputs[0][0])),
-            Some(true)
-        );
-        assert_eq!(
-            enc.solver.lit_value(cnf.lit(u.frame_outputs[1][0])),
-            Some(false)
-        );
     }
 }

@@ -1,19 +1,29 @@
-//! SAT-based equivalence checking.
+//! SAT-based equivalence checking on [`MiterBuilder`] frames.
 //!
 //! Simulation-based validation (the `verify_equivalence` used by the
 //! locking transforms) can only sample; this module decides equivalence
-//! *exhaustively* — combinationally, or sequentially up to a bounded number
-//! of clock cycles from reset. The lock transforms' correctness tests use
-//! it to prove that Cute-Lock with the correct schedule is cycle-exact, not
-//! merely unrefuted. Both checks lower through the unified
-//! [`CircuitEncoder`]: one copy encoded
-//! free, the second bound to the first's inputs, and a vector-differ
-//! constraint on the outputs.
+//! *exhaustively*. Every proof is one miter: both circuits' scan views are
+//! encoded as [`MiterBuilder::frame`]s into one encoder, their data inputs
+//! shared frame by frame, and a vector-differ constraint sits on their
+//! observations. Three regimes:
+//!
+//! * **bounded, keys free** — each side's state threaded from its recorded
+//!   reset over a number of frames, keys free per frame and shared by both
+//!   sides ([`simplify_self_check`] after flip-flops were trimmed);
+//! * **bounded, keys scheduled** — the same chains with side A's key port
+//!   pinned frame by frame to a schedule ([`scheduled_equiv`], behind the
+//!   designer-side certifier of `cutelock_attacks::certify`);
+//! * **same state** — one frame from one free state shared by both sides,
+//!   next state observed: a complete proof when the flip-flops line up
+//!   ([`simplify_self_check`] on a state-preserving rewrite).
+//!
+//! Key bits bind in `key_inputs()` order, numeric `keyinputN`, like every
+//! schedule and attack in the workspace.
 
-use cutelock_netlist::unroll::{scan_view, InitState, KeySharing};
+use cutelock_netlist::unroll::scan_view;
 use cutelock_netlist::{Netlist, NetlistError};
 
-use crate::encode::{Binding, CircuitEncoder};
+use crate::encode::{Frame, MiterBuilder, PortVals};
 use crate::{Lit, SatResult};
 
 /// Outcome of an equivalence check.
@@ -21,175 +31,203 @@ use crate::{Lit, SatResult};
 pub enum EquivResult {
     /// The circuits agree on every input (sequence) within the bound.
     Equivalent,
-    /// A distinguishing input assignment was found: per frame, the values
-    /// of the first circuit's inputs (frame-major, declaration order).
+    /// A distinguishing assignment was found: per frame, the values of the
+    /// shared data inputs, then the free key bits (none under a schedule),
+    /// then, in the same-state proof, the shared state.
     Counterexample(Vec<Vec<bool>>),
     /// The solver budget was exhausted.
     Unknown,
 }
 
-/// Checks sequential equivalence of `a` and `b` for **all** input sequences
-/// of up to `frames` cycles from reset (recorded flip-flop inits; unknown
-/// inits are 0).
-///
-/// Inputs/outputs are matched positionally. `conflict_budget` bounds each
-/// SAT call (`None` = unlimited).
-///
-/// # Errors
-///
-/// Returns a [`NetlistError`] when the interfaces don't line up.
-///
-/// # Panics
-///
-/// Panics if `frames == 0`.
-pub(crate) fn bounded_seq_equiv(
-    a: &Netlist,
-    b: &Netlist,
-    frames: usize,
-    conflict_budget: Option<u64>,
-) -> Result<EquivResult, NetlistError> {
-    assert!(frames > 0, "need at least one frame");
-    check_interfaces(a, b)?;
-    let mut enc = CircuitEncoder::new();
-    enc.solver.set_conflict_budget(conflict_budget);
-    let (ua, cnf_a) = enc.encode_unrolled(
-        a,
-        frames,
-        InitState::FromInit,
-        KeySharing::PerFrame,
-        &Binding::new(),
-    )?;
-    // Share frame inputs positionally (frame_inputs excludes key inputs;
-    // keys were replicated per frame and are shared positionally too).
-    let ub =
-        cutelock_netlist::unroll::unroll(b, frames, InitState::FromInit, KeySharing::PerFrame)?;
-    let mut shared = Binding::new();
-    for t in 0..frames {
-        shared.bind_all(&ub.frame_inputs[t], &cnf_a.lits(&ua.frame_inputs[t]));
-        shared.bind_all(&ub.frame_keys[t], &cnf_a.lits(&ua.frame_keys[t]));
-    }
-    let cnf_b = enc.encode(&ub.netlist, &shared)?;
-    let oa: Vec<Lit> = ua
-        .frame_outputs
-        .iter()
-        .flatten()
-        .map(|&o| cnf_a.lit(o))
-        .collect();
-    let ob: Vec<Lit> = ub
-        .frame_outputs
-        .iter()
-        .flatten()
-        .map(|&o| cnf_b.lit(o))
-        .collect();
-    let diff = enc.differ(&oa, &ob);
-    enc.solver.add_clause(&[diff]);
-    Ok(match enc.solver.solve() {
-        SatResult::Unsat => EquivResult::Equivalent,
-        SatResult::Unknown => EquivResult::Unknown,
-        SatResult::Sat => {
-            let cex: Vec<Vec<bool>> = (0..frames)
-                .map(|t| {
-                    let mut frame = enc.values(&cnf_a.lits(&ua.frame_inputs[t]));
-                    frame.extend(enc.values(&cnf_a.lits(&ua.frame_keys[t])));
-                    frame
-                })
-                .collect();
-            EquivResult::Counterexample(cex)
-        }
-    })
-}
-
 /// SAT-proves that a simplified netlist is equivalent to its original —
-/// the self-check mode of the [`mod@cutelock_netlist::simplify`] engine,
-/// decided through the same miter machinery the attacks use.
+/// the self-check mode of the [`mod@cutelock_netlist::simplify`] engine.
 ///
-/// Two regimes, picked by flip-flop count:
+/// Two regimes, picked by the flip-flops' recorded inits:
 ///
 /// * **Same state (state-preserving simplification, or combinational):**
-///   the scan views of both circuits — pure combinational functions of
-///   `(inputs, state)` — are checked by one combinational miter. Because
-///   the simplifier preserves flip-flop count, order and init values in this
-///   mode, scan-view equality is a *complete* proof of cycle-exact
+///   when both circuits have the same flip-flops with the same inits, one
+///   frame of each from one free state shared by both, primary outputs
+///   and next state compared — a *complete* proof of cycle-exact
 ///   sequential equivalence, not a bounded one.
-/// * **State dropped (cone-of-influence trimming removed flip-flops):**
-///   falls back to `bounded_seq_equiv` over `frames` cycles from reset,
-///   each SAT call capped at `conflict_budget` conflicts.
+/// * **State dropped (cone-of-influence trimming removed flip-flops), or
+///   any other reset:** `frames` cycles of each circuit from its reset,
+///   keys free per frame and shared by both sides.
+///
+/// `conflict_budget` caps the SAT call (`None` = unlimited).
 ///
 /// # Errors
 ///
 /// Returns a [`NetlistError`] when the primary interfaces don't line up
 /// (which would itself be a simplifier bug).
+///
+/// # Panics
+///
+/// Panics if `frames == 0` in the state-dropped regime.
 pub fn simplify_self_check(
     original: &Netlist,
     simplified: &Netlist,
     frames: usize,
     conflict_budget: Option<u64>,
 ) -> Result<EquivResult, NetlistError> {
-    check_interfaces(original, simplified)?;
-    if original.dff_count() != simplified.dff_count() {
-        return bounded_seq_equiv(original, simplified, frames, conflict_budget);
+    let inits = |nl: &Netlist| nl.dffs().iter().map(|ff| ff.init()).collect::<Vec<_>>();
+    if inits(original) == inits(simplified) {
+        miter(original, simplified, 1, true, None, conflict_budget)
+    } else {
+        miter(original, simplified, frames, false, None, conflict_budget)
     }
-    // Scan-view miter built from the explicit port vectors
-    // (`primary_outputs` / `next_state_outputs`) rather than
-    // `netlist.outputs()`: output marking dedupes, and simplification can
-    // change which D-nets coincide with primary outputs, so the deduped
-    // lists of the two views need not align positionally.
-    let a = scan_view(original)?;
-    let b = scan_view(simplified)?;
-    let (na, nb) = (&a.netlist, &b.netlist);
-    if na.input_count() != nb.input_count() {
-        return Err(NetlistError::BadArity {
-            kind: "scan-view inputs",
-            expected: na.input_count(),
-            got: nb.input_count(),
-        });
+}
+
+/// Proves that `locked`, its key port driven by `schedule[t]` in cycle `t`,
+/// matches `original` on every input sequence of `schedule.len()` cycles
+/// from reset. Data inputs and outputs are matched positionally; `original`
+/// keeps any key port of its own free.
+///
+/// # Errors
+///
+/// Returns a [`NetlistError`] when the data inputs, the outputs or a
+/// schedule entry's width don't line up.
+///
+/// # Panics
+///
+/// Panics if `schedule` is empty.
+pub fn scheduled_equiv(
+    locked: &Netlist,
+    original: &Netlist,
+    schedule: &[Vec<bool>],
+    conflict_budget: Option<u64>,
+) -> Result<EquivResult, NetlistError> {
+    miter(
+        locked,
+        original,
+        schedule.len(),
+        false,
+        Some(schedule),
+        conflict_budget,
+    )
+}
+
+/// The one equivalence miter: `frames` frames of `a`, then of `b` into the
+/// same encoder, sharing `a`'s data inputs per frame. Both chains start
+/// from each side's reset, or (`same_state`) from one free state shared by
+/// both with next state observed. Keys are free and shared per frame, or
+/// pinned per frame on side `a` to `schedule`.
+fn miter(
+    a: &Netlist,
+    b: &Netlist,
+    frames: usize,
+    same_state: bool,
+    schedule: Option<&[Vec<bool>]>,
+    conflict_budget: Option<u64>,
+) -> Result<EquivResult, NetlistError> {
+    assert!(frames > 0, "need at least one frame");
+    let line_up = |kind, expected, got| {
+        if expected == got {
+            Ok(())
+        } else {
+            Err(NetlistError::BadArity {
+                kind,
+                expected,
+                got,
+            })
+        }
+    };
+    line_up(
+        "equiv data inputs",
+        a.data_inputs().len(),
+        b.data_inputs().len(),
+    )?;
+    line_up("equiv outputs", a.output_count(), b.output_count())?;
+    let key_width = a.key_inputs().len();
+    match schedule {
+        None => line_up("equiv key inputs", key_width, b.key_inputs().len())?,
+        Some(s) => s
+            .iter()
+            .try_for_each(|bits| line_up("schedule key bits", key_width, bits.len()))?,
     }
-    let mut enc = CircuitEncoder::new();
-    enc.solver.set_conflict_budget(conflict_budget);
-    let cnf_a = enc.encode(na, &Binding::new())?;
-    let mut shared = Binding::new();
-    shared.bind_all(nb.inputs(), &cnf_a.lits(na.inputs()));
-    let cnf_b = enc.encode(nb, &shared)?;
-    let oa: Vec<Lit> = a
-        .primary_outputs
-        .iter()
-        .chain(&a.next_state_outputs)
-        .map(|&o| cnf_a.lit(o))
+    let obs: Vec<usize> = if same_state {
+        (0..a.dff_count()).collect()
+    } else {
+        Vec::new()
+    };
+    let mut ma = MiterBuilder::new(scan_view(a)?, &obs);
+    ma.enc.solver.set_conflict_budget(conflict_budget);
+    let keys: Vec<Vec<Lit>> = (0..frames)
+        .map(|t| match schedule {
+            Some(s) => ma.enc.lits_const(&s[t]),
+            None => ma.fresh_keys(),
+        })
         .collect();
-    let ob: Vec<Lit> = b
-        .primary_outputs
-        .iter()
-        .chain(&b.next_state_outputs)
-        .map(|&o| cnf_b.lit(o))
-        .collect();
+    let start = if same_state {
+        ma.fresh_state()
+    } else {
+        ma.enc.lits_const(&reset(a))
+    };
+    let fa = chain(&mut ma, &keys, start, None)?;
+
+    // Side B joins the same encoder.
+    let mut mb = MiterBuilder::with_encoder(std::mem::take(&mut ma.enc), scan_view(b)?, &obs);
+    let keys_b = match schedule {
+        Some(_) => vec![mb.fresh_keys(); frames],
+        None => keys.clone(),
+    };
+    let start = if same_state {
+        fa[0].state.clone()
+    } else {
+        mb.enc.lits_const(&reset(b))
+    };
+    let fb = chain(&mut mb, &keys_b, start, Some(&fa))?;
+
+    let oa: Vec<Lit> = fa.iter().flat_map(Frame::observations).collect();
+    let ob: Vec<Lit> = fb.iter().flat_map(Frame::observations).collect();
+    let enc = &mut mb.enc;
     let diff = enc.differ(&oa, &ob);
     enc.solver.add_clause(&[diff]);
     Ok(match enc.solver.solve() {
         SatResult::Unsat => EquivResult::Equivalent,
         SatResult::Unknown => EquivResult::Unknown,
-        SatResult::Sat => {
-            let cex = enc.values(&cnf_a.lits(na.inputs()));
-            EquivResult::Counterexample(vec![cex])
-        }
+        SatResult::Sat => EquivResult::Counterexample(
+            fa.iter()
+                .zip(&keys)
+                .map(|(f, k)| {
+                    let mut cex = enc.values(&f.xs);
+                    if schedule.is_none() {
+                        cex.extend(enc.values(k));
+                    }
+                    if same_state {
+                        cex.extend(enc.values(&f.state));
+                    }
+                    cex
+                })
+                .collect(),
+        ),
     })
 }
 
-fn check_interfaces(a: &Netlist, b: &Netlist) -> Result<(), NetlistError> {
-    if a.input_count() != b.input_count() {
-        return Err(NetlistError::BadArity {
-            kind: "equiv inputs",
-            expected: a.input_count(),
-            got: b.input_count(),
-        });
+/// One frame per entry of `keys`, state threaded from `start`; data inputs
+/// are fresh, or shared with the matching frame of `data`.
+fn chain(
+    m: &mut MiterBuilder,
+    keys: &[Vec<Lit>],
+    start: Vec<Lit>,
+    data: Option<&[Frame]>,
+) -> Result<Vec<Frame>, NetlistError> {
+    let mut state = start;
+    let mut frames = Vec::with_capacity(keys.len());
+    for (t, k) in keys.iter().enumerate() {
+        let xs = data.map_or(PortVals::Fresh, |d| PortVals::Shared(&d[t].xs));
+        let f = m.frame(k, PortVals::Shared(&state), xs)?;
+        state = f.next_state.clone();
+        frames.push(f);
     }
-    if a.output_count() != b.output_count() {
-        return Err(NetlistError::BadArity {
-            kind: "equiv outputs",
-            expected: a.output_count(),
-            got: b.output_count(),
-        });
-    }
-    Ok(())
+    Ok(frames)
+}
+
+/// Each flip-flop's recorded init value; unknown inits are 0.
+fn reset(nl: &Netlist) -> Vec<bool> {
+    nl.dffs()
+        .iter()
+        .map(|ff| ff.init().unwrap_or(false))
+        .collect()
 }
 
 #[cfg(test)]
@@ -240,7 +278,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            bounded_seq_equiv(&a, &b, 6, None).unwrap(),
+            miter(&a, &b, 6, false, None, None).unwrap(),
             EquivResult::Equivalent
         );
     }
@@ -260,14 +298,39 @@ mod tests {
         .unwrap();
         // One frame: outputs both read initial q = 0 -> equivalent.
         assert_eq!(
-            bounded_seq_equiv(&a, &b, 1, None).unwrap(),
+            miter(&a, &b, 1, false, None, None).unwrap(),
             EquivResult::Equivalent
         );
         // Three frames: XOR toggles back, OR saturates -> counterexample.
-        match bounded_seq_equiv(&a, &b, 3, None).unwrap() {
+        match miter(&a, &b, 3, false, None, None).unwrap() {
             EquivResult::Counterexample(cex) => assert_eq!(cex.len(), 3),
             other => panic!("expected counterexample, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn chains_start_from_recorded_inits() {
+        let counter = |init: u8| {
+            let src = format!(
+                "INPUT(en)\nOUTPUT(y)\n# @init q {init}\nq = DFF(d)\nd = XOR(q, en)\ny = BUF(q)\n"
+            );
+            bench::parse("c", &src).unwrap()
+        };
+        let (zero, one) = (counter(0), counter(1));
+        assert_eq!(
+            miter(&one, &one, 3, false, None, None).unwrap(),
+            EquivResult::Equivalent
+        );
+        // The first frame already reads the differing reset, so the
+        // self-check may not take the same-state proof either.
+        match miter(&one, &zero, 1, false, None, None).unwrap() {
+            EquivResult::Counterexample(cex) => assert_eq!(cex.len(), 1),
+            other => panic!("expected counterexample, got {other:?}"),
+        }
+        assert!(matches!(
+            simplify_self_check(&one, &zero, 1, None).unwrap(),
+            EquivResult::Counterexample(_)
+        ));
     }
 
     #[test]

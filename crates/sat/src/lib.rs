@@ -14,9 +14,12 @@
 //!   bounds instead of re-encoding from scratch;
 //! * `encode` — the unified miter/encoding engine: [`CircuitEncoder`]
 //!   owns netlist→CNF lowering and glue constraints, [`MiterBuilder`] wires
-//!   shared-input miter copies and appends BMC time frames incrementally —
-//!   the one layer every attack, certifier, and equivalence check builds
-//!   its SAT instances through;
+//!   shared-input miter copies and appends time frames incrementally —
+//!   the one layer every attack and equivalence proof builds its SAT
+//!   instances through;
+//! * [`equiv`] — the one equivalence miter: two circuits' frames in one
+//!   encoder, behind the simplify self-check and the designer-side
+//!   certifier;
 //! * [`tseitin`] — Tseitin encoding of combinational
 //!   [`Netlist`](cutelock_netlist::Netlist)s plus gate-level helpers for
 //!   building miters directly in CNF (the primitive layer under

@@ -7,9 +7,9 @@ use std::collections::HashMap;
 
 use cute_lock::circuits::seqgen;
 use cute_lock::circuits::Profile;
-use cute_lock::netlist::unroll::{scan_view, unroll, InitState, KeySharing};
+use cute_lock::netlist::unroll::scan_view;
 use cute_lock::prelude::*;
-use cute_lock::sat::{tseitin, SatResult, Solver};
+use cute_lock::sat::{tseitin, MiterBuilder, PortVals, SatResult, Solver};
 use cute_lock::sim::ParallelSim;
 use proptest::prelude::*;
 
@@ -36,21 +36,23 @@ proptest! {
         prop_assert!(bench::structurally_equal(&c.netlist, &again));
     }
 
-    /// Unrolling over k frames agrees with sequential simulation.
+    /// k `MiterBuilder` frames threaded from reset, their data inputs
+    /// pinned to a seeded sequence, give the sequential oracle's outputs
+    /// frame by frame.
     #[test]
     fn unroll_matches_sequential_simulation(seed in 0u64..10_000, frames in 1usize..5) {
         let c = circuit_from_seed(seed);
         let nl = &c.netlist;
-        let u = unroll(nl, frames, InitState::FromInit, KeySharing::Shared)
-            .expect("unrolls");
-        // Drive both with the same pseudo-random input sequence.
         let mut orc = NetlistOracle::new(nl.clone()).expect("oracle");
         orc.reset();
-        let mut comb = NetlistOracle::new(u.netlist.clone()).expect("comb oracle");
-        let mut comb_inputs = vec![false; u.netlist.input_count()];
+        let mut m = MiterBuilder::new(scan_view(nl).expect("scan view"), &[]);
+        let keys = m.fresh_keys();
+        let reset: Vec<bool> = nl.dffs().iter().map(|ff| ff.init().unwrap_or(false)).collect();
+        let mut state = m.enc.lits_const(&reset);
         let mut expected = Vec::new();
+        let mut outputs = Vec::new();
         let mut rng = seed.wrapping_mul(0x2545f4914f6cdd1d) | 1;
-        for t in 0..frames {
+        for _ in 0..frames {
             let inputs: Vec<bool> = (0..nl.input_count())
                 .map(|i| {
                     rng ^= rng << 13;
@@ -60,25 +62,15 @@ proptest! {
                 })
                 .collect();
             expected.push(orc.step(&inputs));
-            // Place the frame inputs into the unrolled input vector.
-            for (pos, &id) in u.frame_inputs[t].iter().enumerate() {
-                let idx = u
-                    .netlist
-                    .inputs()
-                    .iter()
-                    .position(|&x| x == id)
-                    .expect("input present");
-                comb_inputs[idx] = inputs[pos];
-            }
+            let f = m
+                .frame(&keys, PortVals::Shared(&state), PortVals::Const(&inputs))
+                .expect("encodes");
+            state = f.next_state;
+            outputs.push(f.outputs);
         }
-        // One combinational evaluation of the unrolled circuit.
-        let all = cute_lock::sim::SequentialOracle::step(&mut comb, &comb_inputs);
-        // Outputs are ordered frame by frame.
-        let mut at = 0usize;
-        for (t, exp) in expected.iter().enumerate() {
-            let got = &all[at..at + exp.len()];
-            prop_assert_eq!(got, exp.as_slice(), "frame {}", t);
-            at += exp.len();
+        prop_assert_eq!(m.enc.solver.solve(), SatResult::Sat);
+        for (t, (exp, lits)) in expected.iter().zip(&outputs).enumerate() {
+            prop_assert_eq!(&m.enc.values(lits), exp, "frame {}", t);
         }
     }
 
