@@ -41,13 +41,11 @@ const FLAGS: &[&str] = &[
     "no-times",
     "portfolio",
     "share",
-    "no-simplify",
     "store",
 ];
 
 const USAGE: &str = "table5 [--quick] [--only NAME] [--baselines] [--timeout SECS] \
-                     [--threads N] [--no-times] [--portfolio K] [--share] [--no-simplify] \
-                     [--store FILE]\n\
+                     [--threads N] [--no-times] [--portfolio K] [--share] [--store FILE]\n\
                      DANA NMI + FALL on Cute-Lock-Str-locked ITC'99 (paper Table V)";
 
 /// One finished circuit row, computed by a pool worker.

@@ -96,7 +96,7 @@ pub struct Options {
     /// level only.
     pub simplify: bool,
     /// `--store FILE`: append one [`cutelock_attacks::RunRecord`] per
-    /// attack run to a `cutelock_store` columnar database after the table
+    /// attack run to a `cutelock_store` run database after the table
     /// prints. Records are written in table order regardless of
     /// `--threads`, and the bins run on the wall clock so the `elapsed_ns`
     /// column is recorded as 0 — the store file is byte-for-byte

@@ -63,7 +63,7 @@ COMMANDS:
               than verdicts, always exits 0)
               [--store FILE] appends the run (circuit, scheme, verdict,
               iterations, conflicts, GC/share totals, virtual-clock
-              elapsed) to a columnar run database for `cutelock report`
+              elapsed) to a run database for `cutelock report`
   report    Query a run database written by --store
               --store FILE [--where col=v,col=v] [--group-by col,col]
               [--metric COL (default conflicts, else median_ns)]
@@ -404,7 +404,7 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
         let (exported, imported, dups) = spec.portfolio.share_stats();
         println!("shared: exported={exported} imported={imported} dup_dropped={dups}");
     }
-    // --store PATH: append this run to the columnar run database. Every
+    // --store PATH: append this run to the run database. Every
     // recorded column is deterministic (elapsed only under --virtual-clock:
     // DETERMINISM.md Rule 9), so repeated identical runs append identical
     // rows and two fresh runs produce byte-identical store files.
@@ -424,7 +424,7 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
     }
 }
 
-/// `cutelock report`: query the columnar run database `--store` writes —
+/// `cutelock report`: query the run database `--store` writes —
 /// equality filters, group-by with deterministic group ordering, median /
 /// percentile summaries, perf-trajectory baselines (`--emit-bench`), and a
 /// regression gate (`--compare-baseline`, nonzero exit on a median past the
@@ -432,7 +432,7 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
 fn cmd_report(argv: &[String]) -> Result<(), String> {
     use cutelock_store::format::read_table_torn;
     use cutelock_store::trajectory::{compare, parse_json, to_json, BenchEntry};
-    use cutelock_store::{query, ColumnType, Value};
+    use cutelock_store::{query, Value};
 
     let args = Args::parse(
         argv,
@@ -452,7 +452,7 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
     let store_path = args.req("store")?;
     let (table, torn) = read_table_torn(store_path).map_err(|e| format!("{store_path}: {e}"))?;
     if torn > 0 {
-        eprintln!("{store_path}: ignored {torn} trailing byte(s) of an unfinished frame");
+        eprintln!("{store_path}: ignored {torn} trailing byte(s) of an unfinished session");
     }
 
     // Default metric: attack stores carry `conflicts`, bench stores carry
@@ -481,21 +481,8 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
                 .schema()
                 .type_of(col)
                 .ok_or_else(|| format!("--where: unknown column `{col}`"))?;
-            let value = match ty {
-                ColumnType::U64 => Value::U64(
-                    raw.parse()
-                        .map_err(|_| format!("--where: `{raw}` is not a u64 for `{col}`"))?,
-                ),
-                ColumnType::F64 => Value::F64(
-                    raw.parse()
-                        .map_err(|_| format!("--where: `{raw}` is not an f64 for `{col}`"))?,
-                ),
-                ColumnType::Bool => Value::Bool(
-                    raw.parse()
-                        .map_err(|_| format!("--where: `{raw}` is not a bool for `{col}`"))?,
-                ),
-                ColumnType::Str => Value::str(raw),
-            };
+            let value = Value::parse(ty, raw)
+                .ok_or_else(|| format!("--where: `{raw}` is not a {ty} for `{col}`"))?;
             filters.push((col.to_string(), value));
         }
     }

@@ -28,7 +28,9 @@
 //!   runs for minutes yet cancels within milliseconds through the solver's
 //!   stop slot — which is what the serve E2E test exercises. Cached.
 //!
-//! `--portfolio`, `--frames` and `--php` are refused outside `1..=64`.
+//! `--portfolio`, `--frames`, `--php` and the lock parameters `--keys`,
+//! `--key-bits` and `--ffs` are refused outside `1..=64`: the lock is built
+//! while the line is parsed, before any queue bound applies.
 //!
 //! The attacker-side rule from `docs/DETERMINISM.md` shapes the cache key:
 //! worker-thread counts (`--threads`) never change a result, so they stay
@@ -116,7 +118,8 @@ impl<'a> Flags<'a> {
 
     /// A numeric flag that must lie in `1..=64`. Each unit costs the
     /// daemon a solver clone (`--portfolio`), an encoded time frame
-    /// (`--frames`) or a pigeonhole (`--php`), so one line cannot ask for
+    /// (`--frames`), a pigeonhole (`--php`) or more lock to build
+    /// (`--keys`, `--key-bits`, `--ffs`), so one line cannot ask for
     /// unbounded work.
     fn bounded(&self, name: &str, default: usize) -> Result<usize, String> {
         match self.num(name, default)? {
@@ -148,9 +151,9 @@ fn builtin_circuit(name: &str) -> Result<Netlist, String> {
 fn lock_builtin(flags: &Flags) -> Result<LockedCircuit, String> {
     let circuit = flags.opt("circuit").unwrap_or("s27");
     let scheme = flags.opt("scheme").unwrap_or("str");
-    let keys: usize = flags.num("keys", 4)?;
-    let ki: usize = flags.num("key-bits", 2)?;
-    let ffs: usize = flags.num("ffs", 1)?;
+    let keys = flags.bounded("keys", 4)?;
+    let ki = flags.bounded("key-bits", 2)?;
+    let ffs = flags.bounded("ffs", 1)?;
     let seed: u64 = flags.num("seed", 0)?;
     let nl = builtin_circuit(circuit)?;
     let locked = match scheme {
@@ -567,14 +570,20 @@ mod tests {
 
     #[test]
     fn portfolio_and_frames_are_bounded() {
-        // Parsed only, never run: a line asking for 65 clones or frames
-        // is refused before it is queued.
+        // Parsed only, never run: a line asking for 65 clones, frames or
+        // keys is refused before it is queued (or its lock is built).
         for line in [
             "attack --mode sat --portfolio 0",
             "attack --mode sat --portfolio 65",
             "verify --frames 0",
             "verify --frames 65",
             "solve --php 65",
+            "attack --mode sat --keys 0",
+            "attack --mode sat --keys 65",
+            "verify --key-bits 0",
+            "verify --key-bits 65",
+            "attack --mode int --ffs 0",
+            "attack --mode int --ffs 65",
         ] {
             let flag = line.split_whitespace().rev().nth(1).unwrap();
             let Err(err) = submit(line) else {

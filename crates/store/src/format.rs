@@ -1,71 +1,64 @@
-//! The append-only on-disk format: a streaming [`Writer`] and a sequential
-//! [`read_table`] reader.
-//!
-//! Layout (all integers little-endian):
+//! The append-only on-disk format: a streaming [`Writer`] and a one-pass
+//! [`read_table`] reader over plain text, one line per row.
 //!
 //! ```text
-//! magic   8B   "CLKSTOR1"
-//! header       u32 ncols, then per column: u32 name_len, name bytes, u8 type tag
-//! frames*      u8 frame tag, then:
-//!   tag 1  dictionary delta: u32 count, then per string: u32 len, bytes
-//!   tag 2  chunk: u32 nrows, then per column (schema order), packed cells:
-//!            u64 -> 8B, f64 -> to_bits 8B, bool -> 1B, str -> u32 dict code
+//! CLKSTOR2<TAB>circuit:str<TAB>conflicts:u64    header: magic, then name:type per column
+//! s27<TAB>41                                     one line per row, cells tab-separated
+//! b01<TAB>97
+//! \end<TAB>2                                     closes a session that wrote 2 rows
 //! ```
 //!
-//! The writer buffers rows and flushes a chunk frame every
-//! [`CHUNK_ROWS`] rows, preceded by a dictionary-delta frame whenever new
-//! strings were interned since the last flush. Codes are assigned in
-//! first-seen order and every delta frame lands *before* the first chunk
-//! that references it, so a single forward pass reconstructs the table.
-//! Opening an existing file validates the schema and replays it to recover
-//! the dictionary, then appends — the byte stream of "one run, then another"
-//! is identical to "two runs appended to the same file".
+//! A cell is its value's [`Display`](std::fmt::Display) text, read back by
+//! [`Value::parse`]. In `str` cells (and column names) a backslash, tab,
+//! CR and newline are escaped as `\\`, `\t`, `\r` and `\n`, so every raw
+//! tab separates cells, every raw newline ends a line, and a row line can
+//! start with a backslash only as `\\` — a line starting `\end<TAB>` is
+//! always a session end. The bytes of a file are therefore a pure function
+//! of its row sequence and how it was split into sessions.
 //!
-//! A crash mid-append leaves a *torn tail*: the file ends inside a frame.
-//! Reading stops after the last whole chunk frame (a dictionary delta only
-//! counts together with the chunk it precedes, since the writer never emits
-//! one alone), and reopening for append cuts the tail off first, so every
-//! row of an earlier, finished session survives. Bytes that are present but
-//! malformed — a bad magic, a truncated header, an unknown frame tag, an
-//! oversized chunk — are [`StoreError::Corrupt`], never silently dropped.
+//! Each [`Writer`] session appends its rows and, in [`Writer::finish`],
+//! one `\end<TAB>N` line if it wrote N ≥ 1 rows. A crash mid-append leaves
+//! an *unfinished session*: rows with no `\end` after them, or a last line
+//! with no newline. The reader keeps rows only up to the last whole `\end`
+//! line, and reopening for append cuts everything after it first, so every
+//! row of an earlier, finished session survives. Whole lines that are
+//! malformed — a bad magic, an unknown column type, a cell that does not
+//! parse, an `\end` count that does not match its session — are
+//! [`StoreError::Corrupt`], never silently dropped.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::table::{Schema, Table, CHUNK_ROWS};
-use crate::{ColumnType, Dictionary, StoreError, Value};
+use crate::table::{Schema, Table};
+use crate::{ColumnType, StoreError, Value};
 
-/// File magic: identifies a cutelock store, version 1.
-pub(crate) const MAGIC: [u8; 8] = *b"CLKSTOR1";
-/// Frame tag for a dictionary delta.
-pub(crate) const FRAME_DICT: u8 = 1;
-/// Frame tag for a chunk of rows.
-pub(crate) const FRAME_CHUNK: u8 = 2;
+/// The first cell of the header line: identifies a cutelock store, version 2.
+const MAGIC: &str = "CLKSTOR2";
+/// What a session-end line starts with; the session's row count follows.
+const END: &str = "\\end\t";
 
-/// A streaming, append-only writer.
+/// A streaming, append-only writer: one session.
 ///
-/// Dropping a writer without calling [`Writer::finish`] loses any buffered
-/// rows (at most [`CHUNK_ROWS`] - 1 of them); the file stays readable.
+/// Dropping a writer without calling [`Writer::finish`] leaves its rows as
+/// an unfinished session, which readers skip; the file stays readable.
 pub struct Writer {
     out: BufWriter<File>,
     schema: Schema,
-    dict: Dictionary,
-    pending: Vec<Vec<Value>>,
+    rows: usize,
 }
 
 impl Writer {
     /// Opens `path` for appending, creating it (and writing the header) if
-    /// absent. An existing file must carry exactly this schema; a torn tail
-    /// is cut off before anything is appended.
+    /// absent. An existing file must carry exactly this schema; an
+    /// unfinished session at its end is cut off before anything is
+    /// appended.
     pub fn open(path: impl AsRef<Path>, schema: Schema) -> Result<Writer, StoreError> {
         let path = path.as_ref();
-        let exists = path.exists();
-        let mut dict = Dictionary::new();
-        let mut whole = None;
-        if exists {
-            // Replay the file: validates magic + schema and recovers every
-            // dictionary code so appended rows keep interning consistently.
+        // Reading the file validates it and finds where its last finished
+        // session ends.
+        let mut finished = None;
+        if path.exists() {
             let (existing, end) = replay(path)?;
             if existing.schema() != &schema {
                 return Err(StoreError::Schema(format!(
@@ -73,304 +66,193 @@ impl Writer {
                     path.display()
                 )));
             }
-            for s in existing.dict().iter() {
-                dict.intern(s);
-            }
-            dict.mark_flushed();
-            whole = Some(end);
+            finished = Some(end);
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        if let Some(end) = whole {
+        if let Some(end) = finished {
             if file.metadata()?.len() > end {
                 file.set_len(end)?;
             }
         }
         let mut out = BufWriter::new(file);
-        if !exists {
-            out.write_all(&MAGIC)?;
-            write_u32(&mut out, schema.len() as u32)?;
-            for (name, ty) in schema.columns() {
-                write_u32(&mut out, name.len() as u32)?;
-                out.write_all(name.as_bytes())?;
-                out.write_all(&[ty.tag()])?;
-            }
+        if finished.is_none() {
+            let columns = schema.columns().iter().map(|(n, t)| format!("{n}:{t}"));
+            write_line(&mut out, std::iter::once(MAGIC.to_string()).chain(columns))?;
         }
         Ok(Writer {
             out,
             schema,
-            dict,
-            pending: Vec::new(),
+            rows: 0,
         })
     }
 
-    /// Appends one row, flushing a chunk frame at every
-    /// [`CHUNK_ROWS`]-row boundary.
+    /// Appends one row. Errors on arity or per-cell type mismatches.
     pub fn push(&mut self, row: &[Value]) -> Result<(), StoreError> {
-        if row.len() != self.schema.len() {
-            return Err(StoreError::Schema(format!(
-                "row has {} cells but the schema has {} columns",
-                row.len(),
-                self.schema.len()
-            )));
-        }
-        for (val, (name, ty)) in row.iter().zip(self.schema.columns()) {
-            if val.column_type() != *ty {
-                return Err(StoreError::Schema(format!(
-                    "column '{}' is {} but the row carries {}",
-                    name,
-                    ty,
-                    val.column_type()
-                )));
-            }
-            if let Value::Str(s) = val {
-                self.dict.intern(s);
-            }
-        }
-        self.pending.push(row.to_vec());
-        if self.pending.len() >= CHUNK_ROWS {
-            self.flush_chunk()?;
-        }
+        self.schema.check(row)?;
+        write_line(&mut self.out, row.iter().map(Value::to_string))?;
+        self.rows += 1;
         Ok(())
     }
 
-    /// Flushes any buffered rows and the underlying file buffer.
+    /// Ends the session with its `\end` line (if it wrote any rows) and
+    /// flushes the file.
     pub fn finish(mut self) -> Result<(), StoreError> {
-        if !self.pending.is_empty() {
-            self.flush_chunk()?;
+        if self.rows > 0 {
+            writeln!(self.out, "{END}{}", self.rows)?;
         }
         self.out.flush()?;
         Ok(())
     }
-
-    fn flush_chunk(&mut self) -> Result<(), StoreError> {
-        let delta = self.dict.pending();
-        if !delta.is_empty() {
-            self.out.write_all(&[FRAME_DICT])?;
-            write_u32(&mut self.out, delta.len() as u32)?;
-            for s in delta {
-                write_u32(&mut self.out, s.len() as u32)?;
-                self.out.write_all(s.as_bytes())?;
-            }
-            self.dict.mark_flushed();
-        }
-        self.out.write_all(&[FRAME_CHUNK])?;
-        write_u32(&mut self.out, self.pending.len() as u32)?;
-        // Columnar layout: all cells of column 0, then column 1, ...
-        for (col, (_, ty)) in self.schema.columns().iter().enumerate() {
-            for row in &self.pending {
-                match (ty, &row[col]) {
-                    (ColumnType::U64, Value::U64(v)) => {
-                        self.out.write_all(&v.to_le_bytes())?;
-                    }
-                    (ColumnType::F64, Value::F64(v)) => {
-                        self.out.write_all(&v.to_bits().to_le_bytes())?;
-                    }
-                    (ColumnType::Bool, Value::Bool(v)) => {
-                        self.out.write_all(&[u8::from(*v)])?;
-                    }
-                    (ColumnType::Str, Value::Str(s)) => {
-                        let code = self.dict.code(s).expect("interned on push");
-                        write_u32(&mut self.out, code)?;
-                    }
-                    _ => unreachable!("types validated on push"),
-                }
-            }
-        }
-        self.pending.clear();
-        Ok(())
-    }
 }
 
-/// Reads a whole store file into an in-memory [`Table`] with a single
-/// sequential pass (no seeking, no mmap). A torn tail is left out.
+/// Reads a whole store file into an in-memory [`Table`] in one forward
+/// pass. An unfinished session at the end is left out.
 pub fn read_table(path: impl AsRef<Path>) -> Result<Table, StoreError> {
     replay(path.as_ref()).map(|(table, _)| table)
 }
 
-/// [`read_table`], plus how many trailing bytes it left out: the torn
-/// tail of an append that never finished (0 for an intact file).
+/// [`read_table`], plus how many trailing bytes it left out: the
+/// unfinished session of an append that never finished (0 for an intact
+/// file).
 pub fn read_table_torn(path: impl AsRef<Path>) -> Result<(Table, u64), StoreError> {
     let path = path.as_ref();
     let (table, end) = replay(path)?;
     Ok((table, std::fs::metadata(path)?.len().saturating_sub(end)))
 }
 
-/// Replays a store file, returning its table and the byte offset where its
-/// last whole chunk frame ends.
+/// Reads a store file, returning its table and the byte offset where its
+/// last finished session ends.
 fn replay(path: &Path) -> Result<(Table, u64), StoreError> {
-    let mut r = Counted {
-        inner: BufReader::new(File::open(path)?),
-        pos: 0,
-    };
-    let header = |e: Short| match e {
-        Short::Eof => StoreError::Corrupt("truncated header".into()),
-        Short::Err(e) => e,
-    };
-
-    let mut magic = [0u8; 8];
-    fill(&mut r, &mut magic)
-        .map_err(|_| StoreError::Corrupt("file shorter than the magic".into()))?;
-    if magic != MAGIC {
-        return Err(StoreError::Corrupt(
-            "bad magic: not a cutelock store".into(),
-        ));
+    // The magic is checked before the rest is read, so any other file is
+    // refused after eight bytes.
+    let mut file = File::open(path)?;
+    let mut bytes = Vec::new();
+    (&mut file)
+        .take(MAGIC.len() as u64)
+        .read_to_end(&mut bytes)?;
+    if bytes != MAGIC.as_bytes() {
+        return Err(corrupt("bad magic: not a CLKSTOR2 store"));
     }
+    file.read_to_end(&mut bytes)?;
+    // Whole lines only, each with the offset just past its newline: a last
+    // line without one is a torn write.
+    let mut pos = 0;
+    let mut lines = std::iter::from_fn(|| {
+        let len = bytes[pos..].iter().position(|&b| b == b'\n')?;
+        let line =
+            std::str::from_utf8(&bytes[pos..pos + len]).map_err(|_| corrupt("a line is not UTF-8"));
+        pos += len + 1;
+        Some((line, pos as u64))
+    });
 
-    let ncols = read_u32(&mut r).map_err(header)?;
-    let mut columns = Vec::new();
-    for _ in 0..ncols {
-        let name = read_string(&mut r).map_err(header)?;
-        let mut tag = [0u8; 1];
-        fill(&mut r, &mut tag).map_err(header)?;
-        let ty = ColumnType::from_tag(tag[0])
-            .ok_or_else(|| StoreError::Corrupt(format!("unknown column type tag {}", tag[0])))?;
-        columns.push((name, ty));
+    let (header, mut finished) = lines.next().ok_or_else(|| corrupt("truncated header"))?;
+    let mut cells = split_cells(header?)?.into_iter();
+    if cells.next().as_deref() != Some(MAGIC) {
+        return Err(corrupt("bad magic: not a CLKSTOR2 store"));
     }
-    let schema = Schema::from_columns(columns);
+    let columns = cells
+        .map(|cell| {
+            let (name, ty) = cell
+                .rsplit_once(':')
+                .and_then(|(n, t)| Some((n, ColumnType::from_name(t)?)))
+                .ok_or_else(|| corrupt(format!("bad column declaration `{cell}`")))?;
+            Ok((name.to_string(), ty))
+        })
+        .collect::<Result<_, StoreError>>()?;
 
-    // Re-pushing every row through a fresh Table re-interns strings in the
-    // same first-seen order, reproducing the on-disk codes and
-    // canonicalizing chunk sizes regardless of how the file was flushed.
-    let mut table = Table::new(schema.clone());
-    let mut dict = Dictionary::new();
-    let mut whole = r.pos;
-    loop {
-        let mut tag = [0u8; 1];
-        if r.read(&mut tag)? == 0 {
-            break; // clean EOF between frames
-        }
-        let rows = match tag[0] {
-            FRAME_DICT => read_dict_frame(&mut r, &mut dict).map(|()| None),
-            FRAME_CHUNK => read_chunk_frame(&mut r, &schema, &dict).map(Some),
-            t => return Err(StoreError::Corrupt(format!("unknown frame tag {t}"))),
-        };
-        match rows {
-            // A dictionary delta is whole only with the chunk after it.
-            Ok(None) => {}
-            Ok(Some(rows)) => {
-                for row in &rows {
-                    table
-                        .push(row)
-                        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-                }
-                whole = r.pos;
+    let mut table = Table::new(Schema::from_columns(columns));
+    let mut session: Vec<Vec<Value>> = Vec::new();
+    for (line, end) in lines {
+        let line = line?;
+        if let Some(count) = line.strip_prefix(END) {
+            if count.parse() != Ok(session.len()) {
+                return Err(corrupt(format!(
+                    "a session end claims {count} rows after {} row lines",
+                    session.len()
+                )));
             }
-            Err(Short::Eof) => break, // torn tail
-            Err(Short::Err(e)) => return Err(e),
+            for row in session.drain(..) {
+                table.push(&row)?;
+            }
+            finished = end;
+        } else {
+            session.push(parse_row(table.schema(), line)?);
         }
     }
-    Ok((table, whole))
+    Ok((table, finished))
 }
 
-/// Reads a dictionary-delta frame body into `dict`.
-fn read_dict_frame(r: &mut impl Read, dict: &mut Dictionary) -> Result<(), Short> {
-    let count = read_u32(r)?;
-    for _ in 0..count {
-        let s = read_string(r)?;
-        dict.intern(&s);
+/// Parses one row line against `schema`.
+fn parse_row(schema: &Schema, line: &str) -> Result<Vec<Value>, StoreError> {
+    let cells = split_cells(line)?;
+    if cells.len() != schema.len() {
+        return Err(corrupt(format!(
+            "a row has {} cells but the schema has {} columns",
+            cells.len(),
+            schema.len()
+        )));
     }
-    Ok(())
+    cells
+        .iter()
+        .zip(schema.columns())
+        .map(|(cell, (name, ty))| {
+            Value::parse(*ty, cell)
+                .ok_or_else(|| corrupt(format!("`{cell}` is not a {ty} for column '{name}'")))
+        })
+        .collect()
 }
 
-/// Reads a chunk frame body, returning its rows once all of them are whole.
-fn read_chunk_frame(
-    r: &mut impl Read,
-    schema: &Schema,
-    dict: &Dictionary,
-) -> Result<Vec<Vec<Value>>, Short> {
-    let nrows = read_u32(r)? as usize;
-    if nrows > CHUNK_ROWS {
-        return Err(Short::Err(StoreError::Corrupt(format!(
-            "chunk frame claims {nrows} rows (max {CHUNK_ROWS})"
-        ))));
-    }
-    // Cells arrive column-major; gather them row-major so they can be
-    // re-pushed through Table::push.
-    let mut rows: Vec<Vec<Value>> = vec![Vec::with_capacity(schema.len()); nrows];
-    for (_, ty) in schema.columns() {
-        for row in rows.iter_mut() {
-            let val = match ty {
-                ColumnType::U64 => Value::U64(read_u64(r)?),
-                ColumnType::F64 => Value::F64(f64::from_bits(read_u64(r)?)),
-                ColumnType::Bool => {
-                    let mut b = [0u8; 1];
-                    fill(r, &mut b)?;
-                    Value::Bool(b[0] != 0)
-                }
-                ColumnType::Str => {
-                    let code = read_u32(r)?;
-                    let s = dict.resolve(code).ok_or_else(|| {
-                        Short::Err(StoreError::Corrupt(format!(
-                            "chunk references dictionary code {code} before its delta frame"
-                        )))
-                    })?;
-                    Value::str(s)
-                }
-            };
-            row.push(val);
+/// Writes `cells` as one line: escaped, tab-separated, newline-terminated.
+fn write_line(
+    out: &mut impl Write,
+    cells: impl IntoIterator<Item = String>,
+) -> std::io::Result<()> {
+    let mut line = String::new();
+    for (i, cell) in cells.into_iter().enumerate() {
+        if i > 0 {
+            line.push('\t');
+        }
+        for c in cell.chars() {
+            match c {
+                '\\' => line.push_str("\\\\"),
+                '\t' => line.push_str("\\t"),
+                '\r' => line.push_str("\\r"),
+                '\n' => line.push_str("\\n"),
+                c => line.push(c),
+            }
         }
     }
-    Ok(rows)
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
-/// Why a read stopped short.
-enum Short {
-    /// The file ended mid-record: a torn write.
-    Eof,
-    /// The bytes are malformed, or the read failed.
-    Err(StoreError),
-}
-
-/// Counts the bytes read through it, so the reader knows where each frame
-/// ends.
-struct Counted<R> {
-    inner: R,
-    pos: u64,
-}
-
-impl<R: Read> Read for Counted<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.pos += n as u64;
-        Ok(n)
+/// Splits a line at its raw tabs and unescapes each cell: the inverse of
+/// [`write_line`].
+fn split_cells(line: &str) -> Result<Vec<String>, StoreError> {
+    let mut cells = vec![String::new()];
+    let mut chars = line.chars();
+    while let Some(c) = chars.next() {
+        let c = match c {
+            '\t' => {
+                cells.push(String::new());
+                continue;
+            }
+            '\\' => match chars.next() {
+                Some('\\') => '\\',
+                Some('t') => '\t',
+                Some('r') => '\r',
+                Some('n') => '\n',
+                _ => return Err(corrupt(format!("bad escape in line `{line}`"))),
+            },
+            c => c,
+        };
+        cells.last_mut().expect("starts with one cell").push(c);
     }
+    Ok(cells)
 }
 
-fn write_u32(out: &mut impl Write, v: u32) -> std::io::Result<()> {
-    out.write_all(&v.to_le_bytes())
-}
-
-fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Short> {
-    r.read_exact(buf).map_err(|e| match e.kind() {
-        ErrorKind::UnexpectedEof => Short::Eof,
-        _ => Short::Err(e.into()),
-    })
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32, Short> {
-    let mut b = [0u8; 4];
-    fill(r, &mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64, Short> {
-    let mut b = [0u8; 8];
-    fill(r, &mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_string(r: &mut impl Read) -> Result<String, Short> {
-    let len = read_u32(r)? as usize;
-    // Read through `take` rather than preallocating `len` bytes: a length
-    // field is untrusted input.
-    let mut b = Vec::new();
-    r.take(len as u64)
-        .read_to_end(&mut b)
-        .map_err(|e| Short::Err(e.into()))?;
-    if b.len() < len {
-        return Err(Short::Eof);
-    }
-    String::from_utf8(b).map_err(|_| Short::Err(StoreError::Corrupt("non-utf8 string".into())))
+fn corrupt(msg: impl Into<String>) -> StoreError {
+    StoreError::Corrupt(msg.into())
 }
 
 #[cfg(test)]
@@ -406,7 +288,7 @@ mod tests {
         let path = tmp("roundtrip.clk");
         std::fs::remove_file(&path).ok();
         let mut w = Writer::open(&path, schema()).unwrap();
-        let total = CHUNK_ROWS + 17;
+        let total = 273;
         for i in 0..total {
             w.push(&row(&format!("c{}", i % 5), i as u64)).unwrap();
         }
@@ -444,8 +326,8 @@ mod tests {
         }
         w.finish().unwrap();
 
-        // Same rows, same dictionary codes; only the chunk framing differs,
-        // and read_table canonicalizes that away.
+        // Same rows; only the session-end lines differ, and read_table
+        // reads through them.
         let a = read_table(&once).unwrap();
         let b = read_table(&twice).unwrap();
         assert_eq!(a.rows(), b.rows());
@@ -498,8 +380,6 @@ mod tests {
         }
         w.finish().unwrap();
         let first_end = std::fs::metadata(&path).unwrap().len();
-        // The second session interns a new string, so it writes a
-        // dictionary delta before its chunk.
         let mut w = Writer::open(&path, schema()).unwrap();
         for i in 3..6u64 {
             w.push(&row("b01", i)).unwrap();
@@ -542,6 +422,56 @@ mod tests {
         ];
         assert!(w.push(&bad).is_err(), "type");
         w.finish().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn str_cells_with_separators_and_escapes_round_trip() {
+        // `attack --store` on an external netlist records its file path as
+        // the circuit name, and a path can hold any of these.
+        let path = tmp("escapes.clk");
+        std::fs::remove_file(&path).ok();
+        let names = [
+            "dir\twith\ttabs/s27.bench",
+            "line\nbreak\r\n",
+            "back\\slash\\t\\n\\",
+            "\\end\t1",
+            "",
+        ];
+        let mut w = Writer::open(&path, schema()).unwrap();
+        for (i, name) in names.iter().enumerate() {
+            w.push(&row(name, i as u64)).unwrap();
+        }
+        w.finish().unwrap();
+        // One line per row, and no raw CR for a text tool to eat.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), names.len() + 2);
+        assert!(!text.contains('\r'));
+        let t = read_table(&path).unwrap();
+        assert_eq!(t.rows(), names.len());
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(t.row(i), row(name, i as u64));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_session_end_with_the_wrong_count_is_corrupt() {
+        let path = tmp("bad-count.clk");
+        std::fs::remove_file(&path).ok();
+        let mut w = Writer::open(&path, schema()).unwrap();
+        for i in 0..3u64 {
+            w.push(&row("s27", i)).unwrap();
+        }
+        w.finish().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for bad in ["\\end\t2\n", "\\end\t4\n", "\\end\tthree\n"] {
+            std::fs::write(&path, text.replace("\\end\t3\n", bad)).unwrap();
+            assert!(
+                matches!(read_table(&path).unwrap_err(), StoreError::Corrupt(_)),
+                "{bad:?}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,22 +1,18 @@
-//! The run database: an append-only, columnar store for attack and bench
-//! results.
+//! The run database: an append-only store of typed rows for attack and
+//! bench results, kept as plain text with one line per row.
 //!
 //! Every producer in the workspace — `cutelock attack --store`, the
 //! `table3`/`table4`/`table5` bins, and the criterion shim — used to print
 //! its numbers and forget them. This crate gives those numbers a durable,
 //! diffable home:
 //!
-//! * **columnar tables** ([`table`]) — typed columns
+//! * **tables** ([`table`]) — a [`Schema`] of typed columns
 //!   ([`ColumnType::U64`]/[`F64`](ColumnType::F64)/[`Bool`](ColumnType::Bool)/
-//!   [`Str`](ColumnType::Str)) stored in fixed-size chunks of
-//!   [`CHUNK_ROWS`](table::CHUNK_ROWS) rows;
-//! * **dictionary interning** (`dict`) — circuit/scheme/strategy names are
-//!   stored once and referenced by `u32` codes assigned in first-seen order,
-//!   so the same run sequence always produces the same codes;
-//! * **an append-only on-disk format** ([`mod@format`]) — a streaming
-//!   [`Writer`](format::Writer) emits dictionary-delta and chunk frames
-//!   behind a fixed header; [`read_table`](format::read_table) replays them
-//!   sequentially (no mmap, no seeking) into an in-memory [`Table`];
+//!   [`Str`](ColumnType::Str)) plus its rows;
+//! * **an append-only text format** ([`mod@format`]) — a header line, one
+//!   tab-separated line per row, and an `\end` line closing each
+//!   [`Writer`](format::Writer) session; [`read_table`](format::read_table)
+//!   reads it back in one forward pass, keeping only finished sessions;
 //! * **a query/aggregation layer** ([`query`], [`agg`]) — equality filters,
 //!   group-by with **deterministic group ordering**, and
 //!   count/min/max/median/percentile summaries. The criterion shim's
@@ -60,21 +56,19 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub(crate) mod column;
-pub(crate) mod dict;
 pub mod format;
 pub mod query;
 pub mod table;
 pub mod trajectory;
 
-pub use dict::Dictionary;
 pub use table::{Schema, Table};
 
 use std::cmp::Ordering;
 use std::fmt;
 
-/// The type of one column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The type of one column. Declaration order is how group-by orders
+/// values of different types.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ColumnType {
     /// Unsigned 64-bit integers (counts, seeds, nanoseconds).
     U64,
@@ -82,33 +76,13 @@ pub enum ColumnType {
     F64,
     /// Booleans (flags like `decisive`).
     Bool,
-    /// Dictionary-interned strings (circuit/scheme/strategy names).
+    /// Strings (circuit/scheme/strategy names).
     Str,
 }
 
 impl ColumnType {
-    /// The on-disk tag byte for this type (see [`mod@format`]).
-    pub(crate) fn tag(self) -> u8 {
-        match self {
-            ColumnType::U64 => 0,
-            ColumnType::F64 => 1,
-            ColumnType::Bool => 2,
-            ColumnType::Str => 3,
-        }
-    }
-
-    /// The inverse of [`ColumnType::tag`].
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(ColumnType::U64),
-            1 => Some(ColumnType::F64),
-            2 => Some(ColumnType::Bool),
-            3 => Some(ColumnType::Str),
-            _ => None,
-        }
-    }
-
-    /// The lowercase name used in error messages and `report` output.
+    /// The lowercase name used in store headers, error messages and
+    /// `report` output.
     pub(crate) fn name(self) -> &'static str {
         match self {
             ColumnType::U64 => "u64",
@@ -116,6 +90,18 @@ impl ColumnType {
             ColumnType::Bool => "bool",
             ColumnType::Str => "str",
         }
+    }
+
+    /// The inverse of [`ColumnType::name`].
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        [
+            ColumnType::U64,
+            ColumnType::F64,
+            ColumnType::Bool,
+            ColumnType::Str,
+        ]
+        .into_iter()
+        .find(|t| t.name() == name)
     }
 }
 
@@ -134,7 +120,7 @@ pub enum Value {
     F64(f64),
     /// A [`ColumnType::Bool`] cell.
     Bool(bool),
-    /// A [`ColumnType::Str`] cell (interned on push).
+    /// A [`ColumnType::Str`] cell.
     Str(String),
 }
 
@@ -142,6 +128,18 @@ impl Value {
     /// Convenience constructor for string cells.
     pub fn str(s: impl Into<String>) -> Self {
         Value::Str(s.into())
+    }
+
+    /// Parses a cell of type `ty` from its [`Display`](fmt::Display) text:
+    /// the one cell parser behind the store reader and `cutelock report
+    /// --where`. `None` when `text` is not a value of that type.
+    pub fn parse(ty: ColumnType, text: &str) -> Option<Value> {
+        Some(match ty {
+            ColumnType::U64 => Value::U64(text.parse().ok()?),
+            ColumnType::F64 => Value::F64(text.parse().ok()?),
+            ColumnType::Bool => Value::Bool(text.parse().ok()?),
+            ColumnType::Str => Value::str(text),
+        })
     }
 
     /// The column type this value belongs in.
@@ -154,7 +152,8 @@ impl Value {
         }
     }
 
-    /// A total order over values (floats via `total_cmp`, types by tag) —
+    /// A total order over values (floats via `total_cmp`, mixed types by
+    /// [`ColumnType`] order) —
     /// what gives group-by output its deterministic ordering.
     pub(crate) fn total_cmp(&self, other: &Value) -> Ordering {
         match (self, other) {
@@ -162,7 +161,7 @@ impl Value {
             (Value::F64(a), Value::F64(b)) => a.total_cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) => a.column_type().tag().cmp(&b.column_type().tag()),
+            (a, b) => a.column_type().cmp(&b.column_type()),
         }
     }
 
@@ -192,7 +191,7 @@ impl fmt::Display for Value {
 pub enum StoreError {
     /// An underlying I/O failure.
     Io(std::io::Error),
-    /// The file is not a store file, or a frame is truncated/malformed.
+    /// The file is not a store file, or a whole line in it is malformed.
     Corrupt(String),
     /// A schema/arity/type mismatch between caller and table.
     Schema(String),
@@ -224,19 +223,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn type_tags_round_trip() {
-        for t in [
-            ColumnType::U64,
-            ColumnType::F64,
-            ColumnType::Bool,
-            ColumnType::Str,
-        ] {
-            assert_eq!(ColumnType::from_tag(t.tag()), Some(t));
-        }
-        assert_eq!(ColumnType::from_tag(9), None);
-    }
-
-    #[test]
     fn value_total_order_is_total() {
         let vals = [
             Value::U64(3),
@@ -253,6 +239,30 @@ mod tests {
         }
         assert_eq!(Value::U64(1).total_cmp(&Value::U64(2)), Ordering::Less);
         assert_eq!(Value::str("a").total_cmp(&Value::str("b")), Ordering::Less);
+    }
+
+    #[test]
+    fn parse_inverts_display_exactly() {
+        let vals = [
+            Value::U64(u64::MAX),
+            Value::F64(0.1 + 0.2),
+            Value::F64(-0.0),
+            Value::F64(f64::MIN_POSITIVE / 3.0),
+            Value::F64(1e300),
+            Value::F64(f64::NEG_INFINITY),
+            Value::Bool(false),
+            Value::str(" s27 "),
+        ];
+        for v in vals {
+            let back = Value::parse(v.column_type(), &v.to_string()).unwrap();
+            assert_eq!(back.total_cmp(&v), Ordering::Equal, "{v}");
+        }
+        assert!(matches!(
+            Value::parse(ColumnType::F64, &f64::NAN.to_string()),
+            Some(Value::F64(x)) if x.is_nan()
+        ));
+        assert_eq!(Value::parse(ColumnType::U64, "-1"), None);
+        assert_eq!(Value::parse(ColumnType::Bool, "1"), None);
     }
 
     #[test]

@@ -1,18 +1,9 @@
-//! Schemas, fixed-size chunks, and the in-memory [`Table`].
+//! Schemas and the in-memory [`Table`]: a schema plus its rows.
 //!
-//! A table is a schema plus a list of `Chunk`s; every chunk except the
-//! last holds exactly [`CHUNK_ROWS`] rows, so a global row index maps to
-//! `(row / CHUNK_ROWS, row % CHUNK_ROWS)` with no per-chunk offsets. All
-//! `Str` columns share the table's one [`Dictionary`]. Appending is the
-//! only mutation — rows are never edited or removed, mirroring the
-//! append-only on-disk format.
+//! Appending is the only mutation — rows are never edited or removed,
+//! mirroring the append-only on-disk format.
 
-use crate::column::Column;
-use crate::dict::Dictionary;
 use crate::{ColumnType, StoreError, Value};
-
-/// Rows per chunk, both in memory and in each on-disk chunk frame.
-pub const CHUNK_ROWS: usize = 256;
 
 /// An ordered list of `(name, type)` column declarations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,57 +51,36 @@ impl Schema {
             .find(|(n, _)| n == name)
             .map(|(_, t)| *t)
     }
-}
 
-/// One fixed-capacity block of rows: every column holds the same number of
-/// cells, at most [`CHUNK_ROWS`].
-#[derive(Debug, Clone)]
-pub(crate) struct Chunk {
-    columns: Vec<Column>,
-}
-
-impl Chunk {
-    /// An empty chunk matching `schema`.
-    pub(crate) fn new(schema: &Schema) -> Self {
-        Chunk {
-            columns: schema
-                .columns()
-                .iter()
-                .map(|(_, t)| Column::new(*t))
-                .collect(),
+    /// Checks that `row` has one cell per column, each of its column's
+    /// type.
+    pub(crate) fn check(&self, row: &[Value]) -> Result<(), StoreError> {
+        if row.len() != self.len() {
+            return Err(StoreError::Schema(format!(
+                "row has {} cells but the schema has {} columns",
+                row.len(),
+                self.len()
+            )));
         }
-    }
-
-    /// Rows currently held.
-    pub(crate) fn rows(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
-    }
-
-    /// True at [`CHUNK_ROWS`] rows.
-    pub(crate) fn is_full(&self) -> bool {
-        self.rows() >= CHUNK_ROWS
-    }
-
-    /// The columns, in schema order.
-    pub(crate) fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
-    /// Appends one row (arity pre-checked by the caller).
-    pub(crate) fn push(&mut self, row: &[Value], dict: &mut Dictionary) -> Result<(), StoreError> {
-        for (col, val) in self.columns.iter_mut().zip(row) {
-            col.push(val, dict)?;
+        for (val, (name, ty)) in row.iter().zip(&self.columns) {
+            if val.column_type() != *ty {
+                return Err(StoreError::Schema(format!(
+                    "column '{}' is {} but the row carries {}",
+                    name,
+                    ty,
+                    val.column_type()
+                )));
+            }
         }
         Ok(())
     }
 }
 
-/// An in-memory columnar table: schema + shared dictionary + chunks.
+/// An in-memory table: a schema plus its rows, in append order.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
-    dict: Dictionary,
-    chunks: Vec<Chunk>,
+    rows: Vec<Vec<Value>>,
 }
 
 impl Table {
@@ -118,8 +88,7 @@ impl Table {
     pub fn new(schema: Schema) -> Self {
         Table {
             schema,
-            dict: Dictionary::new(),
-            chunks: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -128,48 +97,30 @@ impl Table {
         &self.schema
     }
 
-    /// The shared string dictionary.
-    pub fn dict(&self) -> &Dictionary {
-        &self.dict
-    }
-
-    /// Total rows across all chunks.
+    /// Number of rows.
     pub fn rows(&self) -> usize {
-        match self.chunks.split_last() {
-            None => 0,
-            Some((last, full)) => full.len() * CHUNK_ROWS + last.rows(),
-        }
+        self.rows.len()
     }
 
     /// Appends one row. Errors on arity or per-cell type mismatches.
     pub fn push(&mut self, row: &[Value]) -> Result<(), StoreError> {
-        if row.len() != self.schema.len() {
-            return Err(StoreError::Schema(format!(
-                "row has {} cells but the schema has {} columns",
-                row.len(),
-                self.schema.len()
-            )));
-        }
-        if self.chunks.last().is_none_or(Chunk::is_full) {
-            self.chunks.push(Chunk::new(&self.schema));
-        }
-        let chunk = self.chunks.last_mut().expect("just ensured");
-        chunk.push(row, &mut self.dict)
+        self.schema.check(row)?;
+        self.rows.push(row.to_vec());
+        Ok(())
     }
 
-    /// The cell at `(row, col)` (global row index across chunks).
+    /// The cell at `(row, col)`.
     ///
     /// # Panics
     ///
     /// On out-of-range indices.
     pub fn value(&self, row: usize, col: usize) -> Value {
-        let chunk = &self.chunks[row / CHUNK_ROWS];
-        chunk.columns()[col].value(row % CHUNK_ROWS, &self.dict)
+        self.rows[row][col].clone()
     }
 
     /// One whole row, in schema order.
     pub fn row(&self, row: usize) -> Vec<Value> {
-        (0..self.schema.len()).map(|c| self.value(row, c)).collect()
+        self.rows[row].clone()
     }
 }
 
@@ -188,27 +139,6 @@ mod tests {
         assert_eq!(s.index_of("n"), Some(1));
         assert_eq!(s.index_of("missing"), None);
         assert_eq!(s.type_of("name"), Some(ColumnType::Str));
-    }
-
-    #[test]
-    fn rows_spill_into_fresh_chunks_at_the_boundary() {
-        let mut t = Table::new(schema());
-        let total = CHUNK_ROWS + 3;
-        for i in 0..total {
-            t.push(&[Value::str(format!("r{}", i % 7)), Value::U64(i as u64)])
-                .unwrap();
-        }
-        assert_eq!(t.rows(), total);
-        assert_eq!(t.chunks.len(), 2);
-        assert_eq!(t.chunks[0].rows(), CHUNK_ROWS);
-        assert_eq!(t.chunks[1].rows(), 3);
-        // Reads across the boundary resolve through the shared dictionary.
-        assert_eq!(t.value(CHUNK_ROWS, 1), Value::U64(CHUNK_ROWS as u64));
-        assert_eq!(
-            t.value(CHUNK_ROWS, 0),
-            Value::str(format!("r{}", CHUNK_ROWS % 7))
-        );
-        assert_eq!(t.row(0), vec![Value::str("r0"), Value::U64(0)]);
     }
 
     #[test]
