@@ -34,7 +34,7 @@ use cutelock_sat::{Binding, CircuitEncoder, SatResult};
 
 use crate::outcome::verify_candidate_key;
 use crate::portfolio::Portfolio;
-use crate::{AttackBudget, AttackOutcome};
+use crate::{AttackBudget, AttackOutcome, AttackReport, RunStats};
 
 /// Result of a FALL run — one row of the paper's Table V FALL columns.
 #[derive(Debug, Clone)]
@@ -49,6 +49,21 @@ pub struct FallReport {
     pub outcome: AttackOutcome,
     /// CPU time.
     pub elapsed: Duration,
+}
+
+/// FALL's report in the shape of every other attack's, for the run schema:
+/// the candidate count stands in for iterations, and there is no bound and
+/// no solver counters.
+impl From<&FallReport> for AttackReport {
+    fn from(r: &FallReport) -> Self {
+        AttackReport {
+            outcome: r.outcome.clone(),
+            elapsed: r.elapsed,
+            iterations: r.candidates,
+            bound: 0,
+            stats: RunStats::default(),
+        }
+    }
 }
 
 /// A detected comparator: the AND root plus the signals it tests.

@@ -189,16 +189,7 @@ pub fn run_attack(locked: &LockedCircuit, spec: &AttackSpec) -> AttackReport {
         AttackStrategy::Rane => rane_attack_with(locked, budget, p),
         AttackStrategy::AppSat => appsat_attack_with(locked, budget, &AppSatConfig::default(), p),
         AttackStrategy::DoubleDip => double_dip_attack_with(locked, budget, p),
-        AttackStrategy::Fall => {
-            let r = fall_attack_with(locked, budget, p);
-            AttackReport {
-                outcome: r.outcome,
-                elapsed: r.elapsed,
-                iterations: r.candidates,
-                bound: 0,
-                stats: crate::RunStats::default(),
-            }
-        }
+        AttackStrategy::Fall => AttackReport::from(&fall_attack_with(locked, budget, p)),
     }
 }
 

@@ -15,7 +15,7 @@
 //! (repurposed cones vs. freshly synthesized wrongful logic, DESIGN.md
 //! §6.1).
 
-use cutelock_bench::params::{in_quick_set, FIG4_RUNS, TABLE5};
+use cutelock_bench::params::{FIG4_RUNS, TABLE5};
 use cutelock_bench::{rule, Options};
 use cutelock_circuits::itc99;
 use cutelock_core::baselines::DkLock;
@@ -85,10 +85,7 @@ fn main() {
 
     let mut first_small: Option<f64> = None;
     let mut last_large: Option<f64> = None;
-    for &name in TABLE5 {
-        if !opt.selected(name) || (opt.quick && !in_quick_set(name)) {
-            continue;
-        }
+    for &name in TABLE5.iter().filter(|n| opt.selected(n)) {
         let Ok(circuit) = itc99(name) else { continue };
         let orig = &circuit.netlist;
         let n = orig.input_count();

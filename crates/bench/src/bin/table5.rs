@@ -22,10 +22,8 @@
 
 use cutelock_attacks::dana::{dana_attack_with_budget, score_against_ground_truth};
 use cutelock_attacks::fall::{fall_attack_with, FallReport};
-use cutelock_attacks::{
-    AttackOutcome, AttackReport, AttackStrategy, Portfolio, RunRecord, RunStats,
-};
-use cutelock_bench::params::{in_quick_set, TABLE5};
+use cutelock_attacks::{AttackOutcome, AttackReport, AttackStrategy, Portfolio, RunRecord};
+use cutelock_bench::params::TABLE5;
 use cutelock_bench::{rule, Options};
 use cutelock_circuits::itc99;
 use cutelock_core::baselines::TtLock;
@@ -77,63 +75,47 @@ fn main() {
     );
     rule(64);
 
-    let selected: Vec<&'static str> = TABLE5
-        .iter()
-        .copied()
-        .filter(|name| opt.selected(name) && (!opt.quick || in_quick_set(name)))
-        .collect();
+    let selected: Vec<&'static str> = TABLE5.iter().copied().filter(|n| opt.selected(n)).collect();
 
     let pool = opt.pool();
-    // Two-level dispatch: circuits × entrant slices on one pool (see
-    // table3 for the width rationale).
-    let results: Vec<Result<Row, String>> =
-        pool.map_units(&opt.units(selected.len()), |i, width| {
-            let name = selected[i];
-            let circuit = itc99(name).map_err(|e| format!("{name}: {e}"))?;
-            let truth = circuit.word_labels();
-            let clean_dana = dana_attack_with_budget(&circuit.netlist, &budget);
-            let clean = score_against_ground_truth(&clean_dana, &truth);
+    let results: Vec<Result<Row, String>> = pool.map(selected.len(), |i| {
+        let name = selected[i];
+        let circuit = itc99(name).map_err(|e| format!("{name}: {e}"))?;
+        let truth = circuit.word_labels();
+        let clean_dana = dana_attack_with_budget(&circuit.netlist, &budget);
+        let clean = score_against_ground_truth(&clean_dana, &truth);
 
-            // Lock half of the flip-flops (at least 2) — the paper's removal
-            // experiments lock aggressively ("locking more FFs would provide
-            // more resilience against dataflow and removal attacks", §III-C).
-            let n_lock = (circuit.netlist.dff_count() / 2).max(2);
-            let locked = CuteLockStr::new(CuteLockStrConfig {
-                keys: 4,
-                key_bits: 5,
-                locked_ffs: n_lock,
-                seed: 0x7ab1e5,
-                schedule: None,
-                ..Default::default()
-            })
-            .lock(&circuit.netlist)
-            .map_err(|e| format!("{name}: lock failed: {e}"))?;
-            let dana = dana_attack_with_budget(&locked.netlist, &budget);
-            let locked_score = score_against_ground_truth(&dana, &truth);
-            // `--portfolio K` races FALL's SAT key-confirmation checks at the
-            // width this unit was allocated.
-            let spec = opt.spec_with(AttackStrategy::Fall, width);
-            let fall = fall_attack_with(&locked, &spec.budget, &spec.portfolio);
-            // FALL's structural report has no generic `AttackReport`; fold
-            // it into one so the `--store` row shares the run schema
-            // (candidate count stands in for iterations; no SAT stats).
-            let report = AttackReport {
-                outcome: fall.outcome.clone(),
-                elapsed: fall.elapsed,
-                iterations: fall.candidates,
-                bound: 0,
-                stats: RunStats::default(),
-            };
-            let record = RunRecord::from_run(name, 0x7ab1e5, &locked, &spec, &report);
-            Ok(Row {
-                name,
-                clean,
-                locked_score,
-                fall,
-                dana_timed_out: clean_dana.timed_out || dana.timed_out,
-                record,
-            })
-        });
+        // Lock half of the flip-flops (at least 2) — the paper's removal
+        // experiments lock aggressively ("locking more FFs would provide
+        // more resilience against dataflow and removal attacks", §III-C).
+        let n_lock = (circuit.netlist.dff_count() / 2).max(2);
+        let locked = CuteLockStr::new(CuteLockStrConfig {
+            keys: 4,
+            key_bits: 5,
+            locked_ffs: n_lock,
+            seed: 0x7ab1e5,
+            schedule: None,
+            ..Default::default()
+        })
+        .lock(&circuit.netlist)
+        .map_err(|e| format!("{name}: lock failed: {e}"))?;
+        let dana = dana_attack_with_budget(&locked.netlist, &budget);
+        let locked_score = score_against_ground_truth(&dana, &truth);
+        // `--portfolio K` races FALL's SAT key-confirmation checks at the
+        // width each circuit job gets.
+        let spec = opt.spec_for(AttackStrategy::Fall, selected.len());
+        let fall = fall_attack_with(&locked, &spec.budget, &spec.portfolio);
+        let record =
+            RunRecord::from_run(name, 0x7ab1e5, &locked, &spec, &AttackReport::from(&fall));
+        Ok(Row {
+            name,
+            clean,
+            locked_score,
+            fall,
+            dana_timed_out: clean_dana.timed_out || dana.timed_out,
+            record,
+        })
+    });
 
     let mut clean_scores = Vec::new();
     let mut locked_scores = Vec::new();

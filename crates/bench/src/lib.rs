@@ -13,34 +13,32 @@
 //!
 //! Every binary accepts `--quick` (subset of circuits, smaller budgets),
 //! rejects any flag it does not read, and prints machine-grep-friendly
-//! rows. The attack-suite bins (`table3`, `table4`, `table5`) schedule
-//! (circuit × entrant-slice) units onto **one**
-//! [`cutelock_sim::pool::Pool`] via [`Pool::map_units`]: each
-//! circuit job declares its `--portfolio K` entrants as inner units and is
-//! handed a race width sized so the plan never oversubscribes
-//! `--threads`. Finished rows merge **in table order**, so the printed
-//! table is identical for any `--threads` count; `--no-times` additionally
-//! masks the wall-clock columns, making the output byte-for-byte
-//! reproducible (the CI determinism check diffs a 1-thread against an
-//! N-thread run — with and without `--portfolio`/`--share`). See
+//! rows. `table3` and `table4` share one driver: [`Options::attack_rows`]
+//! runs every attack column on each circuit, one [`Pool`] job per circuit,
+//! and [`Options::finish_attack_table`] writes `--store`, the tally and the
+//! exit code. Under `--portfolio K` every job races at one width, sized so
+//! the run never oversubscribes `--threads` (see [`Options::portfolio_k`]).
+//! Finished rows merge **in table order**, so the printed table is
+//! identical for any `--threads` count; `--no-times` additionally masks
+//! the wall-clock columns, making the output byte-for-byte reproducible
+//! (the CI determinism check diffs a 1-thread against an N-thread run —
+//! with and without `--portfolio`/`--share`). See
 //! `crates/bench/README.md` for per-binary invocations and expected
 //! runtimes.
 //!
 //! # Example
 //!
 //! ```
-//! use cutelock_bench::{params, Options};
+//! use cutelock_bench::Options;
 //!
-//! let argv = ["table4", "--quick", "--only", "b10", "--threads", "2", "--no-times"]
-//!     .map(String::from);
-//! let reads = ["quick", "only", "threads", "no-times"];
+//! let argv = ["table4", "--quick", "--threads", "2", "--no-times"].map(String::from);
+//! let reads = ["quick", "threads", "no-times"];
 //! let opt = Options::parse(argv.into_iter(), "usage", &reads);
-//! assert!(opt.quick && opt.selected("b10") && !opt.selected("b12"));
-//! // --quick caps the attack budget so a smoke run stays bounded.
-//! assert!(opt.budget().timeout.as_secs() <= 10);
+//! // --quick keeps the small circuits and lowers the attack timeout to 10 s.
+//! assert!(opt.quick && opt.selected("b10") && !opt.selected("b19"));
+//! assert_eq!(opt.budget().timeout.as_secs(), 10);
 //! assert_eq!(opt.pool().threads(), 2);
 //! assert!(opt.no_times);
-//! assert!(params::in_quick_set("b10"));
 //! ```
 //!
 //! The full pipeline walkthrough and crate map live in
@@ -53,20 +51,25 @@ pub mod params;
 
 use std::time::Duration;
 
-use cutelock_attacks::{AttackBudget, AttackReport, AttackSpec, AttackStrategy, Portfolio};
+use cutelock_attacks::{
+    run_attack, AttackBudget, AttackReport, AttackSpec, AttackStrategy, Portfolio, RunRecord,
+};
+use cutelock_core::{KeySchedule, KeyValue, LockedCircuit};
 use cutelock_sim::pool::Pool;
 
 /// Command-line options shared by the table binaries.
 #[derive(Debug, Clone)]
 pub struct Options {
-    /// Run a reduced circuit set with smaller budgets.
+    /// Run the quick circuit set with smaller budgets (and a 10 s default
+    /// timeout).
     pub quick: bool,
     /// Reduce every schedule to a single repeated key (paper §IV.A
     /// validation: attacks must then succeed).
     pub single_key: bool,
     /// Only this circuit (by name), if given.
     pub only: Option<String>,
-    /// Per-attack timeout in seconds.
+    /// Per-attack timeout in seconds: `--timeout`, else 10 under
+    /// `--quick`, else 60.
     pub timeout_secs: u64,
     /// Include baseline-scheme contrast rows where applicable.
     pub baselines: bool,
@@ -76,12 +79,12 @@ pub struct Options {
     /// Mask wall-clock columns so output is byte-for-byte reproducible.
     pub no_times: bool,
     /// Diversified solver entrants raced per SAT query inside each attack
-    /// (1 = no racing). The table bins schedule (circuit × entrant-slice)
-    /// units onto **one** pool via [`Pool::map_units`]: each circuit job
-    /// declares `portfolio_k` inner units and receives a race width sized
-    /// so outer workers times inner entrants never oversubscribe
-    /// `--threads`. The raced result is bit-identical for any width, so
-    /// `--portfolio` never breaks the `--threads` determinism diff.
+    /// (1 = no racing). The table bins run one circuit per job on **one**
+    /// pool, and every job races at the same width: `--threads` split
+    /// across the jobs that run at once, at most `portfolio_k`, so outer
+    /// workers times race threads never oversubscribe `--threads`. The
+    /// raced result is bit-identical for any width, so `--portfolio` never
+    /// breaks the `--threads` determinism diff.
     pub portfolio_k: usize,
     /// Epoch-barrier clause sharing between portfolio entrants
     /// (`--share`). Deterministic — exchange batches are merged in
@@ -143,6 +146,7 @@ impl Options {
     /// after the program name.
     fn from_flags(args: &[String], reads: &[&str]) -> Result<Self, String> {
         let mut opt = Self::default();
+        let mut timeout = None;
         let mut args = args.iter();
         while let Some(arg) = args.next() {
             let Some(name) = arg.strip_prefix("--").filter(|n| reads.contains(n)) else {
@@ -150,14 +154,11 @@ impl Options {
             };
             let mut value = || args.next().ok_or_else(|| format!("--{name} needs a value"));
             match name {
-                "quick" => {
-                    opt.quick = true;
-                    opt.timeout_secs = opt.timeout_secs.min(10);
-                }
+                "quick" => opt.quick = true,
                 "single-key" => opt.single_key = true,
                 "baselines" => opt.baselines = true,
                 "only" => opt.only = Some(value()?.clone()),
-                "timeout" => opt.timeout_secs = number(name, value()?)?,
+                "timeout" => timeout = Some(number(name, value()?)?),
                 "threads" => opt.threads = Some(number::<usize>(name, value()?)?.max(1)),
                 "no-times" => opt.no_times = true,
                 "portfolio" => opt.portfolio_k = number::<usize>(name, value()?)?.max(1),
@@ -167,6 +168,9 @@ impl Options {
                 other => return Err(format!("unknown flag --{other}")),
             }
         }
+        // An explicit --timeout wins in either order; --quick only lowers
+        // the default.
+        opt.timeout_secs = timeout.unwrap_or(if opt.quick { 10 } else { opt.timeout_secs });
         Ok(opt)
     }
 
@@ -181,42 +185,54 @@ impl Options {
         }
     }
 
-    /// Whether this circuit should run.
+    /// Whether this circuit should run: it matches `--only` (if given) and,
+    /// under `--quick`, belongs to the quick set.
     pub fn selected(&self, name: &str) -> bool {
         self.only.as_deref().is_none_or(|only| only == name)
+            && (!self.quick || params::in_quick_set(name))
     }
 
     /// The query-level portfolio implied by `--portfolio`/`--share`,
-    /// racing entrants across `width` threads — the width a
-    /// [`Pool::map_units`] job was allocated. `portfolio_with(1)` races
+    /// racing entrants across `width` threads. `portfolio_with(1)` races
     /// entrants serially on the calling worker; every width produces the
     /// same answer (see [`Options::portfolio_k`]).
     pub(crate) fn portfolio_with(&self, width: usize) -> Portfolio {
         Portfolio::new(self.portfolio_k, width.max(1)).with_share(self.share)
     }
 
-    /// The unit counts a table bin hands to [`Pool::map_units`]: each of
-    /// the `n` circuit jobs declares [`portfolio_k`](Options::portfolio_k)
-    /// inner entrant slices. A pure function of the options, so the
-    /// resulting width plan is deterministic.
-    pub fn units(&self, n: usize) -> Vec<usize> {
-        vec![self.portfolio_k; n]
+    /// The race width of each of `jobs` jobs dispatched on
+    /// [`Options::pool`]: the threads left to each job when as many jobs
+    /// run at once as the pool allows, at least 1 and at most
+    /// `--portfolio`. A pure function of the options and the job count, so
+    /// the width plan never depends on scheduling.
+    fn race_width(&self, jobs: usize) -> usize {
+        let threads = self.pool().threads();
+        (threads / threads.min(jobs.max(1)))
+            .min(self.portfolio_k)
+            .max(1)
     }
 
-    /// The full attack request implied by the options for one strategy and
-    /// an allocated race `width` — the [`AttackSpec`] the table bins hand
-    /// to [`run_attack`](cutelock_attacks::run_attack), same door as the
-    /// CLI and the job daemon.
-    pub fn spec_with(&self, strategy: AttackStrategy, width: usize) -> AttackSpec {
+    /// The full attack request implied by the options for one strategy,
+    /// racing at `width` threads.
+    fn spec_with(&self, strategy: AttackStrategy, width: usize) -> AttackSpec {
         AttackSpec::new(strategy)
             .with_budget(self.budget())
             .with_portfolio(self.portfolio_with(width))
             .with_simplify(self.simplify)
     }
 
-    /// [`Options::spec_with`] at width 1.
+    /// The [`AttackSpec`] the options imply for one strategy, racing
+    /// serially (width 1): a request for [`run_attack`], the same door the
+    /// CLI and the job daemon use.
     pub fn spec(&self, strategy: AttackStrategy) -> AttackSpec {
         self.spec_with(strategy, 1)
+    }
+
+    /// [`Options::spec`] for one of `jobs` jobs dispatched on
+    /// [`Options::pool`]: the race gets the threads the other jobs leave
+    /// free.
+    pub fn spec_for(&self, strategy: AttackStrategy, jobs: usize) -> AttackSpec {
+        self.spec_with(strategy, self.race_width(jobs))
     }
 
     /// The worker pool implied by `--threads` (one worker per core when the
@@ -239,12 +255,84 @@ impl Options {
         }
     }
 
+    /// Locks each `(name, k, ki)` row and runs every attack column on it —
+    /// the body of Tables III and IV. One [`Pool`] job per row; results
+    /// come back in row order.
+    ///
+    /// `lock(name, k, ki, schedule)` locks one circuit with the bin's
+    /// scheme and `seed`, or returns the whole error line the bin prints.
+    /// `schedule` is `Some` under `--single-key`: one key value repeated `k`
+    /// times, which the lock must use.
+    pub fn attack_rows<F>(
+        &self,
+        rows: &[(&'static str, usize, usize)],
+        columns: &[AttackStrategy],
+        seed: u64,
+        lock: F,
+    ) -> Vec<Result<AttackRow, String>>
+    where
+        F: Fn(&'static str, usize, usize, Option<KeySchedule>) -> Result<LockedCircuit, String>
+            + Sync,
+    {
+        let width = self.race_width(rows.len());
+        self.pool().map(rows.len(), |i| {
+            let (name, k, ki) = rows[i];
+            let schedule = self.single_key.then(|| {
+                let key = KeyValue::from_u64(0x5a5a_5a5a & ((1u64 << ki.min(63)) - 1), ki);
+                KeySchedule::constant(key, k)
+            });
+            let locked = lock(name, k, ki, schedule)?;
+            let (mut reports, mut records) = (Vec::new(), Vec::new());
+            for &strategy in columns {
+                let spec = self.spec_with(strategy, width);
+                let report = run_attack(&locked, &spec);
+                records.push(RunRecord::from_run(name, seed, &locked, &spec, &report));
+                reports.push(report);
+            }
+            Ok(AttackRow {
+                name,
+                k,
+                ki,
+                reports,
+                records,
+            })
+        })
+    }
+
+    /// Ends a Table III/IV run after its rows printed: writes `--store` in
+    /// row order, prints the tally line, and exits 1 if an attack recovered
+    /// a key outside `--single-key`. Rows that failed to lock are skipped;
+    /// the bin already printed their error line.
+    pub fn finish_attack_table(&self, rows: &[Result<AttackRow, String>]) {
+        let ran: Vec<&AttackRow> = rows.iter().filter_map(|r| r.as_ref().ok()).collect();
+        let records: Vec<RunRecord> = ran.iter().flat_map(|r| r.records.clone()).collect();
+        self.store_records(&records);
+        let reports = ran.iter().flat_map(|r| &r.reports);
+        let recovered = reports.filter(|r| !r.outcome.defense_held()).count();
+        let (runs, circuits) = (records.len(), ran.len());
+        if self.single_key {
+            println!(
+                "single-key reduction: {recovered}/{runs} attack runs recovered the key across \
+                 {circuits} circuits (paper §IV.A expects recovery)"
+            );
+        } else {
+            println!(
+                "defense held in {}/{runs} attack runs across {circuits} circuits \
+                 (paper: all runs end in CNS / wrong key / timeout)",
+                runs - recovered
+            );
+            if recovered > 0 {
+                std::process::exit(1);
+            }
+        }
+    }
+
     /// Appends `records` to the `--store` database, if one was requested.
     /// The bins call this once, after the table prints, with records
     /// already merged in table order — so the store file is identical for
     /// any `--threads` count. A write failure aborts the bin: a silently
     /// missing store file would defeat the perf-trajectory gate.
-    pub fn store_records(&self, records: &[cutelock_attacks::RunRecord]) {
+    pub fn store_records(&self, records: &[RunRecord]) {
         let Some(path) = &self.store else { return };
         match cutelock_attacks::write_records(path, records) {
             Ok(()) => eprintln!("recorded {} run(s) in {path}", records.len()),
@@ -263,6 +351,21 @@ impl Options {
             format!("{:.1}", d.as_secs_f64())
         }
     }
+}
+
+/// One circuit of Table III or IV after every attack column ran on it.
+#[derive(Debug)]
+pub struct AttackRow {
+    /// Circuit name.
+    pub name: &'static str,
+    /// Keys in the schedule.
+    pub k: usize,
+    /// Bits per key value.
+    pub ki: usize,
+    /// One report per attack column, in column order.
+    pub reports: Vec<AttackReport>,
+    /// One `--store` record per attack column, in column order.
+    records: Vec<RunRecord>,
 }
 
 /// Parses the value of flag `--name`.
@@ -360,6 +463,13 @@ mod tests {
         let o = parse(&["--timeout", "7"]);
         assert_eq!(o.timeout_secs, 7);
         assert_eq!(o.budget().timeout.as_secs(), 7);
+        // An explicit --timeout wins over --quick's default in either order.
+        for args in [
+            ["--quick", "--timeout", "60"],
+            ["--timeout", "60", "--quick"],
+        ] {
+            assert_eq!(parse(&args).timeout_secs, 60, "{args:?}");
+        }
     }
 
     #[test]
@@ -430,11 +540,23 @@ mod tests {
     }
 
     #[test]
-    fn units_declare_one_entrant_set_per_circuit() {
-        let o = parse(&["--portfolio", "4"]);
-        assert_eq!(o.units(3), vec![4, 4, 4]);
-        let o = parse(&[]);
-        assert_eq!(o.units(2), vec![1, 1]);
+    fn race_width_splits_the_pool_across_jobs() {
+        for threads in [1, 2, 3, 4, 8] {
+            let o = parse(&["--threads", &threads.to_string(), "--portfolio", "8"]);
+            // A lone job gets the whole pool.
+            assert_eq!(o.race_width(1), threads);
+            for jobs in [0, 2, 3, 5, 20] {
+                // Never oversubscribes: the jobs that run at once, times
+                // their width, fit in the pool.
+                let w = o.race_width(jobs);
+                assert!(w >= 1 && threads.min(jobs.max(1)) * w <= threads);
+                assert_eq!(o.spec_for(AttackStrategy::Int, jobs).portfolio.threads, w);
+            }
+        }
+        // Clamped to --portfolio: no thread without an entrant to run.
+        let o = parse(&["--threads", "8", "--portfolio", "3"]);
+        assert_eq!(o.race_width(1), 3);
+        assert_eq!(parse(&["--threads", "8"]).race_width(1), 1);
     }
 
     #[test]
@@ -447,7 +569,27 @@ mod tests {
         assert_eq!(s.portfolio.k, 3);
         assert_eq!(s.portfolio.threads, 1, "width-1 spec races serially");
         let wide = o.spec_with(AttackStrategy::Kc2, 3);
-        assert_eq!(wide.portfolio.threads, 3, "map_units width carries");
+        assert_eq!(wide.portfolio.threads, 3, "allocated width carries");
+    }
+
+    #[test]
+    fn attack_rows_come_back_in_row_order_with_error_lines() {
+        let o = parse(&["--quick", "--threads", "2"]);
+        let rows = [("s27", 1, 3), ("zzz", 1, 3), ("s27", 1, 4)];
+        let out = o.attack_rows(&rows, &[AttackStrategy::ScanSat], 7, |name, _, ki, _| {
+            let circuit = cutelock_circuits::iscas89(name).map_err(|e| format!("{name}: {e}"))?;
+            let lock = cutelock_core::baselines::XorLock::new(ki, 7);
+            lock.lock(&circuit.netlist).map_err(|e| e.to_string())
+        });
+        assert!(out[1].as_ref().unwrap_err().starts_with("zzz: "));
+        for i in [0, 2] {
+            let row = out[i].as_ref().unwrap();
+            let bits = row.records[0].key_bits as usize;
+            assert_eq!(
+                (row.name, row.k, row.ki, bits),
+                ("s27", 1, rows[i].2, rows[i].2)
+            );
+        }
     }
 
     #[test]

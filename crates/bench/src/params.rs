@@ -111,6 +111,6 @@ pub(crate) const QUICK_SET: &[&str] = &[
 ];
 
 /// True when `name` belongs to the quick subset.
-pub fn in_quick_set(name: &str) -> bool {
+pub(crate) fn in_quick_set(name: &str) -> bool {
     QUICK_SET.contains(&name)
 }

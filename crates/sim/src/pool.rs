@@ -115,33 +115,6 @@ impl Pool {
             .map(|s| s.expect("every index claimed exactly once"))
             .collect()
     }
-
-    /// Two-level dispatch: [`map`](Pool::map) with a **chunk hint**. Job
-    /// `i` declares `units[i]` inner work units (portfolio entrants,
-    /// simulation lanes) and receives `job(i, width)` where `width` is the
-    /// number of threads it may use for them — sized so the outer workers
-    /// times their inner width never oversubscribes this pool.
-    ///
-    /// The width allocation is a pure function of `units` and the pool's
-    /// thread count (never of scheduling): every outer worker gets
-    /// `threads / outer_workers` inner threads (minimum 1), clamped to its
-    /// own unit count. Results come back **in index order**, exactly like
-    /// [`map`](Pool::map) — so a table bin can race (circuit × entrant)
-    /// units on one pool and still merge rows in table order.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by a job.
-    pub fn map_units<T, F>(&self, units: &[usize], job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, usize) -> T + Sync,
-    {
-        let n = units.len();
-        let outer = self.threads.min(n.max(1));
-        let share = (self.threads / outer).max(1);
-        self.map(n, |i| job(i, share.min(units[i].max(1))))
-    }
 }
 
 impl Default for Pool {
@@ -217,55 +190,5 @@ mod tests {
     fn auto_pool_has_at_least_one_thread() {
         assert!(Pool::auto().threads() >= 1);
         assert!(Pool::default().threads() >= 1);
-    }
-
-    #[test]
-    fn map_units_preserves_index_order_and_widths_are_deterministic() {
-        let units = [4usize, 1, 4, 2, 4];
-        let reference = Pool::new(1).map_units(&units, |i, w| (i, w));
-        // Widths are a pure function of (units, threads): re-running on the
-        // same pool must reproduce them, and index order always holds.
-        for threads in [1, 2, 4, 8] {
-            let pool = Pool::new(threads);
-            let out = pool.map_units(&units, |i, w| (i, w));
-            assert_eq!(out, pool.map_units(&units, |i, w| (i, w)));
-            assert_eq!(
-                out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-                (0..units.len()).collect::<Vec<_>>(),
-                "{threads} threads"
-            );
-            // Same index set as the sequential reference.
-            assert_eq!(out.len(), reference.len());
-        }
-    }
-
-    #[test]
-    fn map_units_never_oversubscribes() {
-        // outer workers × inner width must never exceed the pool size
-        // (unless a single-unit job is pinned to its minimum of 1).
-        for threads in [1, 2, 3, 4, 8] {
-            let units = [8usize, 8, 8, 8, 8, 8];
-            let pool = Pool::new(threads);
-            let widths = pool.map_units(&units, |_, w| w);
-            let outer = threads.min(units.len());
-            for &w in &widths {
-                assert!(
-                    outer * w <= threads.max(outer),
-                    "{threads} threads: outer={outer} width={w}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn map_units_clamps_width_to_the_unit_count() {
-        let pool = Pool::new(8);
-        // One job with a single inner unit: whatever the pool could spare,
-        // the job gets exactly 1.
-        assert_eq!(pool.map_units(&[1], |_, w| w), vec![1]);
-        // Zero declared units still yields a working width of 1.
-        assert_eq!(pool.map_units(&[0], |_, w| w), vec![1]);
-        // A wide job on an otherwise idle pool gets the whole pool.
-        assert_eq!(pool.map_units(&[16], |_, w| w), vec![8]);
     }
 }

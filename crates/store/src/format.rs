@@ -21,7 +21,9 @@
 //! an *unfinished session*: rows with no `\end` after them, or a last line
 //! with no newline. The reader keeps rows only up to the last whole `\end`
 //! line, and reopening for append cuts everything after it first, so every
-//! row of an earlier, finished session survives. Whole lines that are
+//! row of an earlier, finished session survives. A crash before the first
+//! header reached the disk leaves an empty file, which reopening for
+//! append treats as absent (readers still refuse it). Whole lines that are
 //! malformed — a bad magic, an unknown column type, a cell that does not
 //! parse, an `\end` count that does not match its session — are
 //! [`StoreError::Corrupt`], never silently dropped.
@@ -50,15 +52,16 @@ pub struct Writer {
 
 impl Writer {
     /// Opens `path` for appending, creating it (and writing the header) if
-    /// absent. An existing file must carry exactly this schema; an
+    /// absent or empty. An existing file must carry exactly this schema; an
     /// unfinished session at its end is cut off before anything is
     /// appended.
     pub fn open(path: impl AsRef<Path>, schema: Schema) -> Result<Writer, StoreError> {
         let path = path.as_ref();
         // Reading the file validates it and finds where its last finished
-        // session ends.
+        // session ends. A zero-byte file is a first session that crashed
+        // before its header reached the disk: it counts as absent.
         let mut finished = None;
-        if path.exists() {
+        if path.exists() && std::fs::metadata(path)?.len() > 0 {
             let (existing, end) = replay(path)?;
             if existing.schema() != &schema {
                 return Err(StoreError::Schema(format!(
@@ -367,6 +370,22 @@ mod tests {
             read_table(&path).unwrap_err(),
             StoreError::Corrupt(_)
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_empty_file_is_opened_as_a_new_store() {
+        let path = tmp("empty.clk");
+        std::fs::write(&path, b"").unwrap();
+        let mut w = Writer::open(&path, schema()).unwrap();
+        w.push(&row("s27", 1)).unwrap();
+        w.push(&row("b01", 2)).unwrap();
+        w.finish().unwrap();
+        let t = read_table(&path).unwrap();
+        assert_eq!(
+            (t.rows(), t.row(0), t.row(1)),
+            (2, row("s27", 1), row("b01", 2))
+        );
         std::fs::remove_file(&path).ok();
     }
 
