@@ -75,6 +75,19 @@ pub struct AttackBudget {
 }
 
 impl AttackBudget {
+    /// The smoke-run budget `--quick` means in every front end: bound 4,
+    /// 48 iterations, 200 000 conflicts per solver call and a 10 s
+    /// timeout, which an explicit `--timeout` replaces.
+    pub fn quick() -> Self {
+        Self {
+            timeout: Duration::from_secs(10),
+            max_bound: 4,
+            max_iterations: 48,
+            conflict_budget: Some(200_000),
+            ..Self::default()
+        }
+    }
+
     /// The budget's idea of "now" — what attacks record as their start
     /// instant and what `remaining` measures against.
     pub(crate) fn start(&self) -> Instant {

@@ -12,12 +12,13 @@
 //! | `fig4`   | Fig. 4         | Overhead vs. DK-Lock on ITC'99 |
 //!
 //! Every binary accepts `--quick` (subset of circuits, smaller budgets),
-//! rejects any flag it does not read, and prints machine-grep-friendly
-//! rows. `table3` and `table4` share one driver: [`Options::attack_rows`]
-//! runs every attack column on each circuit, one [`Pool`] job per circuit,
-//! and [`Options::finish_attack_table`] writes `--store`, the tally and the
-//! exit code. Under `--portfolio K` every job races at one width, sized so
-//! the run never oversubscribes `--threads` (see [`Options::portfolio_k`]).
+//! rejects any flag it does not read or gets twice, and prints
+//! machine-grep-friendly rows. `table3` and `table4` share one driver:
+//! [`Options::attack_rows`] runs every attack column on each circuit, one
+//! [`Pool`] job per circuit, and [`Options::finish_attack_table`] writes
+//! `--store`, the tally and the exit code. Under `--portfolio K` every job
+//! races at one width, sized so the run never oversubscribes `--threads`
+//! (see [`Options::portfolio_k`]).
 //! Finished rows merge **in table order**, so the printed table is
 //! identical for any `--threads` count; `--no-times` additionally masks
 //! the wall-clock columns, making the output byte-for-byte reproducible
@@ -54,8 +55,12 @@ use std::time::Duration;
 use cutelock_attacks::{
     run_attack, AttackBudget, AttackReport, AttackSpec, AttackStrategy, Portfolio, RunRecord,
 };
+use cutelock_core::args::Flags;
 use cutelock_core::{KeySchedule, KeyValue, LockedCircuit};
 use cutelock_sim::pool::Pool;
+
+/// The flags a bin may read that take a value; the rest are bool flags.
+const VALUE_FLAGS: &[&str] = &["only", "timeout", "threads", "portfolio", "store"];
 
 /// Command-line options shared by the table binaries.
 #[derive(Debug, Clone)]
@@ -79,12 +84,12 @@ pub struct Options {
     /// Mask wall-clock columns so output is byte-for-byte reproducible.
     pub no_times: bool,
     /// Diversified solver entrants raced per SAT query inside each attack
-    /// (1 = no racing). The table bins run one circuit per job on **one**
-    /// pool, and every job races at the same width: `--threads` split
-    /// across the jobs that run at once, at most `portfolio_k`, so outer
-    /// workers times race threads never oversubscribe `--threads`. The
-    /// raced result is bit-identical for any width, so `--portfolio` never
-    /// breaks the `--threads` determinism diff.
+    /// (`1..=64`; 1 = no racing). The table bins run one circuit per job
+    /// on **one** pool, and every job races at the same width: `--threads`
+    /// split across the jobs that run at once, at most `portfolio_k`, so
+    /// outer workers times race threads never oversubscribe `--threads`.
+    /// The raced result is bit-identical for any width, so `--portfolio`
+    /// never breaks the `--threads` determinism diff.
     pub portfolio_k: usize,
     /// Epoch-barrier clause sharing between portfolio entrants
     /// (`--share`). Deterministic — exchange batches are merged in
@@ -113,7 +118,7 @@ impl Default for Options {
             quick: false,
             single_key: false,
             only: None,
-            timeout_secs: 60,
+            timeout_secs: AttackBudget::default().timeout.as_secs(),
             baselines: false,
             threads: None,
             no_times: false,
@@ -127,9 +132,9 @@ impl Default for Options {
 
 impl Options {
     /// Parses `std::env::args`-style flags. `reads` names the flags the
-    /// calling bin reads, without their `--`: any other flag, or a
-    /// missing or malformed value, aborts with exit code 2 and the usage
-    /// message. `--help` prints the usage.
+    /// calling bin reads, without their `--`: any other flag, a repeated
+    /// one, a missing or malformed value, or `--portfolio` outside
+    /// `1..=64` aborts with exit code 2 and the usage. `--help` prints it.
     pub fn parse(args: impl Iterator<Item = String>, usage: &str, reads: &[&str]) -> Self {
         let args: Vec<String> = args.skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -145,43 +150,43 @@ impl Options {
     /// [`Options::parse`] without the process exits, over the arguments
     /// after the program name.
     fn from_flags(args: &[String], reads: &[&str]) -> Result<Self, String> {
-        let mut opt = Self::default();
-        let mut timeout = None;
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
-            let Some(name) = arg.strip_prefix("--").filter(|n| reads.contains(n)) else {
-                return Err(format!("unknown flag {arg}"));
-            };
-            let mut value = || args.next().ok_or_else(|| format!("--{name} needs a value"));
-            match name {
-                "quick" => opt.quick = true,
-                "single-key" => opt.single_key = true,
-                "baselines" => opt.baselines = true,
-                "only" => opt.only = Some(value()?.clone()),
-                "timeout" => timeout = Some(number(name, value()?)?),
-                "threads" => opt.threads = Some(number::<usize>(name, value()?)?.max(1)),
-                "no-times" => opt.no_times = true,
-                "portfolio" => opt.portfolio_k = number::<usize>(name, value()?)?.max(1),
-                "share" => opt.share = true,
-                "no-simplify" => opt.simplify = false,
-                "store" => opt.store = Some(value()?.clone()),
-                other => return Err(format!("unknown flag --{other}")),
-            }
-        }
+        let (values, bools): (Vec<&str>, Vec<&str>) =
+            reads.iter().partition(|f| VALUE_FLAGS.contains(f));
+        let flags = Flags::parse(args, &values, &bools)?;
+        let quick = flags.has("quick");
         // An explicit --timeout wins in either order; --quick only lowers
         // the default.
-        opt.timeout_secs = timeout.unwrap_or(if opt.quick { 10 } else { opt.timeout_secs });
-        Ok(opt)
+        let timeout = quick.then(AttackBudget::quick).unwrap_or_default().timeout;
+        let threads = flags.opt("threads").map(|_| flags.num("threads", 1));
+        Ok(Self {
+            quick,
+            single_key: flags.has("single-key"),
+            only: flags.opt("only").map(String::from),
+            timeout_secs: flags.num("timeout", timeout.as_secs())?,
+            baselines: flags.has("baselines"),
+            threads: threads.transpose()?.map(|n: usize| n.max(1)),
+            no_times: flags.has("no-times"),
+            portfolio_k: flags.bounded("portfolio", 1)?,
+            share: flags.has("share"),
+            simplify: !flags.has("no-simplify"),
+            store: flags.opt("store").map(String::from),
+        })
     }
 
-    /// The attack budget implied by the options.
+    /// The attack budget implied by the options: under `--quick`,
+    /// [`AttackBudget::quick`].
     pub fn budget(&self) -> AttackBudget {
+        let limits = if self.quick {
+            AttackBudget::quick()
+        } else {
+            AttackBudget {
+                max_iterations: 192,
+                ..AttackBudget::default()
+            }
+        };
         AttackBudget {
             timeout: Duration::from_secs(self.timeout_secs),
-            max_bound: if self.quick { 4 } else { 8 },
-            max_iterations: if self.quick { 48 } else { 192 },
-            conflict_budget: Some(if self.quick { 200_000 } else { 2_000_000 }),
-            ..AttackBudget::default()
+            ..limits
         }
     }
 
@@ -278,8 +283,8 @@ impl Options {
         self.pool().map(rows.len(), |i| {
             let (name, k, ki) = rows[i];
             let schedule = self.single_key.then(|| {
-                let key = KeyValue::from_u64(0x5a5a_5a5a & ((1u64 << ki.min(63)) - 1), ki);
-                KeySchedule::constant(key, k)
+                let bits = (0..ki).map(|j| j < 64 && 0x5a5a_5a5a_u64 >> j & 1 == 1);
+                KeySchedule::constant(KeyValue::from_bits(bits.collect()), k)
             });
             let locked = lock(name, k, ki, schedule)?;
             let (mut reports, mut records) = (Vec::new(), Vec::new());
@@ -368,13 +373,6 @@ pub struct AttackRow {
     records: Vec<RunRecord>,
 }
 
-/// Parses the value of flag `--name`.
-fn number<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("--{name}: `{value}` is not a number"))
-}
-
 /// Prints a horizontal rule sized to `width`.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
@@ -419,7 +417,14 @@ mod tests {
             try_parse(&["--single-key"], &["quick", "only", "baselines"]).unwrap_err(),
             "unknown flag --single-key"
         );
-        assert_eq!(try_parse(&["b10"], ALL).unwrap_err(), "unknown flag b10");
+        assert_eq!(
+            try_parse(&["b10"], ALL).unwrap_err(),
+            "unexpected positional argument `b10`"
+        );
+        assert_eq!(
+            try_parse(&["--quick", "--only", "b01", "--only", "b02"], ALL).unwrap_err(),
+            "--only given twice"
+        );
         assert_eq!(
             try_parse(&["--only"], ALL).unwrap_err(),
             "--only needs a value"
@@ -497,9 +502,13 @@ mod tests {
             "width-1 portfolio races serially"
         );
         assert_eq!(o.portfolio_with(3).threads, 3, "allocated width carries");
-        // Zero clamps to the single-solver path rather than erroring.
-        let o = parse(&["--portfolio", "0"]);
-        assert_eq!(o.portfolio_with(1).k, 1);
+        // Each entrant is a solver clone, so the width is bounded.
+        for k in ["0", "65"] {
+            assert_eq!(
+                try_parse(&["--portfolio", k], ALL).unwrap_err(),
+                "--portfolio must be between 1 and 64"
+            );
+        }
     }
 
     #[test]
@@ -590,6 +599,26 @@ mod tests {
                 ("s27", 1, rows[i].2, rows[i].2)
             );
         }
+    }
+
+    #[test]
+    fn single_key_schedules_wider_than_64_bits_build() {
+        // Table III's `absurd` row has ki = 65: the mask's 64 bits, then 0.
+        // The lock checks the schedule and refuses, so no attack runs.
+        let o = parse(&["--single-key"]);
+        let out = o.attack_rows(
+            &[("absurd", 21, 65)],
+            &[AttackStrategy::Bbo],
+            0,
+            |_, _, _, s| {
+                let s = s.expect("--single-key hands the lock a schedule");
+                let mask = KeyValue::from_u64(0x5a5a_5a5a, 64);
+                assert!(s.is_constant() && s.num_keys() == 21);
+                assert_eq!(s.key_at_time(0).bits(), [mask.bits(), &[false]].concat());
+                Err("refused".into())
+            },
+        );
+        assert_eq!(out[0].as_ref().unwrap_err(), "refused");
     }
 
     #[test]

@@ -11,21 +11,19 @@ use cutelock_attacks::{
     run_attack, write_records, AttackBudget, AttackSpec, AttackStrategy, RunRecord,
 };
 use cutelock_circuits::{iscas89, iscas89_names, itc99, itc99_names};
-use cutelock_core::baselines::{DkLock, SledLock, TtLock, XorLock};
+use cutelock_core::args::Flags;
 use cutelock_core::clock::VirtualClock;
-use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
-use cutelock_core::{KeySchedule, KeyValue, LockedCircuit};
+use cutelock_core::str_lock::CuteLockStrConfig;
+use cutelock_core::{lock_named, KeySchedule, KeyValue, LockedCircuit};
 use cutelock_jobs::{Client, Limits, ServeConfig, Server};
 use cutelock_netlist::{bench, simplify, verilog, Netlist, NetlistStats, SimplifyConfig};
 use cutelock_sat::equiv::EquivResult;
 use cutelock_synth::{analyze, CellLibrary, OverheadComparison};
 
-use crate::args::Args;
-
 const HELP: &str = "\
 cutelock — time-based multi-key logic locking toolkit
 
-USAGE: cutelock <command> [--flag value ...]
+USAGE: cutelock <command> [--flag value ...]  (an unread or repeated flag is an error)
 
 COMMANDS:
   bench     Emit a built-in benchmark circuit as .bench
@@ -45,12 +43,13 @@ COMMANDS:
               --locked FILE --oracle FILE [--timeout SECS] [--quick]
               [--portfolio K] [--threads N] [--share] [--no-simplify]
               [--verbose] [--virtual-clock NS]
-              (--quick caps the budget for a smoke run; without
-               --locked/--oracle it locks a built-in s27 and attacks that;
-               --portfolio K races K diversified solvers per SAT query
-               across N worker threads — the result is bit-identical for
-               any N; --share exchanges learnt clauses between entrants at
-               epoch barriers, still bit-identical for any N;
+              (--timeout defaults to 60, or 10 under --quick, which runs
+               the smoke budget; without --locked/--oracle it locks a
+               built-in s27 and attacks that; --portfolio K, in 1..=64,
+               races K diversified solvers per SAT query across N worker
+               threads — the result is bit-identical for any N; --share
+               exchanges learnt clauses between entrants at epoch
+               barriers, still bit-identical for any N;
                --virtual-clock NS measures --timeout on a clock advancing
                NS nanoseconds per solver conflict instead of wall time;
                netlists are simplified (strash/const-fold/COI) before
@@ -174,7 +173,7 @@ fn write_out(path: Option<&str>, content: &str) -> Result<(), String> {
 }
 
 fn cmd_bench(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["suite", "name", "out"], &[])?;
+    let args = Flags::parse(argv, &["suite", "name", "out"], &[])?;
     let suite = args.req("suite")?;
     let name = args.req("name")?;
     if name == "list" {
@@ -196,7 +195,7 @@ fn cmd_bench(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["in"], &[])?;
+    let args = Flags::parse(argv, &["in"], &[])?;
     let nl = read_netlist(args.req("in")?)?;
     let st = NetlistStats::of(&nl);
     println!("{}: {st}", nl.name());
@@ -211,7 +210,7 @@ fn cmd_stats(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_lock(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
+    let args = Flags::parse(
         argv,
         &[
             "in",
@@ -249,29 +248,15 @@ fn cmd_lock(argv: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    let locked: LockedCircuit = match scheme {
-        "str" => CuteLockStr::new(CuteLockStrConfig {
-            keys,
-            key_bits: ki,
-            locked_ffs: ffs,
-            seed,
-            schedule,
-            ..Default::default()
-        })
-        .lock(&nl)
-        .map_err(|e| e.to_string())?,
-        "xor" => XorLock::new(ki, seed)
-            .lock(&nl)
-            .map_err(|e| e.to_string())?,
-        "ttlock" => TtLock::new(ki, seed).lock(&nl).map_err(|e| e.to_string())?,
-        "dklock" => DkLock::new(ki, ki, seed)
-            .lock(&nl)
-            .map_err(|e| e.to_string())?,
-        "sled" => SledLock::new(ki, seed)
-            .lock(&nl)
-            .map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown scheme `{other}`")),
+    let config = CuteLockStrConfig {
+        keys,
+        key_bits: ki,
+        locked_ffs: ffs,
+        seed,
+        schedule,
+        ..Default::default()
     };
+    let locked = lock_named(scheme, &nl, config)?;
     if let Some(kpath) = args.opt("keys-out") {
         let text = locked.schedule.to_key_file(locked.scheme);
         fs::write(kpath, text).map_err(|e| format!("{kpath}: {e}"))?;
@@ -287,7 +272,7 @@ fn cmd_lock(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_attack(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
+    let args = Flags::parse(
         argv,
         &[
             "mode",
@@ -302,6 +287,19 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
         &["quick", "share", "no-simplify", "verbose"],
     )?;
     let quick = args.has("quick");
+    // --quick runs the smoke budget; an explicit --timeout still wins.
+    let mut budget = quick.then(AttackBudget::quick).unwrap_or_default();
+    budget.timeout = Duration::from_secs(args.num("timeout", budget.timeout.as_secs())?);
+    // --virtual-clock NS: measure --timeout on a deterministic clock that
+    // advances NS nanoseconds per solver conflict (plus the attacks' own
+    // work-unit ticks) instead of wall time. Timeout verdicts then land at
+    // an exact point in the search, identical on any machine or --threads.
+    let vclock_ns: u64 = args.num("virtual-clock", 0)?;
+    if vclock_ns > 0 {
+        budget.clock = VirtualClock::with_tick(vclock_ns).handle();
+    }
+    let k = args.bounded("portfolio", 1)?;
+    let threads: usize = args.num("threads", 1)?;
     // The built-in smoke target only stands in when *neither* netlist was
     // given; with one of the two present, the normal path reports the
     // missing flag instead of silently attacking the wrong circuit.
@@ -313,16 +311,14 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
         // Bounded smoke configuration: lock the built-in s27 and attack it,
         // so `cutelock attack --quick` works with no files at all.
         eprintln!("--quick without --locked: attacking a built-in Cute-Lock-Str s27");
-        CuteLockStr::new(CuteLockStrConfig {
+        let config = CuteLockStrConfig {
             keys: 4,
             key_bits: 2,
             locked_ffs: 1,
             seed: 0x5327,
-            schedule: None,
             ..Default::default()
-        })
-        .lock(&cutelock_circuits::s27::s27())
-        .map_err(|e| e.to_string())?
+        };
+        lock_named("str", &cutelock_circuits::s27::s27(), config)?
     } else {
         let locked_nl = read_netlist(args.req("locked")?)?;
         let oracle = read_netlist(args.req("oracle")?)?;
@@ -335,36 +331,11 @@ fn cmd_attack(argv: &[String]) -> Result<(), String> {
         let placeholder = KeySchedule::constant(KeyValue::from_bits(vec![false; ki]), 1);
         external_pair(locked_nl, oracle, placeholder)?
     };
-    let timeout: u64 = args.num("timeout", if quick { 10 } else { 60 })?;
-    let mut budget = if quick {
-        AttackBudget {
-            timeout: Duration::from_secs(timeout.min(10)),
-            max_bound: 4,
-            max_iterations: 48,
-            conflict_budget: Some(200_000),
-            ..AttackBudget::default()
-        }
-    } else {
-        AttackBudget {
-            timeout: Duration::from_secs(timeout),
-            ..AttackBudget::default()
-        }
-    };
-    // --virtual-clock NS: measure --timeout on a deterministic clock that
-    // advances NS nanoseconds per solver conflict (plus the attacks' own
-    // work-unit ticks) instead of wall time. Timeout verdicts then land at
-    // an exact point in the search, identical on any machine or --threads.
-    let vclock_ns: u64 = args.num("virtual-clock", 0)?;
-    if vclock_ns > 0 {
-        budget.clock = VirtualClock::with_tick(vclock_ns).handle();
-    }
     let mode = match args.opt("mode") {
         Some(m) => m,
         None if quick => "sat",
         None => return Err("missing required flag --mode".into()),
     };
-    let k: usize = args.num("portfolio", 1)?;
-    let threads: usize = args.num("threads", 1)?;
     let share = args.has("share");
     // DANA clusters registers rather than producing a verdict; it is the
     // one mode outside the AttackSpec door (it attacks a bare netlist).
@@ -434,7 +405,7 @@ fn cmd_report(argv: &[String]) -> Result<(), String> {
     use cutelock_store::trajectory::{compare, parse_json, to_json, BenchEntry};
     use cutelock_store::{query, Value};
 
-    let args = Args::parse(
+    let args = Flags::parse(
         argv,
         &[
             "store",
@@ -601,7 +572,7 @@ fn group_label(key: &[cutelock_store::Value]) -> String {
 /// client sends `SHUTDOWN`. The scheduler core and the line protocol live
 /// in the `cutelock_jobs` crate; this command is flag parsing only.
 fn cmd_serve(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["addr", "workers", "max-timeout"], &[])?;
+    let args = Flags::parse(argv, &["addr", "workers", "max-timeout"], &[])?;
     let addr = args.opt("addr").unwrap_or("127.0.0.1:0");
     let workers: usize = args.num("workers", 2)?;
     let max_timeout: u64 = args.num("max-timeout", 3600)?;
@@ -626,7 +597,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
 /// `cutelock client`: pipe stdin lines to a daemon, one response line per
 /// request. Exits on EOF or after relaying a `SHUTDOWN`.
 fn cmd_client(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["addr"], &[])?;
+    let args = Flags::parse(argv, &["addr"], &[])?;
     let addr = args.req("addr")?;
     let mut client = Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     for line in std::io::stdin().lock().lines() {
@@ -649,7 +620,7 @@ fn cmd_client(argv: &[String]) -> Result<(), String> {
 /// the `certify` module provides as a library, exposed as exit codes for
 /// scripts and CI (0 = equivalent, 2 = corrupting sequence / inconclusive).
 fn cmd_verify(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
+    let args = Flags::parse(
         argv,
         &["locked", "original", "keys", "frames", "conflicts"],
         &["no-simplify"],
@@ -705,7 +676,7 @@ fn cmd_verify(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_overhead(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["original", "locked"], &[])?;
+    let args = Flags::parse(argv, &["original", "locked"], &[])?;
     let original = read_netlist(args.req("original")?)?;
     let locked = read_netlist(args.req("locked")?)?;
     let lib = CellLibrary::default();
@@ -725,7 +696,7 @@ fn cmd_overhead(argv: &[String]) -> Result<(), String> {
 }
 
 fn cmd_convert(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["in", "to", "out"], &["simplify"])?;
+    let args = Flags::parse(argv, &["in", "to", "out"], &["simplify"])?;
     let mut nl = read_netlist(args.req("in")?)?;
     if args.has("simplify") {
         let (out, sst) = simplify(&nl, &SimplifyConfig::default()).map_err(|e| e.to_string())?;
@@ -798,13 +769,20 @@ mod tests {
 
     #[test]
     fn attack_rejects_flags_it_does_not_read() {
-        // A retired flag and a misspelt one both fail before any attack
-        // runs, naming the flag (a silently ignored `--mdoe int` would
-        // attack with the default `sat`).
-        for (name, value) in [("share-cap", "16"), ("mdoe", "int")] {
-            let flag = format!("--{name}");
-            let err = dispatch(&sv(&["attack", "--quick", &flag, value])).unwrap_err();
-            assert_eq!(err, format!("unknown flag {flag}"));
+        // A retired flag, a misspelt one, a repeated one and an unbounded
+        // race all fail before any attack runs, naming the flag (a silently
+        // ignored `--mdoe int` would attack with the default `sat`, and
+        // `--mode int --mode kc2` would run only one of the two).
+        let range = "--portfolio must be between 1 and 64";
+        for (flags, err) in [
+            (&["--share-cap", "16"][..], "unknown flag --share-cap"),
+            (&["--mdoe", "int"], "unknown flag --mdoe"),
+            (&["--mode", "int", "--mode", "kc2"], "--mode given twice"),
+            (&["--portfolio", "0"], range),
+            (&["--portfolio", "65"], range),
+        ] {
+            let argv = [&["attack", "--quick"][..], flags].concat();
+            assert_eq!(dispatch(&sv(&argv)).unwrap_err(), err, "{flags:?}");
         }
     }
 

@@ -25,6 +25,9 @@
 //! scoped work-stealing thread [`Pool`] is re-exported here from
 //! [`cutelock_sim::pool`].
 //!
+//! Every front end names a scheme the same way, through [`lock_named`],
+//! and reads its flags through one grammar, [`args::Flags`].
+//!
 //! # Example
 //!
 //! ```
@@ -54,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod baselines;
 pub mod beh;
 pub mod clock;
@@ -67,3 +71,24 @@ pub(crate) use counter::insert_mod_counter;
 pub use cutelock_sim::pool::{self, Pool};
 pub use key::{KeySchedule, KeyValue};
 pub use locked::{LockError, LockedCircuit, LockedOracle};
+
+/// Locks `netlist` with the scheme a front end names: `str`
+/// (Cute-Lock-Str under `config`), or the baseline `xor`, `ttlock`,
+/// `dklock` or `sled` at `config.key_bits` and `config.seed`. An unknown
+/// scheme, or the lock's own error, comes back as a message.
+pub fn lock_named(
+    scheme: &str,
+    netlist: &cutelock_netlist::Netlist,
+    config: str_lock::CuteLockStrConfig,
+) -> Result<LockedCircuit, String> {
+    let (ki, seed) = (config.key_bits, config.seed);
+    match scheme {
+        "str" => str_lock::CuteLockStr::new(config).lock(netlist),
+        "xor" => baselines::XorLock::new(ki, seed).lock(netlist),
+        "ttlock" => baselines::TtLock::new(ki, seed).lock(netlist),
+        "dklock" => baselines::DkLock::new(ki, ki, seed).lock(netlist),
+        "sled" => baselines::SledLock::new(ki, seed).lock(netlist),
+        other => return Err(format!("unknown scheme `{other}`")),
+    }
+    .map_err(|e| e.to_string())
+}

@@ -18,13 +18,13 @@
 //!   `CANCEL` on a *running* job unwinds within one portfolio epoch —
 //!   the next propagate/decide round at worst. A `CANCEL` on a *queued*
 //!   job retires it immediately without running it.
-//! * **Memoization.** A submit may carry a cache key (the circuit
+//! * **Memoization.** Every submit carries a cache key (the circuit
 //!   fingerprint folded with the spec — see
 //!   [`LockedCircuit::fingerprint`](cutelock_core::LockedCircuit::fingerprint));
 //!   a key whose result is already cached completes the job instantly
 //!   ([`JobStatus::cached`]), and a successful run populates the cache.
-//!   The cache stores only results that are functions of their spec; a
-//!   job whose result is not must submit without a key.
+//!   So a job may succeed only with a result that is a function of its
+//!   spec: an attack that runs out of wall-clock time fails instead.
 //! * **Purity.** Nothing here touches sockets or stdio: the TCP layer in
 //!   [`crate::server`] is a thin framing shim over these same methods,
 //!   which is what makes the scheduler unit-testable in-process.
@@ -104,8 +104,8 @@ pub struct SubmitRequest {
     pub label: String,
     /// Admission lane.
     pub lane: Lane,
-    /// Result-cache key; `None` opts out of the cache.
-    pub cache_key: Option<u64>,
+    /// Result-cache key.
+    pub cache_key: u64,
     /// The work itself.
     pub work: JobWork,
 }
@@ -146,7 +146,7 @@ struct Job {
     cancel_requested: bool,
     stop: Arc<AtomicBool>,
     work: Option<JobWork>,
-    cache_key: Option<u64>,
+    cache_key: u64,
     result: Option<Result<String, String>>,
     /// Index of the worker that ran the job (fairness introspection).
     ran_on: Option<usize>,
@@ -195,14 +195,14 @@ impl JobQueue {
         }
     }
 
-    /// Admits a job and returns its id. If the request carries a cache key
-    /// whose result is already cached, the job is born [`JobState::Done`]
-    /// with [`JobStatus::cached`] set and never reaches a worker.
+    /// Admits a job and returns its id. If the request's cache key has a
+    /// cached result, the job is born [`JobState::Done`] with
+    /// [`JobStatus::cached`] set and never reaches a worker.
     pub(crate) fn submit(&self, req: SubmitRequest) -> u64 {
         let mut st = self.shared.state.lock().unwrap();
         st.next_id += 1;
         let id = st.next_id;
-        let hit = req.cache_key.and_then(|k| st.cache.get(&k).cloned());
+        let hit = st.cache.get(&req.cache_key).cloned();
         let cached = hit.is_some();
         let job = Job {
             label: req.label,
@@ -396,10 +396,7 @@ impl JobQueue {
                     } else {
                         JobState::Failed
                     };
-                    let cache_entry = match (job.cache_key, &result) {
-                        (Some(key), Ok(line)) => Some((key, line.clone())),
-                        _ => None,
-                    };
+                    let cache_entry = result.as_ref().ok().map(|l| (job.cache_key, l.clone()));
                     job.result = Some(result);
                     if let Some((key, line)) = cache_entry {
                         st.cache.insert(key, line);
@@ -431,23 +428,23 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn ok_job(label: &str, line: &str) -> SubmitRequest {
+    fn ok_job(cache_key: u64, label: &str, line: &str) -> SubmitRequest {
         let line = line.to_string();
         SubmitRequest {
             label: label.into(),
             lane: Lane::Batch,
-            cache_key: None,
+            cache_key,
             work: Box::new(move |_| Ok(line)),
         }
     }
 
     /// A job that parks until its stop flag is raised, then reports how it
     /// exited — the scheduler-level stand-in for a cancellable attack.
-    fn parked_job(label: &str, lane: Lane) -> SubmitRequest {
+    fn parked_job(cache_key: u64, label: &str, lane: Lane) -> SubmitRequest {
         SubmitRequest {
             label: label.into(),
             lane,
-            cache_key: None,
+            cache_key,
             work: Box::new(|stop| {
                 while !stop.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(1));
@@ -466,7 +463,7 @@ mod tests {
             q.submit(SubmitRequest {
                 label: format!("j{i}"),
                 lane: Lane::Batch,
-                cache_key: None,
+                cache_key: i,
                 work: Box::new(move |_| {
                     order.lock().unwrap().push(i);
                     Ok(String::new())
@@ -488,7 +485,7 @@ mod tests {
         // Two workers: worker 0 is express-reserved. Saturate the batch
         // capacity (worker 1) with a parked job, then submit an express
         // job — it must complete while the batch job is still running.
-        let blocker = q.submit(parked_job("blocker", Lane::Batch));
+        let blocker = q.submit(parked_job(1, "blocker", Lane::Batch));
         let pool = q.spawn_workers(2);
         // Wait until the blocker is actually running.
         while q.status(blocker).unwrap().state != JobState::Running {
@@ -497,7 +494,7 @@ mod tests {
         let fast = q.submit(SubmitRequest {
             label: "verify".into(),
             lane: Lane::Express,
-            cache_key: None,
+            cache_key: 2,
             work: Box::new(|_| Ok("verified".into())),
         });
         let st = q.wait(fast).unwrap();
@@ -518,7 +515,7 @@ mod tests {
     fn queued_job_cancels_without_running() {
         let q = JobQueue::new();
         // No workers: the job can never start.
-        let id = q.submit(ok_job("never", "x"));
+        let id = q.submit(ok_job(1, "never", "x"));
         assert_eq!(q.cancel(id), Some(JobState::Cancelled));
         let st = q.status(id).unwrap();
         assert_eq!(st.state, JobState::Cancelled);
@@ -528,7 +525,7 @@ mod tests {
     #[test]
     fn running_job_cancels_via_its_stop_flag() {
         let q = JobQueue::new();
-        let id = q.submit(parked_job("parked", Lane::Batch));
+        let id = q.submit(parked_job(1, "parked", Lane::Batch));
         let pool = q.spawn_workers(1);
         while q.status(id).unwrap().state != JobState::Running {
             std::thread::sleep(Duration::from_millis(1));
@@ -545,7 +542,7 @@ mod tests {
     #[test]
     fn cache_hit_completes_without_a_worker() {
         let q = JobQueue::new();
-        let key = Some(0xfeed);
+        let key = 0xfeed;
         let first = q.submit(SubmitRequest {
             label: "a".into(),
             lane: Lane::Batch,
@@ -578,14 +575,14 @@ mod tests {
         let fail = q.submit(SubmitRequest {
             label: "fails".into(),
             lane: Lane::Batch,
-            cache_key: Some(1),
+            cache_key: 1,
             work: Box::new(|_| Err("boom".into())),
         });
         assert_eq!(q.wait(fail).unwrap().state, JobState::Failed);
         let retry = q.submit(SubmitRequest {
             label: "retries".into(),
             lane: Lane::Batch,
-            cache_key: Some(1),
+            cache_key: 1,
             work: Box::new(|_| Ok("recovered".into())),
         });
         let st = q.wait(retry).unwrap();
@@ -594,7 +591,7 @@ mod tests {
         let other = q.submit(SubmitRequest {
             label: "other key".into(),
             lane: Lane::Batch,
-            cache_key: Some(2),
+            cache_key: 2,
             work: Box::new(|_| Ok("different".into())),
         });
         let st = q.wait(other).unwrap();
@@ -606,7 +603,7 @@ mod tests {
     #[test]
     fn shutdown_cancels_queued_jobs_and_stops_workers() {
         let q = JobQueue::new();
-        let queued = q.submit(ok_job("queued", "x"));
+        let queued = q.submit(ok_job(1, "queued", "x"));
         q.shutdown();
         assert_eq!(q.status(queued).unwrap().state, JobState::Cancelled);
         // Workers spawned after shutdown exit immediately.

@@ -28,16 +28,19 @@
 //!   runs for minutes yet cancels within milliseconds through the solver's
 //!   stop slot — which is what the serve E2E test exercises. Cached.
 //!
-//! `--portfolio`, `--frames`, `--php` and the lock parameters `--keys`,
-//! `--key-bits` and `--ffs` are refused outside `1..=64`: the lock is built
-//! while the line is parsed, before any queue bound applies.
+//! A line is read through [`Flags`], the one grammar the CLI and the table
+//! bins read too. Each job kind lists the flags it reads, every one of
+//! them a value flag (switches are spelled `on`/`off`); an unlisted flag or
+//! a flag given twice is refused. `--portfolio`, `--frames`, `--php` and
+//! the lock parameters `--keys`, `--key-bits` and `--ffs` are refused
+//! outside `1..=64`: the lock is built while the line is parsed, before
+//! any queue bound applies.
 //!
 //! The attacker-side rule from `docs/DETERMINISM.md` shapes the cache key:
 //! worker-thread counts (`--threads`) never change a result, so they stay
 //! *out* of the key; anything that can change a verdict (strategy, budget,
 //! portfolio width, share on/off, circuit, lock parameters) goes in.
 
-use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,11 +49,11 @@ use cutelock_attacks::certify::prove_locked_equivalence;
 use cutelock_attacks::portfolio::Portfolio;
 use cutelock_attacks::{run_attack, AttackBudget, AttackOutcome, AttackSpec, AttackStrategy};
 use cutelock_circuits::{iscas89, itc99};
-use cutelock_core::baselines::{DkLock, SledLock, TtLock, XorLock};
+use cutelock_core::args::Flags;
 use cutelock_core::clock::ClockHandle;
 use cutelock_core::fingerprint::Fingerprint;
-use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
-use cutelock_core::LockedCircuit;
+use cutelock_core::str_lock::CuteLockStrConfig;
+use cutelock_core::{lock_named, LockedCircuit};
 use cutelock_netlist::Netlist;
 use cutelock_sat::equiv::EquivResult;
 use cutelock_sat::{Lit, SatResult, Solver, Var};
@@ -78,66 +81,6 @@ impl Default for Limits {
     }
 }
 
-/// Minimal `--flag value` parser for the wire grammar (the CLI has its own
-/// in `crates/cli`; the daemon must not depend on the CLI crate).
-struct Flags<'a> {
-    values: HashMap<&'a str, &'a str>,
-}
-
-impl<'a> Flags<'a> {
-    fn parse(tokens: &[&'a str]) -> Result<Self, String> {
-        let mut values = HashMap::new();
-        let mut i = 0;
-        while i < tokens.len() {
-            let Some(name) = tokens[i].strip_prefix("--") else {
-                return Err(format!("expected a --flag, got `{}`", tokens[i]));
-            };
-            let Some(&value) = tokens.get(i + 1) else {
-                return Err(format!("--{name} needs a value"));
-            };
-            if values.insert(name, value).is_some() {
-                return Err(format!("--{name} given twice"));
-            }
-            i += 2;
-        }
-        Ok(Self { values })
-    }
-
-    fn opt(&self, name: &str) -> Option<&'a str> {
-        self.values.get(name).copied()
-    }
-
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.opt(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name}: `{v}` is not a valid number")),
-        }
-    }
-
-    /// A numeric flag that must lie in `1..=64`. Each unit costs the
-    /// daemon a solver clone (`--portfolio`), an encoded time frame
-    /// (`--frames`), a pigeonhole (`--php`) or more lock to build
-    /// (`--keys`, `--key-bits`, `--ffs`), so one line cannot ask for
-    /// unbounded work.
-    fn bounded(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.num(name, default)? {
-            n @ 1..=64 => Ok(n),
-            _ => Err(format!("--{name} must be between 1 and 64")),
-        }
-    }
-
-    fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        for &name in self.values.keys() {
-            if !known.contains(&name) {
-                return Err(format!("unknown flag --{name}"));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Looks a benchmark circuit up across the built-in suites.
 fn builtin_circuit(name: &str) -> Result<Netlist, String> {
     iscas89(name)
@@ -155,24 +98,14 @@ fn lock_builtin(flags: &Flags) -> Result<LockedCircuit, String> {
     let ki = flags.bounded("key-bits", 2)?;
     let ffs = flags.bounded("ffs", 1)?;
     let seed: u64 = flags.num("seed", 0)?;
-    let nl = builtin_circuit(circuit)?;
-    let locked = match scheme {
-        "str" => CuteLockStr::new(CuteLockStrConfig {
-            keys,
-            key_bits: ki,
-            locked_ffs: ffs,
-            seed,
-            schedule: None,
-            ..Default::default()
-        })
-        .lock(&nl),
-        "xor" => XorLock::new(ki, seed).lock(&nl),
-        "ttlock" => TtLock::new(ki, seed).lock(&nl),
-        "dklock" => DkLock::new(ki, ki, seed).lock(&nl),
-        "sled" => SledLock::new(ki, seed).lock(&nl),
-        other => return Err(format!("unknown scheme `{other}`")),
+    let config = CuteLockStrConfig {
+        keys,
+        key_bits: ki,
+        locked_ffs: ffs,
+        seed,
+        ..Default::default()
     };
-    locked.map_err(|e| e.to_string())
+    lock_named(scheme, &builtin_circuit(circuit)?, config)
 }
 
 /// Folds an attack/verify spec into the circuit fingerprint — the
@@ -195,32 +128,27 @@ fn attack_cache_key(locked: &LockedCircuit, spec: &AttackSpec) -> u64 {
     fp.finish()
 }
 
+/// The lock parameters every `attack` and `verify` line may carry.
+const LOCK_FLAGS: &[&str] = &["circuit", "scheme", "keys", "key-bits", "ffs", "seed"];
 const ATTACK_FLAGS: &[&str] = &[
     "mode",
-    "circuit",
-    "scheme",
-    "keys",
-    "key-bits",
-    "ffs",
-    "seed",
     "timeout",
     "portfolio",
     "threads",
     "share",
     "simplify",
 ];
+const VERIFY_FLAGS: &[&str] = &["frames", "conflicts"];
+const SOLVE_FLAGS: &[&str] = &["php", "conflicts"];
 
 fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String> {
-    flags.reject_unknown(ATTACK_FLAGS)?;
     let mode = flags.opt("mode").ok_or("attack needs --mode")?;
     let strategy =
         AttackStrategy::parse(mode).ok_or_else(|| format!("unknown attack mode `{mode}`"))?;
     let locked = lock_builtin(flags)?;
-    let timeout: u64 = flags.num("timeout", 60)?;
-    let timeout = Duration::from_secs(timeout).min(limits.max_timeout);
+    let timeout = Duration::from_secs(flags.num("timeout", 60)?).min(limits.max_timeout);
     let k = flags.bounded("portfolio", 1)?;
     let threads: usize = flags.num("threads", 1)?;
-    // Every wire flag takes a value, so the switch is spelled `on`/`off`.
     let share = match flags.opt("share") {
         None => false,
         Some("on") => true,
@@ -243,7 +171,7 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
         .with_budget(budget)
         .with_portfolio(Portfolio::new(k, threads).with_share(share))
         .with_simplify(simplify);
-    let cache_key = Some(attack_cache_key(&locked, &spec));
+    let cache_key = attack_cache_key(&locked, &spec);
     let label = format!("attack {mode} {} {}", locked.netlist.name(), locked.scheme);
     let work: crate::queue::JobWork = Box::new(move |stop: &Arc<AtomicBool>| {
         let mut spec = spec;
@@ -287,19 +215,7 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
     })
 }
 
-const VERIFY_FLAGS: &[&str] = &[
-    "circuit",
-    "scheme",
-    "keys",
-    "key-bits",
-    "ffs",
-    "seed",
-    "frames",
-    "conflicts",
-];
-
 fn parse_verify(flags: &Flags) -> Result<SubmitRequest, String> {
-    flags.reject_unknown(VERIFY_FLAGS)?;
     let locked = lock_builtin(flags)?;
     let frames = flags.bounded("frames", 4)?;
     let conflicts: u64 = flags.num("conflicts", 2_000_000)?;
@@ -308,7 +224,7 @@ fn parse_verify(flags: &Flags) -> Result<SubmitRequest, String> {
     fp.update_str("verify");
     fp.update_u64(frames as u64);
     fp.update_u64(conflicts);
-    let cache_key = Some(fp.finish());
+    let cache_key = fp.finish();
     let label = format!("verify {} {}", locked.netlist.name(), locked.scheme);
     let work: crate::queue::JobWork = Box::new(move |_stop: &Arc<AtomicBool>| {
         match prove_locked_equivalence(&locked, frames, Some(conflicts)) {
@@ -358,10 +274,7 @@ fn encode_php(solver: &mut Solver, n: usize) -> Vec<Vec<Lit>> {
     clauses
 }
 
-const SOLVE_FLAGS: &[&str] = &["php", "conflicts"];
-
 fn parse_solve(flags: &Flags) -> Result<SubmitRequest, String> {
-    flags.reject_unknown(SOLVE_FLAGS)?;
     flags.opt("php").ok_or("solve needs --php N")?;
     let n = flags.bounded("php", 0)?;
     let conflicts: u64 = flags.num("conflicts", u64::MAX)?;
@@ -369,7 +282,7 @@ fn parse_solve(flags: &Flags) -> Result<SubmitRequest, String> {
     fp.update_str("solve-php");
     fp.update_u64(n as u64);
     fp.update_u64(conflicts);
-    let cache_key = Some(fp.finish());
+    let cache_key = fp.finish();
     let work: crate::queue::JobWork = Box::new(move |stop: &Arc<AtomicBool>| {
         let mut solver = Solver::new();
         encode_php(&mut solver, n);
@@ -398,11 +311,12 @@ pub fn parse_submit(line: &str, limits: &Limits) -> Result<SubmitRequest, String
     let Some((&kind, rest)) = tokens.split_first() else {
         return Err("SUBMIT needs a job kind: attack | verify | solve".into());
     };
-    let flags = Flags::parse(rest)?;
+    // Every wire flag takes a value, so switches are spelled `on`/`off`.
+    let flags = |reads: &[&[&str]]| Flags::parse(rest, &reads.concat(), &[]);
     match kind {
-        "attack" => parse_attack(&flags, limits),
-        "verify" => parse_verify(&flags),
-        "solve" => parse_solve(&flags),
+        "attack" => parse_attack(&flags(&[LOCK_FLAGS, ATTACK_FLAGS])?, limits),
+        "verify" => parse_verify(&flags(&[LOCK_FLAGS, VERIFY_FLAGS])?),
+        "solve" => parse_solve(&flags(&[SOLVE_FLAGS])?),
         other => Err(format!("unknown job kind `{other}`")),
     }
 }
@@ -420,7 +334,6 @@ mod tests {
     fn attack_requests_parse_and_run() {
         let req = submit("attack --mode sat --scheme xor --key-bits 4 --seed 3").unwrap();
         assert_eq!(req.lane, Lane::Batch);
-        assert!(req.cache_key.is_some());
         let stop = Arc::new(AtomicBool::new(false));
         let line = (req.work)(&stop).unwrap();
         assert!(line.contains("verdict=Equal"), "got: {line}");
@@ -429,7 +342,7 @@ mod tests {
 
     #[test]
     fn cache_key_ignores_threads_but_not_strategy_or_seed() {
-        let key = |line: &str| submit(line).unwrap().cache_key.unwrap();
+        let key = |line: &str| submit(line).unwrap().cache_key;
         let base = key("attack --mode int --seed 1");
         assert_eq!(
             base,
@@ -443,7 +356,7 @@ mod tests {
 
     #[test]
     fn cache_key_includes_share_but_not_share_cap() {
-        let key = |line: &str| submit(line).unwrap().cache_key.unwrap();
+        let key = |line: &str| submit(line).unwrap().cache_key;
         let base = key("attack --mode int --seed 1 --portfolio 2");
         assert_ne!(
             base,
@@ -466,7 +379,7 @@ mod tests {
 
     #[test]
     fn cache_key_includes_simplify() {
-        let key = |line: &str| submit(line).unwrap().cache_key.unwrap();
+        let key = |line: &str| submit(line).unwrap().cache_key;
         let base = key("attack --mode int --seed 1");
         assert_eq!(
             base,
@@ -530,7 +443,6 @@ mod tests {
     fn verify_requests_are_express_and_run() {
         let req = submit("verify --frames 3").unwrap();
         assert_eq!(req.lane, Lane::Express);
-        assert!(req.cache_key.is_some());
         let stop = Arc::new(AtomicBool::new(false));
         let line = (req.work)(&stop).unwrap();
         assert_eq!(line, "equivalent frames=3");
@@ -564,6 +476,10 @@ mod tests {
             .unwrap_err()
             .contains("--bogus"));
         assert!(submit("solve --php 0").is_err());
+        assert_eq!(
+            submit("verify --frames 2 --frames 3").unwrap_err(),
+            "--frames given twice"
+        );
         assert!(submit("solve").unwrap_err().contains("--php"));
         assert!(submit("mystery --x 1").unwrap_err().contains("mystery"));
     }
