@@ -1,7 +1,8 @@
-//! End-to-end daemon test: a real `Server` on an ephemeral TCP port, two
+//! End-to-end daemon tests: a real `Server` on an ephemeral TCP port, two
 //! concurrent clients sharing one job-id space, fairness of the express
 //! lane under a batch blocker, a mid-solve CANCEL unwinding through the
-//! solver stop slot, and a cache hit on an identical resubmission.
+//! solver stop slot, a cache hit on an identical resubmission, and the
+//! 64 KiB cap on a request line.
 
 use std::time::Duration;
 
@@ -114,6 +115,33 @@ fn daemon_serves_two_clients_with_fairness_cancel_and_cache() {
 
     // --- Clean shutdown. ------------------------------------------------
     let r = alice.request("SHUTDOWN").expect("shutdown");
+    assert_eq!(r, "OK shutting-down");
+    daemon
+        .join()
+        .expect("daemon thread")
+        .expect("daemon exits cleanly");
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_the_connection_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let daemon = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(addr).expect("connect");
+
+    // A 1 MiB line: the daemon reads it through its newline without
+    // holding it, and answers one short ERR.
+    let r = client.request(&"A".repeat(1 << 20)).expect("long line");
+    assert!(
+        r == "ERR request line longer than 65536 bytes",
+        "{} byte reply: {}",
+        r.len(),
+        &r[..r.len().min(80)]
+    );
+    let r = client.request("STATUS 0").expect("status");
+    assert_eq!(r, "ERR no such job 0", "the next line is read as a request");
+
+    let r = client.request("SHUTDOWN").expect("shutdown");
     assert_eq!(r, "OK shutting-down");
     daemon
         .join()

@@ -18,6 +18,8 @@
 //!   `CANCEL` on a *running* job unwinds within one portfolio epoch —
 //!   the next propagate/decide round at worst. A `CANCEL` on a *queued*
 //!   job retires it immediately without running it.
+//! * **Isolation.** A job whose closure panics is `failed` with the panic
+//!   message, and its worker goes on to the next job.
 //! * **Memoization.** Every submit carries a cache key (the circuit
 //!   fingerprint folded with the spec — see
 //!   [`LockedCircuit::fingerprint`](cutelock_core::LockedCircuit::fingerprint));
@@ -29,7 +31,9 @@
 //!   [`crate::server`] is a thin framing shim over these same methods,
 //!   which is what makes the scheduler unit-testable in-process.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -66,7 +70,7 @@ pub(crate) enum JobState {
     Done,
     /// Cancelled — either before it ran or mid-run via its stop flag.
     Cancelled,
-    /// The closure returned an error.
+    /// The closure returned an error or panicked.
     Failed,
 }
 
@@ -377,8 +381,10 @@ impl JobQueue {
 
     fn worker_loop(&self, worker: usize, workers: usize) {
         while let Some((id, work, stop)) = self.next_job(worker, workers) {
-            // Run outside the lock — this is the long part.
-            let result = work(&stop);
+            // Run outside the lock — this is the long part. A panic fails
+            // the job and leaves the worker serving.
+            let result = catch_unwind(AssertUnwindSafe(|| work(&stop)))
+                .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&*panic))));
             let mut st = self.shared.state.lock().unwrap();
             let cancelled = st
                 .jobs
@@ -408,6 +414,17 @@ impl JobQueue {
     }
 }
 
+/// The message a job panicked with, on one line (a result is one line of
+/// the protocol).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload");
+    message.replace(['\n', '\r'], " ")
+}
+
 /// Join guard for the worker threads of one [`JobQueue`].
 pub(crate) struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
@@ -426,6 +443,7 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cutelock_core::clock::ClockHandle;
     use std::time::Duration;
 
     fn ok_job(cache_key: u64, label: &str, line: &str) -> SubmitRequest {
@@ -596,6 +614,38 @@ mod tests {
         });
         let st = q.wait(other).unwrap();
         assert!(!st.cached, "distinct keys must not hit");
+        q.shutdown();
+        pool.join();
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_its_worker_keeps_serving() {
+        let q = JobQueue::new();
+        let pool = q.spawn_workers(1);
+        let panics = q.submit(SubmitRequest {
+            label: "panics".into(),
+            lane: Lane::Batch,
+            cache_key: 1,
+            work: Box::new(|_| panic!("boom")),
+        });
+        let after = q.submit(ok_job(2, "after", "served"));
+        // Poll against a deadline, not `wait`: a worker killed by the panic
+        // would leave `after` queued forever.
+        let clock = ClockHandle::wall();
+        let deadline = clock.now() + Duration::from_secs(10);
+        while !q.status(after).unwrap().state.is_terminal() {
+            assert!(clock.now() < deadline, "the panic took its worker down");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(q.status(after).unwrap().result, Some(Ok("served".into())));
+        let st = q.status(panics).unwrap();
+        assert_eq!(st.state, JobState::Failed);
+        assert_eq!(st.result, Some(Err("job panicked: boom".into())));
+        // The failure was not cached: the same key runs again.
+        let retry = q.submit(ok_job(1, "retry", "recovered"));
+        let st = q.wait(retry).unwrap();
+        assert!(!st.cached);
+        assert_eq!(st.result, Some(Ok("recovered".into())));
         q.shutdown();
         pool.join();
     }

@@ -3,7 +3,7 @@
 //!
 //! One request per line, one response per line — no framing beyond `\n`,
 //! no async runtime (the build environment is offline; `std` threads and
-//! a non-blocking accept loop suffice for a lab daemon):
+//! a blocking accept loop suffice for a lab daemon):
 //!
 //! ```text
 //! SUBMIT attack --mode int --scheme xor --key-bits 4   →  OK id=1
@@ -19,9 +19,22 @@
 //! concurrently see one job-id space, one cache, one fairness lane — the
 //! scheduler semantics live entirely in [`crate::queue`], and this module
 //! only parses verbs and prints snapshots.
+//!
+//! The accept loop blocks in `accept`. The connection that handles
+//! `SHUTDOWN` writes its reply, then connects once to the daemon's own
+//! address, which wakes the loop to see the shutdown flag. The loop holds
+//! a socket only for connections that are still open: each accept drops
+//! the thread handle and socket of every connection that has closed. A
+//! request line is capped at 64 KiB: a longer one is read through its
+//! newline without being held, answered
+//! `ERR request line longer than 65536 bytes`, and the connection keeps
+//! serving.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::queue::{JobQueue, JobStatus, WorkerPool};
@@ -78,47 +91,72 @@ impl Server {
     /// Serves connections until a client issues `SHUTDOWN`, then joins the
     /// workers (letting any still-running job unwind through its raised
     /// stop flag) and returns.
+    ///
+    /// The loop blocks in `accept` and checks the shutdown flag after
+    /// every accept; the connection that handled `SHUTDOWN` wakes it by
+    /// connecting once after writing its reply. Every accept also drops the
+    /// thread handle and socket of each connection that has closed, so the
+    /// daemon holds sockets only for open connections.
     pub fn run(self) -> std::io::Result<()> {
-        // Non-blocking accept so the loop can observe shutdown promptly.
-        self.listener.set_nonblocking(true)?;
-        let mut connections = Vec::new();
-        let mut streams: Vec<TcpStream> = Vec::new();
+        let wake = wake_addr(self.listener.local_addr()?);
+        // Each open connection's thread, with a handle on its socket so
+        // shutdown can sever a client that sits idle in a blocking read.
+        let mut connections: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
         loop {
+            let (stream, _peer) = self.listener.accept()?;
             if self.queue.is_shutting_down() {
                 break;
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    // Keep a handle so shutdown can sever connections that
-                    // sit idle in a blocking read.
-                    if let Ok(handle) = stream.try_clone() {
-                        streams.push(handle);
-                    }
-                    let queue = self.queue.clone();
-                    let limits = self.limits.clone();
-                    connections.push(std::thread::spawn(move || {
-                        // A dropped/failed connection only ends that
-                        // client's session; the daemon carries on.
-                        let _ = serve_connection(stream, &queue, &limits);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
+            connections.retain(|(thread, _)| !thread.is_finished());
+            // Out of descriptors: drop the connection rather than serve a
+            // client that shutdown could not sever.
+            let Ok(handle) = stream.try_clone() else {
+                continue;
+            };
+            let queue = self.queue.clone();
+            let limits = self.limits.clone();
+            let thread = std::thread::spawn(move || {
+                // A dropped/failed connection only ends that client's
+                // session; the daemon carries on.
+                let _ = serve_connection(stream, &queue, &limits, wake);
+            });
+            connections.push((thread, handle));
         }
         // Disconnect every client that is still attached: their threads
         // are blocked reading the next request and would otherwise pin
         // the daemon open for as long as any client lingers.
-        for s in &streams {
-            let _ = s.shutdown(Shutdown::Both);
+        for (_, stream) in &connections {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        for c in connections {
-            let _ = c.join();
+        for (thread, _) in connections {
+            let _ = thread.join();
         }
         self.pool.join();
         Ok(())
+    }
+}
+
+/// The address a connection dials to wake the blocking `accept` in
+/// [`Server::run`]: the listener's own, with an unspecified IP (`0.0.0.0`,
+/// `::`) replaced by the loopback address of the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
+/// Connects once to the daemon's own listener when dropped, so the
+/// blocking `accept` in [`Server::run`] returns and sees the shutdown flag.
+/// A failed connect is not retried: the next client to connect wakes the
+/// loop instead.
+struct Wake(SocketAddr);
+
+impl Drop for Wake {
+    fn drop(&mut self) {
+        let _ = TcpStream::connect_timeout(&self.0, Duration::from_secs(1));
     }
 }
 
@@ -222,12 +260,43 @@ fn handle_line(line: &str, queue: &JobQueue, limits: &Limits) -> (String, bool) 
     }
 }
 
-fn serve_connection(stream: TcpStream, queue: &JobQueue, limits: &Limits) -> std::io::Result<()> {
+/// Longest request line the daemon reads, in bytes, not counting its `\n`.
+const MAX_LINE: usize = 64 * 1024;
+
+fn serve_connection(
+    stream: TcpStream,
+    queue: &JobQueue,
+    limits: &Limits,
+    wake: SocketAddr,
+) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        let (response, shutdown) = handle_line(&line, queue, limits);
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from a full one
+        // without holding more of it.
+        let read = reader
+            .by_ref()
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if read == 0 {
+            break;
+        }
+        let (response, shutdown) = if buf.len() > MAX_LINE && buf.last() != Some(&b'\n') {
+            reader.skip_until(b'\n')?;
+            (
+                format!("ERR request line longer than {MAX_LINE} bytes"),
+                false,
+            )
+        } else {
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            handle_line(line, queue, limits)
+        };
+        // Dropped once the reply is written, or has failed to be: `run`
+        // severs no client before it has its `SHUTDOWN` reply.
+        let _wake = shutdown.then_some(Wake(wake));
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
@@ -265,6 +334,15 @@ mod tests {
         assert_eq!(r, "OK shutting-down");
         assert!(done);
         pool.join();
+    }
+
+    #[test]
+    fn wake_dials_loopback_for_an_unspecified_listener() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7171"), "127.0.0.1:7171");
+        assert_eq!(wake("[::]:7171"), "[::1]:7171");
+        assert_eq!(wake("10.1.2.3:7171"), "10.1.2.3:7171");
+        assert_eq!(wake("[fe80::1]:7171"), "[fe80::1]:7171");
     }
 
     #[test]
