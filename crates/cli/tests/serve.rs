@@ -2,8 +2,10 @@
 //! concurrent clients sharing one job-id space, fairness of the express
 //! lane under a batch blocker, a mid-solve CANCEL unwinding through the
 //! solver stop slot, a cache hit on an identical resubmission, and the
-//! 64 KiB cap on a request line.
+//! refusal of a request line over 64 KiB or not UTF-8.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use cutelock_core::clock::ClockHandle;
@@ -127,22 +129,31 @@ fn an_over_long_request_line_is_refused_and_the_connection_keeps_serving() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = server.local_addr().expect("local addr");
     let daemon = std::thread::spawn(move || server.run());
-    let mut client = Client::connect(addr).expect("connect");
+    // A raw socket rather than a `Client`: one line is not UTF-8.
+    let mut writer = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let mut request = |line: &[u8]| {
+        writer.write_all(line).expect("write line");
+        writer.write_all(b"\n").expect("write newline");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        reply.trim_end().to_string()
+    };
 
     // A 1 MiB line: the daemon reads it through its newline without
     // holding it, and answers one short ERR.
-    let r = client.request(&"A".repeat(1 << 20)).expect("long line");
+    let r = request(&vec![b'A'; 1 << 20]);
     assert!(
         r == "ERR request line longer than 65536 bytes",
         "{} byte reply: {}",
         r.len(),
         &r[..r.len().min(80)]
     );
-    let r = client.request("STATUS 0").expect("status");
+    assert_eq!(request(b"STATUS \xff"), "ERR request line is not UTF-8");
+    let r = request(b"STATUS 0");
     assert_eq!(r, "ERR no such job 0", "the next line is read as a request");
 
-    let r = client.request("SHUTDOWN").expect("shutdown");
-    assert_eq!(r, "OK shutting-down");
+    assert_eq!(request(b"SHUTDOWN"), "OK shutting-down");
     daemon
         .join()
         .expect("daemon thread")

@@ -21,14 +21,16 @@
 //! only parses verbs and prints snapshots.
 //!
 //! The accept loop blocks in `accept`. The connection that handles
-//! `SHUTDOWN` writes its reply, then connects once to the daemon's own
-//! address, which wakes the loop to see the shutdown flag. The loop holds
-//! a socket only for connections that are still open: each accept drops
-//! the thread handle and socket of every connection that has closed. A
-//! request line is capped at 64 KiB: a longer one is read through its
-//! newline without being held, answered
-//! `ERR request line longer than 65536 bytes`, and the connection keeps
-//! serving.
+//! `SHUTDOWN` writes its reply and closes, then connects once to the
+//! daemon's own address, which wakes the loop to see the shutdown flag
+//! (every connection that closes after it does the same; the first wake
+//! ends the loop). The loop holds a socket only for connections that are
+//! still open: each accept drops the thread handle and socket of every
+//! connection that has closed. A request line is capped at 64 KiB: a
+//! longer one is read through its newline without being held and answered
+//! `ERR request line longer than 65536 bytes`, a line that is not UTF-8 is
+//! answered `ERR request line is not UTF-8`, and either way the connection
+//! keeps serving.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{
@@ -115,11 +117,7 @@ impl Server {
             };
             let queue = self.queue.clone();
             let limits = self.limits.clone();
-            let thread = std::thread::spawn(move || {
-                // A dropped/failed connection only ends that client's
-                // session; the daemon carries on.
-                let _ = serve_connection(stream, &queue, &limits, wake);
-            });
+            let thread = std::thread::spawn(move || serve_client(stream, &queue, &limits, wake));
             connections.push((thread, handle));
         }
         // Disconnect every client that is still attached: their threads
@@ -148,15 +146,18 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Connects once to the daemon's own listener when dropped, so the
-/// blocking `accept` in [`Server::run`] returns and sees the shutdown flag.
-/// A failed connect is not retried: the next client to connect wakes the
-/// loop instead.
-struct Wake(SocketAddr);
-
-impl Drop for Wake {
-    fn drop(&mut self) {
-        let _ = TcpStream::connect_timeout(&self.0, Duration::from_secs(1));
+/// Serves one connection until it closes. If the queue is shutting down by
+/// then, connects once to `wake`, the daemon's own address, so the blocking
+/// `accept` in [`Server::run`] returns and sees the flag. The connection
+/// that handled `SHUTDOWN` has written its reply (or failed to) by then, so
+/// `run` severs no client before it has that reply. A failed connect is not
+/// retried: the next client to connect wakes the loop instead.
+fn serve_client(stream: TcpStream, queue: &JobQueue, limits: &Limits, wake: SocketAddr) {
+    // A dropped/failed connection only ends that client's session; the
+    // daemon carries on.
+    let _ = serve_connection(stream, queue, limits);
+    if queue.is_shutting_down() {
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 }
 
@@ -263,12 +264,7 @@ fn handle_line(line: &str, queue: &JobQueue, limits: &Limits) -> (String, bool) 
 /// Longest request line the daemon reads, in bytes, not counting its `\n`.
 const MAX_LINE: usize = 64 * 1024;
 
-fn serve_connection(
-    stream: TcpStream,
-    queue: &JobQueue,
-    limits: &Limits,
-    wake: SocketAddr,
-) -> std::io::Result<()> {
+fn serve_connection(stream: TcpStream, queue: &JobQueue, limits: &Limits) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
@@ -290,13 +286,11 @@ fn serve_connection(
                 false,
             )
         } else {
-            let line = std::str::from_utf8(&buf)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            handle_line(line, queue, limits)
+            match std::str::from_utf8(&buf) {
+                Ok(line) => handle_line(line, queue, limits),
+                Err(_) => ("ERR request line is not UTF-8".to_string(), false),
+            }
         };
-        // Dropped once the reply is written, or has failed to be: `run`
-        // severs no client before it has its `SHUTDOWN` reply.
-        let _wake = shutdown.then_some(Wake(wake));
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
@@ -343,6 +337,39 @@ mod tests {
         assert_eq!(wake("[::]:7171"), "[::1]:7171");
         assert_eq!(wake("10.1.2.3:7171"), "10.1.2.3:7171");
         assert_eq!(wake("[fe80::1]:7171"), "[fe80::1]:7171");
+    }
+
+    /// Only a session that ends with the queue shutting down dials the
+    /// wake address: a `STATUS` session closes without a dial, and a
+    /// `SHUTDOWN` session dials once, after its reply.
+    #[test]
+    fn only_a_shutdown_session_dials_the_wake_address() {
+        let daemon = TcpListener::bind("127.0.0.1:0").unwrap();
+        let wake = TcpListener::bind("127.0.0.1:0").unwrap();
+        let wake_at = wake.local_addr().unwrap();
+        let queue = JobQueue::new();
+        let limits = Limits::default();
+        // Dials queued at `wake`: the accepts before that of one last
+        // connection made here (the accept queue is first in, first out).
+        let dials = || {
+            let marker = TcpStream::connect(wake_at).unwrap();
+            let last = marker.local_addr().unwrap();
+            std::iter::from_fn(|| Some(wake.accept().unwrap().1))
+                .take_while(|peer| *peer != last)
+                .count()
+        };
+        let session = |request: &str| {
+            let mut client = TcpStream::connect(daemon.local_addr().unwrap()).unwrap();
+            client.write_all(request.as_bytes()).unwrap();
+            client.shutdown(Shutdown::Write).unwrap();
+            let (stream, _) = daemon.accept().unwrap();
+            serve_client(stream, &queue, &limits, wake_at);
+            let mut reply = String::new();
+            client.read_to_string(&mut reply).unwrap();
+            (reply, dials())
+        };
+        assert_eq!(session("STATUS 0\n"), ("ERR no such job 0\n".into(), 0));
+        assert_eq!(session("SHUTDOWN\n"), ("OK shutting-down\n".into(), 1));
     }
 
     #[test]
