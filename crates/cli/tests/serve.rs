@@ -1,8 +1,9 @@
 //! End-to-end daemon tests: a real `Server` on an ephemeral TCP port, two
 //! concurrent clients sharing one job-id space, fairness of the express
 //! lane under a batch blocker, a mid-solve CANCEL unwinding through the
-//! solver stop slot, a cache hit on an identical resubmission, and the
-//! refusal of a request line over 64 KiB or not UTF-8.
+//! solver stop slot, a cache hit on an identical resubmission, the
+//! refusal of a request line over 64 KiB or not UTF-8, and a daemon that
+//! runs out of descriptors and keeps serving.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -158,4 +159,76 @@ fn an_over_long_request_line_is_refused_and_the_connection_keeps_serving() {
         .join()
         .expect("daemon thread")
         .expect("daemon exits cleanly");
+}
+
+/// Kills the daemon process if a test fails before it exits.
+#[cfg(unix)]
+struct Daemon(std::process::Child);
+
+#[cfg(unix)]
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Out of descriptors, the daemon waits for clients to close instead of
+/// exiting: under `ulimit -n 24` it outlives 30 idle connections, then
+/// answers a request and shuts down cleanly.
+#[cfg(unix)]
+#[test]
+fn a_daemon_out_of_descriptors_keeps_serving() {
+    use std::io::Read;
+    use std::process::{Command, Stdio};
+
+    let mut daemon = Daemon(
+        Command::new("sh")
+            .arg("-c")
+            .arg(r#"ulimit -n 24 && exec "$0" serve --addr 127.0.0.1:0 --workers 1"#)
+            .arg(env!("CARGO_BIN_EXE_cutelock"))
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("start the daemon"),
+    );
+    let mut stdout = BufReader::new(daemon.0.stdout.take().expect("daemon stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read the address");
+    let addr = line
+        .trim_end()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .to_string();
+
+    let idle: Vec<TcpStream> = (0..30)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    // Time for the daemon to run out of descriptors, and for one that
+    // ends on a failed `accept` to exit.
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        daemon.0.try_wait().expect("poll the daemon").is_none(),
+        "the daemon exited with 30 connections open"
+    );
+    drop(idle);
+
+    let mut client = TcpStream::connect(&addr).expect("connect");
+    // A daemon that no longer accepts fails the test instead of hanging it.
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set a read timeout");
+    client
+        .write_all(b"STATUS 0\nSHUTDOWN\n")
+        .expect("send the requests");
+    let mut replies = String::new();
+    client
+        .read_to_string(&mut replies)
+        .expect("read the replies");
+    assert_eq!(replies, "ERR no such job 0\nOK shutting-down\n");
+    let mut rest = String::new();
+    stdout
+        .read_to_string(&mut rest)
+        .expect("read the daemon's output");
+    assert_eq!(rest, "shut down\n");
+    assert!(daemon.0.wait().expect("daemon exit").success());
 }

@@ -137,6 +137,9 @@ pub(crate) struct JobStatus {
     pub state: JobState,
     /// True when the result was served from the cache without running.
     pub cached: bool,
+    /// Index of the worker that ran the job (`None` while queued, or when
+    /// it never ran).
+    pub ran_on: Option<usize>,
     /// Terminal result: `Ok(line)` for done, `Err(line)` for failed;
     /// `None` while pending or when cancelled.
     pub result: Option<Result<String, String>>,
@@ -147,13 +150,26 @@ struct Job {
     lane: Lane,
     state: JobState,
     cached: bool,
-    cancel_requested: bool,
     stop: Arc<AtomicBool>,
     work: Option<JobWork>,
     cache_key: u64,
     result: Option<Result<String, String>>,
-    /// Index of the worker that ran the job (fairness introspection).
     ran_on: Option<usize>,
+}
+
+impl Job {
+    /// This job's snapshot, under its id `id`.
+    fn status(&self, id: u64) -> JobStatus {
+        JobStatus {
+            id,
+            label: self.label.clone(),
+            lane: self.lane,
+            state: self.state,
+            cached: self.cached,
+            ran_on: self.ran_on,
+            result: self.result.clone(),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -179,12 +195,6 @@ struct Shared {
 #[derive(Clone)]
 pub(crate) struct JobQueue {
     shared: Arc<Shared>,
-}
-
-impl Default for JobQueue {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl JobQueue {
@@ -217,7 +227,6 @@ impl JobQueue {
                 JobState::Queued
             },
             cached,
-            cancel_requested: false,
             stop: Arc::new(AtomicBool::new(false)),
             work: if cached { None } else { Some(req.work) },
             cache_key: req.cache_key,
@@ -240,36 +249,21 @@ impl JobQueue {
     /// Snapshot of a job, or `None` for an unknown id.
     pub(crate) fn status(&self, id: u64) -> Option<JobStatus> {
         let st = self.shared.state.lock().unwrap();
-        st.jobs.get(&id).map(|j| JobStatus {
-            id,
-            label: j.label.clone(),
-            lane: j.lane,
-            state: j.state,
-            cached: j.cached,
-            result: j.result.clone(),
-        })
+        st.jobs.get(&id).map(|j| j.status(id))
     }
 
     /// Blocks until the job reaches a terminal state, then returns its
     /// snapshot (`None` for an unknown id).
     pub(crate) fn wait(&self, id: u64) -> Option<JobStatus> {
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
-            match st.jobs.get(&id) {
-                None => return None,
-                Some(j) if j.state.is_terminal() => {
-                    return Some(JobStatus {
-                        id,
-                        label: j.label.clone(),
-                        lane: j.lane,
-                        state: j.state,
-                        cached: j.cached,
-                        result: j.result.clone(),
-                    })
-                }
-                Some(_) => st = self.shared.job_done.wait(st).unwrap(),
-            }
-        }
+        let st = self.shared.state.lock().unwrap();
+        let st = self
+            .shared
+            .job_done
+            .wait_while(st, |st| {
+                st.jobs.get(&id).is_some_and(|j| !j.state.is_terminal())
+            })
+            .unwrap();
+        st.jobs.get(&id).map(|j| j.status(id))
     }
 
     /// Requests cancellation. A queued job retires immediately
@@ -294,7 +288,6 @@ impl JobQueue {
                 Some(JobState::Cancelled)
             }
             JobState::Running => {
-                job.cancel_requested = true;
                 job.stop.store(true, Ordering::Relaxed);
                 Some(JobState::Running)
             }
@@ -317,7 +310,6 @@ impl JobQueue {
         }
         for job in st.jobs.values_mut() {
             if job.state == JobState::Running {
-                job.cancel_requested = true;
                 job.stop.store(true, Ordering::Relaxed);
             }
         }
@@ -328,13 +320,6 @@ impl JobQueue {
     /// True once [`JobQueue::shutdown`] has been called.
     pub(crate) fn is_shutting_down(&self) -> bool {
         self.shared.state.lock().unwrap().shutdown
-    }
-
-    /// The worker index that executed a job (`None` while pending or when
-    /// the job never ran). Exposed for fairness assertions in tests and
-    /// the daemon's status lines.
-    pub(crate) fn ran_on(&self, id: u64) -> Option<usize> {
-        self.shared.state.lock().unwrap().jobs.get(&id)?.ran_on
     }
 
     /// Spawns `workers` OS threads draining this queue (at least one).
@@ -386,14 +371,10 @@ impl JobQueue {
             let result = catch_unwind(AssertUnwindSafe(|| work(&stop)))
                 .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&*panic))));
             let mut st = self.shared.state.lock().unwrap();
-            let cancelled = st
-                .jobs
-                .get(&id)
-                .map(|j| j.cancel_requested)
-                .unwrap_or(false)
-                || st.shutdown && stop.load(Ordering::Relaxed);
             if let Some(job) = st.jobs.get_mut(&id) {
-                if cancelled {
+                // Only a cancel or a shutdown raises the stop flag, and
+                // only under this lock.
+                if stop.load(Ordering::Relaxed) {
                     job.state = JobState::Cancelled;
                     job.result = None;
                 } else {
@@ -517,7 +498,7 @@ mod tests {
         });
         let st = q.wait(fast).unwrap();
         assert_eq!(st.state, JobState::Done);
-        assert_eq!(q.ran_on(fast), Some(0), "express must run on worker 0");
+        assert_eq!(st.ran_on, Some(0), "express must run on worker 0");
         assert_eq!(
             q.status(blocker).unwrap().state,
             JobState::Running,

@@ -20,23 +20,23 @@
 //! scheduler semantics live entirely in [`crate::queue`], and this module
 //! only parses verbs and prints snapshots.
 //!
-//! The accept loop blocks in `accept`. The connection that handles
-//! `SHUTDOWN` writes its reply and closes, then connects once to the
-//! daemon's own address, which wakes the loop to see the shutdown flag
-//! (every connection that closes after it does the same; the first wake
-//! ends the loop). The loop holds a socket only for connections that are
-//! still open: each accept drops the thread handle and socket of every
-//! connection that has closed. A request line is capped at 64 KiB: a
-//! longer one is read through its newline without being held and answered
-//! `ERR request line longer than 65536 bytes`, a line that is not UTF-8 is
-//! answered `ERR request line is not UTF-8`, and either way the connection
-//! keeps serving.
+//! The accept loop in [`Server::run`] runs each connection on a thread of
+//! one `std::thread::scope`, which owns the connection's one socket. The
+//! connection that handles `SHUTDOWN` writes its reply, then raises the
+//! shutdown flag, then connects once to the daemon's own address, which
+//! wakes the loop to see the flag (every connection that closes after it
+//! does the same; the first wake ends the loop). A request line is capped
+//! at 64 KiB: a longer one is read through its newline without being held
+//! and answered `ERR request line longer than 65536 bytes`, a line that is
+//! not UTF-8 is answered `ERR request line is not UTF-8`, and either way
+//! the connection keeps serving.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crate::queue::{JobQueue, JobStatus, WorkerPool};
@@ -90,49 +90,58 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serves connections until a client issues `SHUTDOWN`, then joins the
-    /// workers (letting any still-running job unwind through its raised
-    /// stop flag) and returns.
+    /// Serves connections until a client issues `SHUTDOWN`, then severs
+    /// the clients still connected, joins their threads and the workers
+    /// (letting any still-running job unwind through its raised stop flag)
+    /// and returns.
     ///
     /// The loop blocks in `accept` and checks the shutdown flag after
-    /// every accept; the connection that handled `SHUTDOWN` wakes it by
-    /// connecting once after writing its reply. Every accept also drops the
-    /// thread handle and socket of each connection that has closed, so the
-    /// daemon holds sockets only for open connections.
+    /// every accept, failed or not; the connection that handled `SHUTDOWN`
+    /// wakes it by connecting once after writing its reply. Each
+    /// connection's thread owns its socket and the loop keeps only a weak
+    /// handle on it, so the daemon holds one descriptor per open
+    /// connection and none for a closed one. A failed `accept` (out of
+    /// descriptors, say) is retried after a wait that doubles from 5 ms to
+    /// 1 s and starts over after the next successful one.
     pub fn run(self) -> std::io::Result<()> {
         let wake = wake_addr(self.listener.local_addr()?);
-        // Each open connection's thread, with a handle on its socket so
-        // shutdown can sever a client that sits idle in a blocking read.
-        let mut connections: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
-        loop {
-            let (stream, _peer) = self.listener.accept()?;
-            if self.queue.is_shutting_down() {
-                break;
+        let (queue, limits) = (&self.queue, &self.limits);
+        std::thread::scope(|scope| {
+            // A weak handle on each open connection's socket, so shutdown
+            // can sever a client that sits idle in a blocking read.
+            let mut open: Vec<Weak<TcpStream>> = Vec::new();
+            let mut backoff = FIRST_BACKOFF;
+            loop {
+                let accepted = self.listener.accept();
+                if queue.is_shutting_down() {
+                    break;
+                }
+                let Ok((stream, _peer)) = accepted else {
+                    // Out of descriptors, say: wait for clients to close.
+                    std::thread::sleep(backoff);
+                    backoff = (backoff * 2).min(MAX_BACKOFF);
+                    continue;
+                };
+                backoff = FIRST_BACKOFF;
+                open.retain(|conn| conn.strong_count() > 0);
+                let stream = Arc::new(stream);
+                open.push(Arc::downgrade(&stream));
+                // A thread that cannot be spawned drops its connection.
+                let _ = std::thread::Builder::new()
+                    .spawn_scoped(scope, move || serve_client(&stream, queue, limits, wake));
             }
-            connections.retain(|(thread, _)| !thread.is_finished());
-            // Out of descriptors: drop the connection rather than serve a
-            // client that shutdown could not sever.
-            let Ok(handle) = stream.try_clone() else {
-                continue;
-            };
-            let queue = self.queue.clone();
-            let limits = self.limits.clone();
-            let thread = std::thread::spawn(move || serve_client(stream, &queue, &limits, wake));
-            connections.push((thread, handle));
-        }
-        // Disconnect every client that is still attached: their threads
-        // are blocked reading the next request and would otherwise pin
-        // the daemon open for as long as any client lingers.
-        for (_, stream) in &connections {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        for (thread, _) in connections {
-            let _ = thread.join();
-        }
+            for conn in open.iter().filter_map(Weak::upgrade) {
+                let _ = conn.shutdown(Shutdown::Both);
+            }
+        });
         self.pool.join();
         Ok(())
     }
 }
+
+/// The first and the longest wait after a failed `accept`.
+const FIRST_BACKOFF: Duration = Duration::from_millis(5);
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
 
 /// The address a connection dials to wake the blocking `accept` in
 /// [`Server::run`]: the listener's own, with an unspecified IP (`0.0.0.0`,
@@ -146,23 +155,24 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Serves one connection until it closes. If the queue is shutting down by
-/// then, connects once to `wake`, the daemon's own address, so the blocking
-/// `accept` in [`Server::run`] returns and sees the flag. The connection
-/// that handled `SHUTDOWN` has written its reply (or failed to) by then, so
-/// `run` severs no client before it has that reply. A failed connect is not
-/// retried: the next client to connect wakes the loop instead.
-fn serve_client(stream: TcpStream, queue: &JobQueue, limits: &Limits, wake: SocketAddr) {
-    // A dropped/failed connection only ends that client's session; the
-    // daemon carries on.
-    let _ = serve_connection(stream, queue, limits);
+/// Serves one connection until it closes. A panic ends only this session:
+/// it is caught here, or the scope in [`Server::run`] would re-raise it
+/// when the daemon shuts down. If the queue is shutting down by then,
+/// connects once to `wake`, the daemon's own address, so the blocking
+/// `accept` in [`Server::run`] returns and sees the flag. The flag goes up
+/// only after the `SHUTDOWN` reply is written (or its write failed), so no
+/// wake lets `run` sever that client before it has its reply. A failed
+/// connect is not retried: the next client to connect wakes the loop
+/// instead.
+fn serve_client(stream: &TcpStream, queue: &JobQueue, limits: &Limits, wake: SocketAddr) {
+    let _ = catch_unwind(AssertUnwindSafe(|| serve_connection(stream, queue, limits)));
     if queue.is_shutting_down() {
         let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 }
 
 /// One `STATUS`/`RESULT` snapshot as a single response line.
-fn status_line(queue: &JobQueue, st: &JobStatus) -> String {
+fn status_line(st: &JobStatus) -> String {
     let mut line = format!(
         "OK id={} state={} lane={} cached={}",
         st.id,
@@ -170,7 +180,7 @@ fn status_line(queue: &JobQueue, st: &JobStatus) -> String {
         st.lane.name(),
         st.cached
     );
-    if let Some(worker) = queue.ran_on(st.id) {
+    if let Some(worker) = st.ran_on {
         line.push_str(&format!(" worker={worker}"));
     }
     match &st.result {
@@ -191,10 +201,9 @@ fn parse_id(operand: &str) -> Result<u64, String> {
         .map_err(|_| format!("`{}` is not a job id", operand.trim()))
 }
 
-/// Handles one request line against the queue; `None` means the
-/// connection asked the daemon to shut down (after the returned response
-/// in `Some` — shutdown still responds, so the `None` case is encoded as
-/// the second tuple element).
+/// Handles one request line against the queue. Returns the response and
+/// whether the line was `SHUTDOWN`, which [`serve_connection`] answers
+/// before it raises the queue's shutdown flag.
 fn handle_line(line: &str, queue: &JobQueue, limits: &Limits) -> (String, bool) {
     let line = line.trim();
     let (verb, operand) = match line.split_once(char::is_whitespace) {
@@ -211,7 +220,7 @@ fn handle_line(line: &str, queue: &JobQueue, limits: &Limits) -> (String, bool) 
         },
         "STATUS" => match parse_id(operand) {
             Ok(id) => match queue.status(id) {
-                Some(st) => (status_line(queue, &st), false),
+                Some(st) => (status_line(&st), false),
                 None => (format!("ERR no such job {id}"), false),
             },
             Err(e) => (format!("ERR {e}"), false),
@@ -225,7 +234,7 @@ fn handle_line(line: &str, queue: &JobQueue, limits: &Limits) -> (String, bool) 
                     queue.status(id)
                 };
                 match st {
-                    Some(st) if st.state.is_terminal() => (status_line(queue, &st), false),
+                    Some(st) if st.state.is_terminal() => (status_line(&st), false),
                     Some(st) => (
                         format!("WAIT id={} state={}", st.id, st.state.name()),
                         false,
@@ -249,10 +258,7 @@ fn handle_line(line: &str, queue: &JobQueue, limits: &Limits) -> (String, bool) 
             },
             Err(e) => (format!("ERR {e}"), false),
         },
-        "SHUTDOWN" => {
-            queue.shutdown();
-            ("OK shutting-down".to_string(), true)
-        }
+        "SHUTDOWN" => ("OK shutting-down".to_string(), true),
         "" => ("ERR empty request".to_string(), false),
         other => (
             format!("ERR unknown verb `{other}` (SUBMIT|STATUS|RESULT|CANCEL|SHUTDOWN)"),
@@ -264,8 +270,11 @@ fn handle_line(line: &str, queue: &JobQueue, limits: &Limits) -> (String, bool) 
 /// Longest request line the daemon reads, in bytes, not counting its `\n`.
 const MAX_LINE: usize = 64 * 1024;
 
-fn serve_connection(stream: TcpStream, queue: &JobQueue, limits: &Limits) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
+/// Answers request lines until the client closes, a read or write fails,
+/// or a `SHUTDOWN` is answered. After the `SHUTDOWN` reply is written, or
+/// its write failed, raises the queue's shutdown flag.
+fn serve_connection(stream: &TcpStream, queue: &JobQueue, limits: &Limits) -> std::io::Result<()> {
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
@@ -277,7 +286,7 @@ fn serve_connection(stream: TcpStream, queue: &JobQueue, limits: &Limits) -> std
             .take(MAX_LINE as u64 + 1)
             .read_until(b'\n', &mut buf)?;
         if read == 0 {
-            break;
+            return Ok(());
         }
         let (response, shutdown) = if buf.len() > MAX_LINE && buf.last() != Some(&b'\n') {
             reader.skip_until(b'\n')?;
@@ -291,14 +300,15 @@ fn serve_connection(stream: TcpStream, queue: &JobQueue, limits: &Limits) -> std
                 Err(_) => ("ERR request line is not UTF-8".to_string(), false),
             }
         };
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        let sent = writer
+            .write_all(response.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"));
         if shutdown {
-            break;
+            queue.shutdown();
+            return sent;
         }
+        sent?;
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -327,6 +337,9 @@ mod tests {
         let (r, done) = handle_line("SHUTDOWN", &queue, &limits);
         assert_eq!(r, "OK shutting-down");
         assert!(done);
+        // The connection raises the flag once the reply is written.
+        assert!(!queue.is_shutting_down());
+        queue.shutdown();
         pool.join();
     }
 
@@ -363,7 +376,8 @@ mod tests {
             client.write_all(request.as_bytes()).unwrap();
             client.shutdown(Shutdown::Write).unwrap();
             let (stream, _) = daemon.accept().unwrap();
-            serve_client(stream, &queue, &limits, wake_at);
+            serve_client(&stream, &queue, &limits, wake_at);
+            drop(stream);
             let mut reply = String::new();
             client.read_to_string(&mut reply).unwrap();
             (reply, dials())
