@@ -136,7 +136,7 @@ impl Unrolled {
         fixed: Option<Vec<Option<bool>>>,
     ) -> Self {
         let mut m = MiterBuilder::new(sv, &[]);
-        run.prepare(&mut m.enc.solver);
+        run.budget.arm(&mut m.enc.solver, run.start);
         let k1 = m.fresh_keys();
         let k2 = m.fresh_keys();
         let dffs = run.locked.netlist.dffs();
@@ -236,23 +236,22 @@ impl Miter for Unrolled {
 /// small conflict budget; implied bits get asserted as units, shrinking
 /// the key condition.
 ///
-/// Returns `true` when the attack's wall-clock deadline expired
-/// mid-probe (the caller must report [`AttackOutcome::Timeout`]). The
-/// probe loop checks the deadline *between* probes — a wide key no
-/// longer blows past `AttackBudget::timeout` one 2 000-conflict probe at
-/// a time — and the main loop's conflict budget is restored on every
-/// exit path, timeout included.
+/// Returns `true` when the attack's budget expired mid-probe (the caller
+/// must report [`AttackOutcome::Timeout`]). The probe loop checks the
+/// budget *between* probes — a wide key no longer blows past
+/// `AttackBudget::timeout` one 2 000-conflict probe at a time, and a
+/// raised stop flag ends it at once — and the main loop's conflict budget
+/// is restored on every exit path, timeout included.
 fn crunch_key_bits(run: &Run, solver: &mut Solver, k1: &[Lit], fixed: &mut [Option<bool>]) -> bool {
     let mut timed_out = false;
     for (j, &kj) in k1.iter().enumerate() {
         if fixed[j].is_some() {
             continue;
         }
-        let Some(rem) = run.remaining() else {
+        if run.budget.expired(run.start) {
             timed_out = true;
             break;
-        };
-        solver.set_timeout(Some(rem));
+        }
         solver.set_conflict_budget(Some(2_000));
         if solver.solve_with_assumptions(&[kj]) == SatResult::Unsat {
             solver.add_clause(&[!kj]);

@@ -8,7 +8,11 @@
 //! equivalence miter ([`scheduled_equiv`]): both circuits encoded as
 //! `MiterBuilder` frames, the locked side's key port pinned per frame to
 //! the schedule in `key_inputs()` order. It backs the `cutelock verify`
-//! CLI subcommand and the daemon's `verify` jobs.
+//! CLI subcommand and the daemon's `verify` jobs, which hand the proof
+//! their stop flag so that a `CANCEL` ends it.
+
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use cutelock_core::LockedCircuit;
 use cutelock_netlist::NetlistError;
@@ -30,6 +34,18 @@ pub fn prove_locked_equivalence(
     frames: usize,
     conflict_budget: Option<u64>,
 ) -> Result<EquivResult, NetlistError> {
+    prove_locked_equivalence_until(locked, frames, conflict_budget, None)
+}
+
+/// [`prove_locked_equivalence`], giving up with [`EquivResult::Unknown`]
+/// once `stop` is raised: the daemon's `verify` jobs pass their stop flag
+/// here. Errors and panics as there.
+pub fn prove_locked_equivalence_until(
+    locked: &LockedCircuit,
+    frames: usize,
+    conflict_budget: Option<u64>,
+    stop: Option<Arc<AtomicBool>>,
+) -> Result<EquivResult, NetlistError> {
     let schedule: Vec<Vec<bool>> = (0..frames as u64)
         .map(|t| locked.schedule.key_at_cycle(t).bits().to_vec())
         .collect();
@@ -38,6 +54,7 @@ pub fn prove_locked_equivalence(
         &locked.original,
         &schedule,
         conflict_budget,
+        stop,
     )
 }
 

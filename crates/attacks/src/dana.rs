@@ -41,22 +41,22 @@ pub struct DanaReport {
     pub labels: Vec<usize>,
     /// CPU time.
     pub elapsed: Duration,
-    /// True when [`AttackBudget::timeout`] expired before the refinement
-    /// reached a fixpoint; `clusters`/`labels` then hold the partial (still
-    /// well-formed) partition computed so far.
+    /// True when the budget expired (its timeout passed or its stop flag
+    /// rose) before the refinement reached a fixpoint; `clusters`/`labels`
+    /// then hold the partial (still well-formed) partition computed so far.
     pub timed_out: bool,
 }
 
-/// Runs register clustering on `nl`, enforcing `budget.timeout` across the
-/// per-flip-flop cone analysis and every refinement round.
+/// Runs register clustering on `nl`, enforcing the budget's timeout and
+/// stop flag across the per-flip-flop cone analysis and every refinement
+/// round.
 ///
-/// DANA is graph refinement, not SAT, so the deadline is polled between
+/// DANA is graph refinement, not SAT, so the budget is polled between
 /// units of work (one cone, one round); a run that exhausts its budget
 /// returns the coarser partition it had with
 /// [`DanaReport::timed_out`] set instead of overrunning the clock.
 pub fn dana_attack_with_budget(nl: &Netlist, budget: &AttackBudget) -> DanaReport {
     let start = budget.start();
-    let out_of_time = || budget.remaining(start).is_none();
     let n = nl.dff_count();
     if n == 0 {
         return DanaReport {
@@ -67,7 +67,7 @@ pub fn dana_attack_with_budget(nl: &Netlist, budget: &AttackBudget) -> DanaRepor
         };
     }
 
-    let mut timed_out = out_of_time();
+    let mut timed_out = budget.expired(start);
 
     // Register-level dataflow: predecessors and successors per FF.
     let mut preds: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
@@ -99,7 +99,7 @@ pub fn dana_attack_with_budget(nl: &Netlist, budget: &AttackBudget) -> DanaRepor
         // One cone analysis = one unit of virtual time, ticked *before*
         // the check so a zero budget expires at cone 0 deterministically.
         budget.clock.tick(1);
-        if out_of_time() {
+        if budget.expired(start) {
             timed_out = true;
             break;
         }
@@ -116,7 +116,7 @@ pub fn dana_attack_with_budget(nl: &Netlist, budget: &AttackBudget) -> DanaRepor
         }
         // One refinement round = one unit of virtual time.
         budget.clock.tick(1);
-        if out_of_time() {
+        if budget.expired(start) {
             timed_out = true;
             break;
         }

@@ -17,12 +17,10 @@
 //! An attack module supplies only what differs: its [`Miter`] (how the
 //! copies are encoded and how one DIP becomes constraints) and the order
 //! in which it calls [`Run::hunt`] and [`Run::extract`]. Every query is
-//! raced through the run's [`Portfolio`], every deadline is measured on
-//! the budget's clock, and every [`AttackReport`] is built here, so solver
-//! setup, the iteration cap and the report's counters have one
-//! implementation.
-
-use std::time::Duration;
+//! raced through the run's [`Portfolio`], every solver is armed with the
+//! run's budget by [`AttackBudget::arm`], and every [`AttackReport`] is
+//! built here, so solver setup, the iteration cap and the report's
+//! counters have one implementation.
 
 use cutelock_core::clock::Instant;
 use cutelock_core::{KeyValue, LockedCircuit};
@@ -57,12 +55,12 @@ pub(crate) trait Miter {
 pub(crate) struct Run<'a> {
     /// The locked circuit and its oracle.
     pub(crate) locked: &'a LockedCircuit,
-    /// Deadline, iteration cap, conflict cap and clock.
+    /// Deadline, iteration cap, conflict cap, clock and stop flag.
     pub(crate) budget: &'a AttackBudget,
     /// How each query is raced.
     portfolio: &'a Portfolio,
     /// When the run started, on the budget's clock.
-    start: Instant,
+    pub(crate) start: Instant,
     /// DIPs found so far, across every hunt of the run.
     pub(crate) iterations: usize,
     /// The unrolling bound reports carry (1 for the scan attacks).
@@ -85,19 +83,6 @@ impl<'a> Run<'a> {
             iterations: 0,
             bound,
         }
-    }
-
-    /// Time left before the deadline (`None` once it has passed).
-    pub(crate) fn remaining(&self) -> Option<Duration> {
-        self.budget.remaining(self.start)
-    }
-
-    /// Gives a freshly built solver the run's conflict cap, clock and stop
-    /// flag.
-    pub(crate) fn prepare(&self, solver: &mut Solver) {
-        solver.set_conflict_budget(self.budget.conflict_budget);
-        solver.set_clock(self.budget.clock.clone());
-        self.portfolio.install(solver);
     }
 
     /// A report of `outcome`, carrying `solver`'s counters.
@@ -147,11 +132,10 @@ impl<'a> Run<'a> {
             m.solver().add_scoped_clause(clause);
         }
         loop {
-            let Some(rem) = self.remaining() else {
+            if self.budget.expired(self.start) {
                 return Err(self.report(AttackOutcome::Timeout, m.solver()));
-            };
-            m.solver().set_timeout(Some(rem));
-            match self.portfolio.race_scoped(m.solver(), &[]) {
+            }
+            match self.portfolio.race_scoped(m.solver()) {
                 SatResult::Unknown => return Err(self.report(AttackOutcome::Timeout, m.solver())),
                 SatResult::Unsat => break,
                 SatResult::Sat => {

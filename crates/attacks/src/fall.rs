@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
-use cutelock_core::clock::ClockHandle;
+use cutelock_core::clock::Instant;
 use cutelock_core::{KeyValue, LockedCircuit};
 use cutelock_netlist::unroll::scan_view;
 use cutelock_netlist::{Driver, GateKind, NetId, Netlist};
@@ -82,11 +82,11 @@ enum ComparatorKind {
     Restore(BTreeMap<NetId, NetId>),
 }
 
-/// Runs FALL on the locked circuit, enforcing `budget.timeout` across the
-/// structural sweep, the pairing phase, and every SAT confirmation call,
-/// and racing each SAT key-confirmation check across the given
-/// [`Portfolio`] (the structural and pairing phases are not SAT-bound and
-/// stay serial).
+/// Runs FALL on the locked circuit, enforcing the budget's timeout and
+/// stop flag across the structural sweep, the pairing phase, and every
+/// SAT confirmation call, and racing each SAT key-confirmation check
+/// across the given [`Portfolio`] (the structural and pairing phases are
+/// not SAT-bound and stay serial).
 ///
 /// A run that exhausts the budget reports [`AttackOutcome::Timeout`] with
 /// whatever partial candidate/key counts it had accumulated. Callers that
@@ -99,7 +99,6 @@ pub fn fall_attack_with(
     portfolio: &Portfolio,
 ) -> FallReport {
     let start = budget.start();
-    let out_of_time = || budget.remaining(start).is_none();
     let timed_out = |candidates: usize, keys: Vec<KeyValue>| FallReport {
         candidates,
         keys_found: keys.len(),
@@ -122,7 +121,7 @@ pub fn fall_attack_with(
         // check, so a zero budget times out at chunk 0 deterministically).
         if gi % 256 == 0 {
             budget.clock.tick(1);
-            if out_of_time() {
+            if budget.expired(start) {
                 return timed_out(0, Vec::new());
             }
         }
@@ -171,7 +170,7 @@ pub fn fall_attack_with(
     let mut candidates: Vec<(NetId, NetId, KeyValue)> = Vec::new();
     for s in &strips {
         budget.clock.tick(1);
-        if out_of_time() {
+        if budget.expired(start) {
             return timed_out(candidates.len(), Vec::new());
         }
         let ComparatorKind::Strip(pattern) = &s.kind else {
@@ -203,16 +202,16 @@ pub fn fall_attack_with(
     let mut keys = Vec::new();
     for (strip_root, restore_root, cand) in &candidates {
         budget.clock.tick(1);
-        let Some(rem) = budget.remaining(start) else {
+        if budget.expired(start) {
             return timed_out(candidates.len(), keys);
-        };
+        }
         if confirm_key(
             nl,
             *strip_root,
             *restore_root,
             cand,
-            rem,
-            &budget.clock,
+            budget,
+            start,
             portfolio,
         ) && verify_candidate_key(locked, cand, 256, 0xfa11)
         {
@@ -265,25 +264,22 @@ fn classify_literal(nl: &Netlist, id: NetId, is_key: &dyn Fn(NetId) -> bool) -> 
 }
 
 /// SAT check: `locked(X, cand)` must equal the netlist with both comparator
-/// roots forced to 0 (functionality restored + stripping removed).
-/// `remaining` is the attack's unspent wall-clock budget; a solver call
-/// that exhausts it answers `Unknown`, which counts as unconfirmed.
+/// roots forced to 0 (functionality restored + stripping removed). The
+/// solver is armed with the attack's `budget` (started at `start`) under
+/// FALL's own 200 000-conflict cap; a call that runs out of it answers
+/// `Unknown`, which counts as unconfirmed.
 fn confirm_key(
     nl: &Netlist,
     strip_root: NetId,
     restore_root: NetId,
     cand: &KeyValue,
-    remaining: std::time::Duration,
-    clock: &ClockHandle,
+    budget: &AttackBudget,
+    start: Instant,
     portfolio: &Portfolio,
 ) -> bool {
     let mut enc = CircuitEncoder::new();
+    budget.arm(&mut enc.solver, start);
     enc.solver.set_conflict_budget(Some(200_000));
-    // Clock first: the deadline below must be computed on the attack's
-    // clock, not the wall default.
-    enc.solver.set_clock(clock.clone());
-    enc.solver.set_timeout(Some(remaining));
-    portfolio.install(&mut enc.solver);
     // Copy A: keys bound to candidate.
     let mut binding_a = Binding::new();
     for (&k, &b) in nl.key_inputs().iter().zip(cand.bits()) {
@@ -336,6 +332,8 @@ mod tests {
     use cutelock_circuits::s27::s27;
     use cutelock_core::baselines::TtLock;
     use cutelock_core::str_lock::{CuteLockStr, CuteLockStrConfig};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     fn fall_budgeted(lc: &LockedCircuit, budget: &AttackBudget) -> FallReport {
         fall_attack_with(lc, budget, &Portfolio::single())
@@ -431,6 +429,22 @@ mod tests {
         assert!(matches!(a.outcome, AttackOutcome::KeyFound(_)));
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.elapsed, b.elapsed, "virtual elapsed is deterministic");
+    }
+
+    #[test]
+    fn a_raised_stop_flag_ends_fall_in_its_structural_phase() {
+        let lc = TtLock::new(4, 3).lock(&s27()).unwrap();
+        assert_eq!(fall(&lc).outcome.to_string(), "Equal(1010)");
+        // The structural sweep polls the budget, so a raised flag ends the
+        // run before any candidate is paired.
+        let budget = AttackBudget {
+            stop: Some(Arc::new(AtomicBool::new(true))),
+            ..AttackBudget::default()
+        };
+        let report = fall_budgeted(&lc, &budget);
+        assert_eq!(report.outcome, AttackOutcome::Timeout);
+        assert_eq!(report.candidates, 0);
+        assert_eq!(report.keys_found, 0);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cutelock_core::clock::{ClockHandle, Instant};
 use cutelock_core::{KeyValue, LockedCircuit};
+use cutelock_sat::Solver;
 
 /// Result of an attack run, mirroring the paper's table legend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +55,8 @@ impl fmt::Display for AttackOutcome {
 }
 
 /// Search budgets an attack must respect (the paper ran with a 20-hour
-/// wall-clock limit; the reproduction defaults are scaled down).
+/// wall-clock limit; the reproduction defaults are scaled down) — the one
+/// description of when a run ends.
 ///
 /// The `timeout` is measured on the budget's [`clock`](AttackBudget::clock)
 /// — a wall clock by default, so behavior matches the pre-clock tree
@@ -72,6 +76,11 @@ pub struct AttackBudget {
     /// The time source the timeout is measured against. Every solver an
     /// attack under this budget creates inherits this clock.
     pub clock: ClockHandle,
+    /// Cancellation from outside (the job daemon's `CANCEL`): once raised,
+    /// every attack loop ends in [`AttackOutcome::Timeout`] at its next
+    /// check, and every solver the budget armed aborts at its next
+    /// propagate/decide round.
+    pub stop: Option<Arc<AtomicBool>>,
 }
 
 impl AttackBudget {
@@ -89,34 +98,31 @@ impl AttackBudget {
     }
 
     /// The budget's idea of "now" — what attacks record as their start
-    /// instant and what `remaining` measures against.
+    /// instant and what `expired` measures against.
     pub(crate) fn start(&self) -> Instant {
         self.clock.now()
     }
 
-    /// Time still unspent by an attack that started at `start` (`None`
-    /// once the deadline has passed) — the single deadline check every
-    /// attack loop polls.
-    pub(crate) fn remaining(&self, start: Instant) -> Option<Duration> {
-        self.timeout
-            .checked_sub(self.clock.now().duration_since(start))
+    /// True once the stop flag is up or the timeout has passed since
+    /// `start` on the budget's clock — the one expiry test every attack
+    /// loop polls.
+    pub(crate) fn expired(&self, start: Instant) -> bool {
+        self.stop
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::Relaxed))
+            || self.clock.now().duration_since(start) > self.timeout
+    }
+
+    /// Arms a solver built by an attack that started at `start`: conflict
+    /// cap, clock, the deadline `start + timeout` and the stop flag. A
+    /// tighter conflict cap of the caller's own is set afterwards.
+    pub(crate) fn arm(&self, solver: &mut Solver, start: Instant) {
+        solver.set_conflict_budget(self.conflict_budget);
+        solver.set_clock(self.clock.clone());
+        solver.set_deadline(Some(start + self.timeout));
+        solver.set_stop(self.stop.clone());
     }
 }
-
-/// Budget equality compares the numeric limits and requires both budgets
-/// to read the **same clock instance**: two budgets that time out at the
-/// same duration on different clocks are not interchangeable.
-impl PartialEq for AttackBudget {
-    fn eq(&self, other: &Self) -> bool {
-        self.timeout == other.timeout
-            && self.max_bound == other.max_bound
-            && self.max_iterations == other.max_iterations
-            && self.conflict_budget == other.conflict_budget
-            && self.clock.same_clock(&other.clock)
-    }
-}
-
-impl Eq for AttackBudget {}
 
 impl Default for AttackBudget {
     fn default() -> Self {
@@ -126,6 +132,7 @@ impl Default for AttackBudget {
             max_iterations: 256,
             conflict_budget: Some(2_000_000),
             clock: ClockHandle::wall(),
+            stop: None,
         }
     }
 }

@@ -16,9 +16,12 @@
 //! solver (with everything it learnt) replaces the attack's main solver,
 //! so learning persists across queries.
 //!
-//! [`Portfolio::stop`] is the one cancellation that comes from outside:
-//! the job daemon's `CANCEL` raises it, and every solver the attack
-//! created aborts at its next propagate/decide round.
+//! A `Portfolio` only says how a query is raced; when the run ends is the
+//! [`AttackBudget`](crate::AttackBudget)'s to say. Its stop flag (raised by
+//! the job daemon's `CANCEL`) rides on the armed solver into every
+//! entrant, which aborts at its next propagate/decide round, and the race
+//! gives up after that epoch, as it does once the deadline has passed
+//! ([`Solver::interrupted`] reads both).
 //!
 //! Determinism fine print (codified in `docs/DETERMINISM.md` at the
 //! repository root): deadlines are measured on the budget's
@@ -51,7 +54,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cutelock_sat::{merge_exports, Lit, SatResult, ShareCap, SharedClause, Solver, SolverConfig};
+use cutelock_sat::{merge_exports, SatResult, ShareCap, SharedClause, Solver, SolverConfig};
 use cutelock_sim::pool::Pool;
 
 /// Default conflicts per entrant in the first race epoch; later epochs
@@ -76,10 +79,6 @@ pub struct Portfolio {
     /// Conflicts per entrant in the first epoch slice (doubled each
     /// epoch). `DEFAULT_EPOCH_BASE` when built via the constructors.
     pub epoch_base: u64,
-    /// Attack-level cancellation: installed into every solver the attack
-    /// creates, so a running attack can be retired from outside (the job
-    /// daemon's `CANCEL` slot).
-    pub stop: Option<Arc<AtomicBool>>,
     /// Epoch-barrier clause sharing: when enabled, every no-winner epoch
     /// ends with each entrant exporting its best learnts
     /// ([`Solver::export_learnts`]), the sets merged in entrant-index
@@ -146,7 +145,6 @@ impl Portfolio {
             k: 1,
             threads: 1,
             epoch_base: DEFAULT_EPOCH_BASE,
-            stop: None,
             share: false,
             share_cap: ShareCap::default(),
             ledger: Arc::new(ShareLedger::default()),
@@ -174,30 +172,16 @@ impl Portfolio {
         self.ledger.snapshot()
     }
 
-    /// Installs this portfolio's attack-level stop flag into a solver the
-    /// attack just created — every engine calls this right after building
-    /// its miter.
-    pub(crate) fn install(&self, solver: &mut Solver) {
-        solver.set_stop(self.stop.clone());
-    }
-
-    /// True when the attack-level stop flag has been raised.
-    pub(crate) fn stop_requested(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
-    }
-
     /// Races a [`Solver::solve_scoped`] query (every open scope active)
     /// and leaves the winning entrant's state in `solver`.
-    pub(crate) fn race_scoped(&self, solver: &mut Solver, assumptions: &[Lit]) -> SatResult {
-        self.race_inner(solver, true, assumptions)
+    pub(crate) fn race_scoped(&self, solver: &mut Solver) -> SatResult {
+        self.race_inner(solver, true)
     }
 
     /// Races a plain [`Solver::solve_with_assumptions`] query (open scopes
     /// *inactive*) and leaves the winning entrant's state in `solver`.
     pub fn race(&self, solver: &mut Solver) -> SatResult {
-        self.race_inner(solver, false, &[])
+        self.race_inner(solver, false)
     }
 
     /// The epoch race. See the module docs for the determinism argument;
@@ -206,16 +190,16 @@ impl Portfolio {
     /// above its own index, and the lowest-index finisher of the first
     /// decisive epoch wins — so scheduling order can never change the
     /// winner or its model.
-    fn race_inner(&self, solver: &mut Solver, scoped: bool, assumptions: &[Lit]) -> SatResult {
-        if self.k <= 1 {
-            return if scoped {
-                solver.solve_scoped(assumptions)
+    fn race_inner(&self, solver: &mut Solver, scoped: bool) -> SatResult {
+        let solve = |s: &mut Solver| {
+            if scoped {
+                s.solve_scoped(&[])
             } else {
-                solver.solve_with_assumptions(assumptions)
-            };
-        }
-        if self.stop_requested() {
-            return SatResult::Unknown;
+                s.solve_with_assumptions(&[])
+            }
+        };
+        if self.k <= 1 {
+            return solve(solver);
         }
         let saved_budget = solver.conflict_budget();
         let ticking = solver.clock_ticking();
@@ -257,14 +241,10 @@ impl Portfolio {
                 let stagger = configs[i].conflict_stagger;
                 s.set_conflict_budget(Some(slice.saturating_add(stagger).min(cap - spent)));
                 // The race flag goes in the solver's second cancellation
-                // slot, so the attack-level stop flag the entrant cloned
-                // from the main solver keeps working mid-slice.
+                // slot, so the budget's stop flag the entrant cloned from
+                // the main solver keeps working mid-slice.
                 s.set_race_stop(Some(Arc::clone(&flags[i])));
-                let r = if scoped {
-                    s.solve_scoped(assumptions)
-                } else {
-                    s.solve_with_assumptions(assumptions)
-                };
+                let r = solve(&mut s);
                 if r != SatResult::Unknown {
                     // Retire only the entrants ABOVE this index: a finisher
                     // must never interrupt a lower-index entrant that would
@@ -292,10 +272,11 @@ impl Portfolio {
                 return results[w];
             }
             spent = spent.saturating_add(slice);
-            if spent >= cap || solver.deadline_expired() || self.stop_requested() {
-                // Out of conflicts, out of wall-clock, or cancelled from
-                // the attack level: surrender like a single solver would.
-                // `solver` keeps its pre-race state (budgets untouched).
+            if spent >= cap || solver.interrupted() {
+                // Out of conflicts, past the deadline, or cancelled through
+                // the budget's stop flag: surrender like a single solver
+                // would. `solver` keeps its pre-race state (budgets
+                // untouched).
                 return SatResult::Unknown;
             }
             if self.share {
@@ -333,6 +314,7 @@ impl Portfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cutelock_sat::Lit;
 
     /// A PHP(n+1, n) instance loaded into a fresh solver.
     fn pigeonhole_solver(holes: usize) -> Solver {
@@ -418,12 +400,11 @@ mod tests {
 
     #[test]
     fn raised_stop_flag_preempts_the_race() {
-        let stop = Arc::new(AtomicBool::new(true));
+        // The flag rides on the solver: every entrant clones it, aborts at
+        // once, and the race gives up after the first epoch.
         let mut s = pigeonhole_solver(4);
-        let p = Portfolio {
-            stop: Some(stop),
-            ..Portfolio::new(4, 2)
-        };
+        s.set_stop(Some(Arc::new(AtomicBool::new(true))));
+        let p = Portfolio::new(4, 2);
         assert_eq!(p.race(&mut s), SatResult::Unknown);
     }
 

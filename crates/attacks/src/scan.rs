@@ -65,7 +65,7 @@ impl ScanModel {
         let oracle = NetlistOracle::new(locked.original.clone()).ok()?;
         let shared = shared_ffs(locked)?;
         let mut m = MiterBuilder::new(sv, &shared);
-        run.prepare(&mut m.enc.solver);
+        run.budget.arm(&mut m.enc.solver, run.start);
         let k1 = m.fresh_keys();
         let k2 = m.fresh_keys();
         let xs = m.fresh_data();

@@ -110,7 +110,7 @@ impl std::fmt::Display for AttackStrategy {
 pub struct AttackSpec {
     /// The attack to run.
     pub strategy: AttackStrategy,
-    /// Search budget (wall-clock, bound, iterations, conflicts).
+    /// Search budget (wall-clock, bound, iterations, conflicts, stop flag).
     pub budget: AttackBudget,
     /// Query-level portfolio settings ([`Portfolio::single`] disables
     /// racing).

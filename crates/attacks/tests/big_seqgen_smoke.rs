@@ -55,6 +55,7 @@ fn quick_budget() -> AttackBudget {
         max_iterations: 32,
         conflict_budget: Some(25_000),
         clock: VirtualClock::with_tick(1_000_000).handle(),
+        stop: None,
     }
 }
 

@@ -38,6 +38,7 @@ fn vbudget(ms: u64) -> AttackBudget {
         max_iterations: 256,
         conflict_budget: Some(500_000),
         clock: VirtualClock::with_tick(NANOS_PER_TICK).handle(),
+        stop: None,
     }
 }
 

@@ -1,9 +1,10 @@
 //! End-to-end daemon tests: a real `Server` on an ephemeral TCP port, two
 //! concurrent clients sharing one job-id space, fairness of the express
 //! lane under a batch blocker, a mid-solve CANCEL unwinding through the
-//! solver stop slot, a cache hit on an identical resubmission, the
-//! refusal of a request line over 64 KiB or not UTF-8, and a daemon that
-//! runs out of descriptors and keeps serving.
+//! solver stop slot, a CANCEL that stops a running `verify` proof, a cache
+//! hit on an identical resubmission, the refusal of a request line over
+//! 64 KiB or not UTF-8, and a daemon that runs out of descriptors and
+//! keeps serving.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -173,19 +174,21 @@ impl Drop for Daemon {
     }
 }
 
-/// Out of descriptors, the daemon waits for clients to close instead of
-/// exiting: under `ulimit -n 24` it outlives 30 idle connections, then
-/// answers a request and shuts down cleanly.
+/// Starts `cutelock serve` on an ephemeral port under `sh -c` with the
+/// shell prefix `setup`, and returns it with its address.
 #[cfg(unix)]
-#[test]
-fn a_daemon_out_of_descriptors_keeps_serving() {
-    use std::io::Read;
+fn spawn_daemon(
+    setup: &str,
+    workers: usize,
+) -> (Daemon, BufReader<std::process::ChildStdout>, String) {
     use std::process::{Command, Stdio};
 
     let mut daemon = Daemon(
         Command::new("sh")
             .arg("-c")
-            .arg(r#"ulimit -n 24 && exec "$0" serve --addr 127.0.0.1:0 --workers 1"#)
+            .arg(format!(
+                r#"{setup}exec "$0" serve --addr 127.0.0.1:0 --workers {workers}"#
+            ))
             .arg(env!("CARGO_BIN_EXE_cutelock"))
             .stdout(Stdio::piped())
             .spawn()
@@ -199,6 +202,78 @@ fn a_daemon_out_of_descriptors_keeps_serving() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
         .to_string();
+    (daemon, stdout, addr)
+}
+
+/// A `CANCEL` reaches a running `verify` job: its proof of s5378 (about a
+/// minute of solving in a release build) stops, the job reads `cancelled`
+/// within seconds, and `SHUTDOWN` does not wait for the proof.
+#[cfg(unix)]
+#[test]
+fn a_cancel_stops_a_running_verify() {
+    let (mut daemon, _stdout, addr) = spawn_daemon("", 2);
+    let mut writer = TcpStream::connect(&addr).expect("connect");
+    // A proof that ignores its stop flag fails the test instead of
+    // hanging it.
+    writer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set a read timeout");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let mut request = |line: &str| {
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write the request");
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .unwrap_or_else(|e| panic!("no reply to {line:?} within 10 s: {e}"));
+        reply.trim_end().to_string()
+    };
+
+    assert_eq!(request("SUBMIT verify --circuit s5378"), "OK id=1");
+    let clock = ClockHandle::wall();
+    let deadline = clock.now() + Duration::from_secs(60);
+    loop {
+        let status = request("STATUS 1");
+        if status.contains("state=running") {
+            break;
+        }
+        assert!(clock.now() < deadline, "the verify never ran: {status}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let started = clock.now();
+    assert_eq!(request("CANCEL 1"), "OK id=1 cancel-requested");
+    let line = request("RESULT 1 --wait");
+    assert!(line.contains("state=cancelled"), "{line}");
+    assert!(
+        clock.now().duration_since(started) < Duration::from_secs(10),
+        "a cancel must stop the proof, not wait it out"
+    );
+
+    assert_eq!(request("SHUTDOWN"), "OK shutting-down");
+    let deadline = clock.now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("poll the daemon") {
+            break status;
+        }
+        assert!(
+            clock.now() < deadline,
+            "the daemon did not exit within 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "{status}");
+}
+
+/// Out of descriptors, the daemon waits for clients to close instead of
+/// exiting: under `ulimit -n 24` it outlives 30 idle connections, then
+/// answers a request and shuts down cleanly.
+#[cfg(unix)]
+#[test]
+fn a_daemon_out_of_descriptors_keeps_serving() {
+    use std::io::Read;
+
+    let (mut daemon, mut stdout, addr) = spawn_daemon("ulimit -n 24 && ", 1);
 
     let idle: Vec<TcpStream> = (0..30)
         .map(|_| TcpStream::connect(&addr).expect("connect"))

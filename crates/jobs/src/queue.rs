@@ -12,12 +12,13 @@
 //!   express first, then batch. A single-worker pool degrades to
 //!   express-before-batch priority.
 //! * **Cancellation.** Every job owns a stop flag
-//!   (`Arc<AtomicBool>`) that its work closure is handed at start; attack
-//!   closures install it as the portfolio/solver stop slot
-//!   ([`Solver::set_stop`](cutelock_sat::Solver::set_stop)), so a
-//!   `CANCEL` on a *running* job unwinds within one portfolio epoch —
-//!   the next propagate/decide round at worst. A `CANCEL` on a *queued*
-//!   job retires it immediately without running it.
+//!   (`Arc<AtomicBool>`) that its work closure is handed at start, and
+//!   every job kind passes it on to its solvers
+//!   ([`Solver::set_stop`](cutelock_sat::Solver::set_stop)): an attack as
+//!   its budget's stop flag, a `verify` to its equivalence proof, a
+//!   `solve` to its one solver. So a `CANCEL` on a *running* job stops
+//!   it at its solvers' next propagate/decide round. A `CANCEL` on a
+//!   *queued* job retires it immediately without running it.
 //! * **Isolation.** A job whose closure panics is `failed` with the panic
 //!   message, and its worker goes on to the next job.
 //! * **Memoization.** Every submit carries a cache key (the circuit

@@ -9,7 +9,8 @@
 //!   [--timeout SECS] [--portfolio K] [--threads N] [--share on|off]
 //!   [--simplify on|off]` — locks a built-in benchmark
 //!   deterministically from the given parameters, builds an
-//!   [`AttackSpec`], and runs [`run_attack`]. Batch lane. Cached by
+//!   [`AttackSpec`], and runs [`run_attack`] with the job's stop flag as
+//!   the budget's ([`AttackBudget::stop`]). Batch lane. Cached by
 //!   (circuit fingerprint, strategy, budget, portfolio width, share
 //!   on/off, simplify on/off). With `--share on` the result line grows a
 //!   deterministic `shared=exported/imported/dups` field (DETERMINISM.md
@@ -20,7 +21,8 @@
 //! * `SUBMIT verify [--circuit s27] [--scheme …] [--frames N]
 //!   [--conflicts N] …` — SAT-proves the locked instance cycle-exact
 //!   against its original under its own schedule
-//!   ([`prove_locked_equivalence`]). Express lane: verifies are the cheap,
+//!   ([`prove_locked_equivalence_until`], handed the job's stop flag, so a
+//!   running verify cancels too). Express lane: verifies are the cheap,
 //!   latency-sensitive jobs the fairness lane exists for. Cached.
 //! * `SUBMIT solve --php N [--conflicts N]` — a pigeonhole SAT instance
 //!   (`N+1` pigeons, `N` holes: UNSAT, and exponentially hard for
@@ -45,7 +47,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cutelock_attacks::certify::prove_locked_equivalence;
+use cutelock_attacks::certify::prove_locked_equivalence_until;
 use cutelock_attacks::portfolio::Portfolio;
 use cutelock_attacks::{run_attack, AttackBudget, AttackOutcome, AttackSpec, AttackStrategy};
 use cutelock_circuits::{iscas89, itc99};
@@ -175,9 +177,10 @@ fn parse_attack(flags: &Flags, limits: &Limits) -> Result<SubmitRequest, String>
     let label = format!("attack {mode} {} {}", locked.netlist.name(), locked.scheme);
     let work: crate::queue::JobWork = Box::new(move |stop: &Arc<AtomicBool>| {
         let mut spec = spec;
-        // The job's stop flag becomes the portfolio/solver stop slot: a
-        // CANCEL unwinds the attack within one portfolio epoch.
-        spec.portfolio.stop = Some(Arc::clone(stop));
+        // The job's stop flag becomes the budget's: a CANCEL ends the
+        // attack at its next budget check, and every solver it armed at
+        // its next propagate/decide round.
+        spec.budget.stop = Some(Arc::clone(stop));
         let report = run_attack(&locked, &spec);
         // A budget expiry is a *failed* job, not a result: on a wall
         // clock the verdict is not reproducible (so it must never reach
@@ -226,8 +229,9 @@ fn parse_verify(flags: &Flags) -> Result<SubmitRequest, String> {
     fp.update_u64(conflicts);
     let cache_key = fp.finish();
     let label = format!("verify {} {}", locked.netlist.name(), locked.scheme);
-    let work: crate::queue::JobWork = Box::new(move |_stop: &Arc<AtomicBool>| {
-        match prove_locked_equivalence(&locked, frames, Some(conflicts)) {
+    let work: crate::queue::JobWork = Box::new(move |stop: &Arc<AtomicBool>| {
+        let stop = Some(Arc::clone(stop));
+        match prove_locked_equivalence_until(&locked, frames, Some(conflicts), stop) {
             Ok(EquivResult::Equivalent) => Ok(format!("equivalent frames={frames}")),
             Ok(EquivResult::Counterexample(cex)) => Err(format!(
                 "not equivalent: outputs diverge within {} cycle(s)",

@@ -90,7 +90,7 @@ impl Binding {
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
-    pub fn bind_all(&mut self, ids: &[NetId], lits: &[Lit]) -> &mut Self {
+    pub(crate) fn bind_all(&mut self, ids: &[NetId], lits: &[Lit]) -> &mut Self {
         assert_eq!(ids.len(), lits.len(), "port width mismatch");
         for (&id, &l) in ids.iter().zip(lits) {
             self.map.insert(id, l);

@@ -20,6 +20,9 @@
 //! Key bits bind in `key_inputs()` order, numeric `keyinputN`, like every
 //! schedule and attack in the workspace.
 
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
 use cutelock_netlist::unroll::scan_view;
 use cutelock_netlist::{Netlist, NetlistError};
 
@@ -70,17 +73,25 @@ pub fn simplify_self_check(
     conflict_budget: Option<u64>,
 ) -> Result<EquivResult, NetlistError> {
     let inits = |nl: &Netlist| nl.dffs().iter().map(|ff| ff.init()).collect::<Vec<_>>();
-    if inits(original) == inits(simplified) {
-        miter(original, simplified, 1, true, None, conflict_budget)
-    } else {
-        miter(original, simplified, frames, false, None, conflict_budget)
-    }
+    let same_state = inits(original) == inits(simplified);
+    let frames = if same_state { 1 } else { frames };
+    miter(
+        original,
+        simplified,
+        frames,
+        same_state,
+        None,
+        conflict_budget,
+        None,
+    )
 }
 
 /// Proves that `locked`, its key port driven by `schedule[t]` in cycle `t`,
 /// matches `original` on every input sequence of `schedule.len()` cycles
 /// from reset. Data inputs and outputs are matched positionally; `original`
-/// keeps any key port of its own free.
+/// keeps any key port of its own free. `conflict_budget` caps the SAT call
+/// (`None` = unlimited), and a raised `stop` flag aborts it; either way
+/// the answer is [`EquivResult::Unknown`].
 ///
 /// # Errors
 ///
@@ -95,6 +106,7 @@ pub fn scheduled_equiv(
     original: &Netlist,
     schedule: &[Vec<bool>],
     conflict_budget: Option<u64>,
+    stop: Option<Arc<AtomicBool>>,
 ) -> Result<EquivResult, NetlistError> {
     miter(
         locked,
@@ -103,6 +115,7 @@ pub fn scheduled_equiv(
         false,
         Some(schedule),
         conflict_budget,
+        stop,
     )
 }
 
@@ -118,6 +131,7 @@ fn miter(
     same_state: bool,
     schedule: Option<&[Vec<bool>]>,
     conflict_budget: Option<u64>,
+    stop: Option<Arc<AtomicBool>>,
 ) -> Result<EquivResult, NetlistError> {
     assert!(frames > 0, "need at least one frame");
     let line_up = |kind, expected, got| {
@@ -151,6 +165,7 @@ fn miter(
     };
     let mut ma = MiterBuilder::new(scan_view(a)?, &obs);
     ma.enc.solver.set_conflict_budget(conflict_budget);
+    ma.enc.solver.set_stop(stop);
     let keys: Vec<Vec<Lit>> = (0..frames)
         .map(|t| match schedule {
             Some(s) => ma.enc.lits_const(&s[t]),
@@ -278,7 +293,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            miter(&a, &b, 6, false, None, None).unwrap(),
+            miter(&a, &b, 6, false, None, None, None).unwrap(),
             EquivResult::Equivalent
         );
     }
@@ -298,11 +313,11 @@ mod tests {
         .unwrap();
         // One frame: outputs both read initial q = 0 -> equivalent.
         assert_eq!(
-            miter(&a, &b, 1, false, None, None).unwrap(),
+            miter(&a, &b, 1, false, None, None, None).unwrap(),
             EquivResult::Equivalent
         );
         // Three frames: XOR toggles back, OR saturates -> counterexample.
-        match miter(&a, &b, 3, false, None, None).unwrap() {
+        match miter(&a, &b, 3, false, None, None, None).unwrap() {
             EquivResult::Counterexample(cex) => assert_eq!(cex.len(), 3),
             other => panic!("expected counterexample, got {other:?}"),
         }
@@ -318,12 +333,12 @@ mod tests {
         };
         let (zero, one) = (counter(0), counter(1));
         assert_eq!(
-            miter(&one, &one, 3, false, None, None).unwrap(),
+            miter(&one, &one, 3, false, None, None, None).unwrap(),
             EquivResult::Equivalent
         );
         // The first frame already reads the differing reset, so the
         // self-check may not take the same-state proof either.
-        match miter(&one, &zero, 1, false, None, None).unwrap() {
+        match miter(&one, &zero, 1, false, None, None, None).unwrap() {
             EquivResult::Counterexample(cex) => assert_eq!(cex.len(), 1),
             other => panic!("expected counterexample, got {other:?}"),
         }

@@ -1,6 +1,5 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use cutelock_core::clock::{ClockHandle, Instant};
 
@@ -222,12 +221,11 @@ impl Solver {
         self.conflict_budget = conflicts;
     }
 
-    /// Aborts searches that run past `timeout` from now (`None` removes it).
-    /// "Now" is read from the installed [`ClockHandle`], so under a virtual
-    /// clock the deadline is a deterministic point in the search.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) {
-        let now = self.clock.now();
-        self.deadline = timeout.map(|d| now + d);
+    /// Aborts searches that run past `deadline` (`None` removes it), an
+    /// instant on the installed [`ClockHandle`]: under a virtual clock the
+    /// deadline is a deterministic point in the search.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
     }
 
     /// Installs the time source deadlines are measured against and starts
@@ -268,11 +266,16 @@ impl Solver {
         self.conflict_budget
     }
 
-    /// True when a deadline set by [`set_timeout`](Solver::set_timeout) has
-    /// already passed — the portfolio epoch loop polls this between epochs
-    /// so an expired attack budget ends the race instead of another slice.
-    pub fn deadline_expired(&self) -> bool {
+    /// True when the [deadline](Solver::set_deadline) has passed or a
+    /// cancellation flag is up — what the search loop polls once per
+    /// propagate/decide round, and the portfolio race between epochs, so
+    /// an interrupted solve ends instead of running another slice.
+    pub fn interrupted(&self) -> bool {
+        let raised =
+            |f: &Option<Arc<AtomicBool>>| f.as_ref().is_some_and(|f| f.load(Ordering::Relaxed));
         self.deadline.is_some_and(|d| self.clock.now() >= d)
+            || raised(&self.stop)
+            || raised(&self.race_stop)
     }
 
     /// Installs (or removes) a shared cooperative-cancellation flag.
@@ -280,7 +283,7 @@ impl Solver {
     /// The search loop polls the flag at the same cadence as the deadline —
     /// once per propagate/decide round — and aborts with
     /// [`SatResult::Unknown`] when it reads `true`. This is how a
-    /// cancelled job stops its attack: flip one [`AtomicBool`] and every
+    /// cancelled job stops its solve: flip one [`AtomicBool`] and every
     /// solver holding it stops at its next check, leaving its clause
     /// database intact. Cloned solvers share the installed flag.
     pub fn set_stop(&mut self, stop: Option<Arc<AtomicBool>>) {
@@ -300,16 +303,6 @@ impl Solver {
     /// propagate/decide round when **either** flag reads `true`.
     pub fn set_race_stop(&mut self, stop: Option<Arc<AtomicBool>>) {
         self.race_stop = stop;
-    }
-
-    fn stop_requested(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
-            || self
-                .race_stop
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
     /// Applies a portfolio diversification (see [`SolverConfig`]): restart
@@ -822,17 +815,10 @@ impl Solver {
                         return Some(SatResult::Unknown);
                     }
                 }
-                if let Some(dl) = self.deadline {
-                    // Checking the clock is cheap relative to propagation
-                    // between conflicts.
-                    if self.clock.now() >= dl {
-                        return Some(SatResult::Unknown);
-                    }
-                }
-                // Cooperative cancellation (portfolio laggards, raced
-                // attack strategies): polled every propagate/decide round,
-                // like the deadline.
-                if self.stop_requested() {
+                // The deadline and cooperative cancellation (cancelled
+                // jobs, portfolio laggards): checking the clock and two
+                // flags is cheap relative to propagation between conflicts.
+                if self.interrupted() {
                     return Some(SatResult::Unknown);
                 }
                 if self.num_learnts > 4000 + 2 * self.clauses.len() {
@@ -1834,13 +1820,18 @@ mod tests {
     }
 
     #[test]
-    fn deadline_expired_tracks_set_timeout() {
+    fn interrupted_tracks_the_deadline_and_the_stop_flag() {
         let mut s = Solver::new();
-        assert!(!s.deadline_expired());
-        s.set_timeout(Some(Duration::ZERO));
-        assert!(s.deadline_expired());
-        s.set_timeout(None);
-        assert!(!s.deadline_expired());
+        assert!(!s.interrupted());
+        s.set_deadline(Some(s.clock().now()));
+        assert!(s.interrupted());
+        s.set_deadline(None);
+        assert!(!s.interrupted());
+        let flag = Arc::new(AtomicBool::new(true));
+        s.set_stop(Some(Arc::clone(&flag)));
+        assert!(s.interrupted());
+        flag.store(false, Ordering::Relaxed);
+        assert!(!s.interrupted());
     }
 
     #[test]
